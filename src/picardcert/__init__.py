@@ -17,7 +17,7 @@ from .problem import (Nonlinearity, NonlocalMap, ProblemSpec, ProblemError,
                       point_eval_nonlocal, sinusoid_affine, zero_nonlinearity,
                       zero_nonlocal)
 from .certify import (CertificationError, ContractionCertificate,
-                      certify, certify_ball_zero,
+                      certify_ball_zero,
                       certify_bohr_neugebauer_hypotheses, certify_evolution,
                       certify_radius_search, certify_shifted_ball,
                       compute_base_point, compute_envelope_constants)

@@ -1,27 +1,30 @@
 """Mechanical hypothesis checking for the contraction theorems.
 
-Each certificate records the integral constants entering one theorem's
-inequality set, the base point (the operator applied to the zero function),
-the claimed ball, the resulting contraction constant, and a verdict with the
-violated inequality when failing.  A passing certificate is exactly what the
-Picard solver consumes: it guarantees the iteration converges inside the
-recorded ball at the recorded rate.
+Each theorem is one row of ``THEOREMS``: its id, the variants and the mode
+(ball, shifted or radius) it serves, its contraction constant L, its named
+inequalities, whether theta = |Gamma y0 - y0| / (1 - L) decides the verdict
+or is only reported, and for radius searches the objective scanned over r.
+One evaluator turns a row into a ``ContractionCertificate`` with the integral
+constants, the base point (the operator applied to zero), the verdict naming
+the first violated inequality, and an audit line per inequality.
 
-Strict inequalities are checked with a configurable slack margin (default
-1e-9) and both the raw values and the slack are reported, since floating
-point equality at the boundary carries no information.
+Each inequality reads lhs < rhs (strict) or lhs <= rhs (non-strict), with
+slack rhs - lhs.  A strict one holds only when its slack exceeds the slack
+margin (default 1e-9): floating point equality at the boundary carries no
+information.  Contraction and growth conditions are strict; containment,
+size and theta <= rho are not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import problem as pb
-from .kernels import kronecker_points
 from .paths import SampledPath, sup_norm, sup_distance
 from .quadrature import (ADVANCED, DELAYED, HALF_LINE_DELAYED,
                          EnvelopeConstants, adaptive_integral,
@@ -31,7 +34,8 @@ DEFAULT_SLACK = 1e-9
 
 
 class CertificationError(RuntimeError):
-    """Certification could not be carried out (missing data, divergence)."""
+    """Certification could not be carried out (missing data, divergence, no
+    theorem for the requested variant and mode)."""
 
 
 @dataclass
@@ -90,46 +94,27 @@ class ContractionCertificate:
 # envelope constants per variant
 
 
-def _joint_sup(terms, t_grid, tol):
-    """max over the grid of a sum of oriented envelope integrals.
-
-    terms is a list of (envelope, orientation); returns (value, argmax_t).
-    """
+def _grid_sup(t_grid, terms):
+    """(max, argmax) over t in t_grid of the norm of a sum of integrals; each
+    term (g, orientation, span, tol) integrates s -> g(t, s) over
+    oriented_bounds(orientation, t, span) to tolerance tol."""
     best, best_t = 0.0, float(t_grid[0])
-    spans = [(env, orient, env.truncation_span(tol / 2.0)) for env, orient in terms
-             if env is not None and env.amplitude > 0.0]
-    if not spans:
-        return 0.0, best_t
-    for t in t_grid:
+    for t in map(float, t_grid):
         total = 0.0
-        for env, orient, span in spans:
-            lo, hi = oriented_bounds(orient, float(t), span)
+        for g, orientation, span, tol in terms:
+            lo, hi = oriented_bounds(orientation, t, span)
             if hi > lo:
-                val, _ = adaptive_integral(lambda s: env(float(t), s), lo, hi, tol / 2.0)
-                total += float(val)
-        if total > best:
-            best, best_t = total, float(t)
+                total = total + adaptive_integral(lambda s: g(t, s), lo, hi, tol)[0]
+        val = float(np.linalg.norm(total))
+        if val > best:
+            best, best_t = val, t
     return best, best_t
 
 
-def _vector_zero_integral_sup(kernel_eval, dim, orientation, tail, t_grid, tol):
-    """sup over the grid of |oriented integral of K(t, s, 0, 0) ds|."""
-    span = tail.truncation_span(tol / 2.0)
-    best, best_t = 0.0, float(t_grid[0])
-    for t in t_grid:
-        lo, hi = oriented_bounds(orientation, float(t), span)
-        if hi <= lo:
-            continue
-
-        def g(s):
-            z = np.zeros((s.size, dim))
-            return np.asarray(kernel_eval(np.full(s.size, float(t)), s, z, z))
-
-        val, _ = adaptive_integral(g, lo, hi, tol / 2.0)
-        nrm = float(np.linalg.norm(val))
-        if nrm > best:
-            best, best_t = nrm, float(t)
-    return best, best_t
+def _envelope_terms(pairs, tol):
+    """_grid_sup terms of (envelope, orientation) pairs, tails below tol/2."""
+    return [(env, orient, env.truncation_span(tol / 2.0), tol / 2.0)
+            for env, orient in pairs if env is not None and env.amplitude > 0.0]
 
 
 def compute_envelope_constants(spec: pb.ProblemSpec, t_grid=None) -> EnvelopeConstants:
@@ -157,51 +142,33 @@ def compute_envelope_constants(spec: pb.ProblemSpec, t_grid=None) -> EnvelopeCon
         out.P2 = envelope_constant(b2.theta, ADVANCED, t_grid, tol).value
         out.beta1_h5 = envelope_constant(b1.aa_part.lipschitz, DELAYED, t_grid, tol).value
         out.beta2_h5 = envelope_constant(b2.aa_part.lipschitz, ADVANCED, t_grid, tol).value
-        out.Q1, out.details["Q1_argmax"] = _joint_sup(
+        out.Q1, out.details["Q1_argmax"] = _grid_sup(t_grid, _envelope_terms(
             [(b1.ergodic_lipschitz, HALF_LINE_DELAYED),
-             (b2.ergodic_lipschitz, ADVANCED)], t_grid, tol)
-        g1_tail = b1.aa_part.envelope
-        out.gamma1, _ = _vector_zero_integral_sup(
-            b1.full_evaluator, b1.dim, HALF_LINE_DELAYED, g1_tail, t_grid, tol)
-        out.gamma2, _ = _vector_zero_integral_sup(
-            b2.full_evaluator, b2.dim, ADVANCED, b2.aa_part.envelope, t_grid, tol)
+             (b2.ergodic_lipschitz, ADVANCED)], tol))
+        # gamma_i: sup_t |oriented integral of B_i(t, s, 0, 0) ds|
+        for name, part, orient in (("gamma1", b1, HALF_LINE_DELAYED),
+                                   ("gamma2", b2, ADVANCED)):
+            def at_zero(t, s, part=part):
+                z = np.zeros((s.size, part.dim))
+                return np.asarray(part.full_evaluator(np.full(s.size, t), s, z, z))
+            span = part.aa_part.envelope.truncation_span(tol / 2.0)
+            setattr(out, name, _grid_sup(t_grid, [(at_zero, orient, span, tol / 2.0)])[0])
 
-    elif spec.variant in (pb.EVOLUTION_NONLOCAL, pb.RESOLVENT_NONLOCAL,
-                          pb.DELAY_PARABOLIC):
-        if spec.memory_kernel is not None:
-            out.C_B, out.details["C_B_argmax"] = _causal_bound(spec, t_grid, tol)
-        else:
-            out.C_B = 0.0
+    elif spec.memory_kernel is not None:
+        # C_B: sup over s >= 0 of the integral over [0, s] of the history kernel norm
+        def history_norm(s, taus):
+            mats = np.asarray(spec.memory_kernel.matrix(np.full(taus.size, s), taus))
+            return np.linalg.norm(mats, ord=2, axis=(-2, -1))
+
+        out.C_B, out.details["C_B_argmax"] = _grid_sup(
+            t_grid, [(history_norm, HALF_LINE_DELAYED, np.inf, tol)])
+    else:
+        out.C_B = 0.0
     return out
 
 
-def _causal_bound(spec, t_grid, tol):
-    """sup over s >= 0 of the integral over [0, s] of the history kernel norm."""
-    mk = spec.memory_kernel
-    best, best_s = 0.0, 0.0
-    for s in t_grid:
-        s = float(s)
-        if s <= 0.0:
-            continue
-
-        def g(taus):
-            mats = np.asarray(mk.matrix(np.full(taus.size, s), taus))
-            return np.linalg.norm(mats, ord=2, axis=(-2, -1))
-
-        val, _ = adaptive_integral(g, 0.0, s, tol)
-        if float(val) > best:
-            best, best_s = float(val), s
-    return best, best_s
-
-
-def sup_forcing_at_zero(spec: pb.ProblemSpec, t_grid=None) -> float:
-    t_grid = spec.constants_grid(257) if t_grid is None else np.asarray(t_grid, float)
-    vals = spec.f.at_zero(t_grid)
-    return float(np.max(np.linalg.norm(vals, axis=1)))
-
-
 # ---------------------------------------------------------------------------
-# base points
+# base points, Lipschitz and stability data
 
 
 def compute_base_point(spec: pb.ProblemSpec, grid=None) -> SampledPath:
@@ -212,144 +179,32 @@ def compute_base_point(spec: pb.ProblemSpec, grid=None) -> SampledPath:
     return solver.apply_operator(spec, zero)
 
 
-def empirical_lipschitz(spec: pb.ProblemSpec, radius: float, n_samples: int = 64) -> float:
-    """Sampled difference-quotient estimate of the nonlinearity's constant
-    inside the working ball, used when no analytic constant is supplied."""
-    d = spec.dim
-    pts = (2.0 * kronecker_points(2 * n_samples, 2 * d, seed_shift=0.11) - 1.0)
-    pts = pts.reshape(n_samples, 2, 2 * d) * radius / np.sqrt(d)
-    t_nodes = np.linspace(*spec.report_window, n_samples)
-    best = 0.0
-    for i in range(n_samples):
-        u = pts[i, 0, :d][None, :]
-        v = pts[i, 1, :d][None, :]
-        uy = pts[i, 0, d:][None, :]
-        vy = pts[i, 1, d:][None, :]
-        gap = np.linalg.norm(u - v) + np.linalg.norm(uy - vy)
-        if gap == 0:
-            continue
-        t = t_nodes[i:i + 1]
-        quot = float(np.linalg.norm(spec.f(t, u, uy) - spec.f(t, v, vy))) / gap
-        best = max(best, quot)
-    return best
+def _lipschitz_or_empirical(q):
+    """Analytic constant of f when supplied, else a sampled estimate over the
+    ball of radius rho + |y0| that the theorems actually use."""
+    if q.spec.f.lipschitz is not None:
+        q.audit.append(f"L_f = {q.spec.f.lipschitz:.12g}")
+        return float(q.spec.f.lipschitz)
+    q.empirical = True
+    est = q.spec.empirical_lipschitz(q.rho + q.b)
+    q.audit.append(f"L_f estimated empirically by difference quotients: {est:.6g}")
+    return est
 
 
-def _lipschitz_or_empirical(spec, rho, audit, base_sup=0.0):
-    """Analytic constant when supplied, else a sampled estimate over the ball
-    of radius rho + |y0| that the theorems actually use."""
-    empirical = False
-    if spec.f is None:
-        return 0.0, empirical
-    if spec.f.lipschitz is not None:
-        return float(spec.f.lipschitz), empirical
-    est = empirical_lipschitz(spec, rho + base_sup)
-    audit.append(f"L_f estimated empirically by difference quotients: {est:.6g}")
-    return est, True
-
-
-def _contraction_constant(spec, consts, L_f):
-    if spec.variant == pb.ADVANCED_DELAYED:
-        return 2.0 * (L_f + consts.N1 + consts.N2)
-    if spec.variant == pb.DELAYED_ONLY:
-        return 2.0 * (L_f + consts.N1)
-    if spec.variant == pb.HALF_LINE:
-        return 2.0 * (L_f + consts.Q1)
-    raise CertificationError(f"no integral-equation contraction constant for "
-                             f"variant {spec.variant!r}")
-
-
-def _ball_theorem_id(spec):
-    return "thAAA24" if spec.variant == pb.HALF_LINE else "th24"
-
-
-# ---------------------------------------------------------------------------
-# certificates for the integral-equation variants
-
-
-def certify_ball_zero(spec: pb.ProblemSpec, rho: float,
-                      slack_margin: float = DEFAULT_SLACK,
-                      constants: EnvelopeConstants = None,
-                      base_point: SampledPath = None) -> ContractionCertificate:
-    """Ball-around-zero certificate: contraction constant against
-    rho / (rho + |y0|) with the base point inside the ball."""
-    if rho <= 0.0:
-        raise CertificationError("rho must be positive")
-    audit = []
-    consts = constants if constants is not None else compute_envelope_constants(spec)
-    y0 = base_point if base_point is not None else compute_base_point(spec)
-    b = sup_norm(y0)
-    L_f, empirical = _lipschitz_or_empirical(spec, rho, audit, base_sup=b)
-    L = _contraction_constant(spec, consts, L_f)
-    rhs = rho / (rho + b)
-    slack = rhs - L
-    audit.append(f"L_f = {L_f:.12g}")
-    audit.append(f"ball check: contraction {L:.12g} vs rho/(rho+|y0|) = {rhs:.12g}"
-                 f" (slack {slack:.3g})")
-    audit.append(f"base point containment: |y0| = {b:.12g} <= rho = {rho:.12g}: "
-                 f"{'yes' if b <= rho else 'NO'}")
-    if spec.variant == pb.DELAYED_ONLY:
-        audit.append("delayed-only form: advanced-side modulus enters as zero")
-    verdict, violated = "pass", None
-    if b > rho:
-        verdict, violated = "fail", "|y0| <= rho"
-    elif not (slack > slack_margin):
-        verdict, violated = "fail", "contraction < rho/(rho+|y0|)"
-    if verdict == "pass" and empirical:
-        verdict = "empirical-pass"
-    return ContractionCertificate(
-        theorem_id=_ball_theorem_id(spec), variant=spec.variant, verdict=verdict,
-        L_gamma=L, rho=rho, base_point=y0, base_sup=b, constants=consts,
-        violated=violated, slack=slack, audit=audit, label=spec.label)
-
-
-def certify_shifted_ball(spec: pb.ProblemSpec, rho: float,
-                         slack_margin: float = DEFAULT_SLACK,
-                         constants: EnvelopeConstants = None) -> ContractionCertificate:
-    """Shifted-ball certificate: theta = |Gamma y0 - y0| / (1 - L) <= rho.
-
-    The ball is centred at the base point and need not contain zero; a theta
-    of zero means the base point is already the fixed point and is reported
-    as a degenerate pass.
-    """
-    from . import solver
-
-    if rho <= 0.0:
-        raise CertificationError("rho must be positive")
-    audit = []
-    consts = constants if constants is not None else compute_envelope_constants(spec)
-    y0 = compute_base_point(spec)
-    b = sup_norm(y0)
-    L_f, empirical = _lipschitz_or_empirical(spec, rho, audit, base_sup=b)
-    L = _contraction_constant(spec, consts, L_f)
-    if L >= 1.0:
-        return ContractionCertificate(
-            theorem_id="teos2-ball", variant=spec.variant, verdict="fail",
-            L_gamma=L, rho=rho, base_point=y0, base_sup=b, constants=consts,
-            violated="contraction constant < 1", slack=1.0 - L,
-            audit=audit + [f"contraction {L:.12g} >= 1: theta undefined"],
-            label=spec.label)
-    gy0 = solver.apply_operator(spec, y0)
-    gap = sup_distance(gy0, y0)
-    theta = gap / (1.0 - L)
-    slack = rho - theta
-    audit.append(f"L_f = {L_f:.12g}")
-    audit.append(f"|Gamma y0 - y0| = {gap:.12g}, theta = {theta:.12g}, rho = {rho:.12g}")
-    degenerate = gap <= 2.0 * spec.quad_tol
-    if degenerate:
-        verdict, violated = "degenerate-pass", None
-        audit.append("base point is already a fixed point within quadrature "
-                     "tolerance; solution is y0")
-    elif theta <= rho:
-        verdict, violated = "pass", None
+def _stability_constants(q):
+    """(M, delta) of the propagator's exponential decay."""
+    R, fam = q.spec.resolvent, q.spec.evolution
+    if q.spec.variant == pb.RESOLVENT_NONLOCAL:
+        if R is None or R.decay is None:
+            raise CertificationError("resolvent handle has no certified decay "
+                                     "constants (M, gamma, q)")
+        M, delta = float(R.decay[0]), float(R.decay[1]) / float(R.decay[2])
+    elif fam is None or getattr(fam, "stability", None) is None:
+        raise CertificationError("evolution family has no stability certificate")
     else:
-        verdict, violated = "fail", "theta <= rho"
-    if verdict == "pass" and empirical:
-        verdict = "empirical-pass"
-    return ContractionCertificate(
-        theorem_id="teos2-ball", variant=spec.variant, verdict=verdict,
-        L_gamma=L, rho=rho, theta=theta, base_point=y0, base_sup=b,
-        constants=consts, violated=violated, slack=slack, audit=audit,
-        label=spec.label)
+        M, delta = float(fam.stability.M), float(fam.stability.delta)
+    q.audit.append(f"stability constants: M = {M:.12g}, delta = {delta:.12g}")
+    return M, delta
 
 
 def _radius_scan(objective, lo=1e-3, hi=1e6, n=1000):
@@ -369,236 +224,254 @@ def _radius_scan(objective, lo=1e-3, hi=1e6, n=1000):
     return r_best, v_best
 
 
-def certify_radius_search(spec: pb.ProblemSpec,
-                          slack_margin: float = DEFAULT_SLACK,
-                          constants: EnvelopeConstants = None) -> ContractionCertificate:
-    """Radius-search certificate: scan r for the variant's growth condition
-    sup_r (r - 2 r L_f(r) - 2 r (moduli)) > forcing-plus-tails bound."""
-    audit = []
-    consts = constants if constants is not None else compute_envelope_constants(spec)
-    if spec.f is None or (spec.f.lipschitz is None and spec.f.lipschitz_curve is None):
-        raise CertificationError("radius search needs Lipschitz data for f")
-    sup_f0 = sup_forcing_at_zero(spec)
+# ---------------------------------------------------------------------------
+# the theorem table
 
-    if spec.variant == pb.ADVANCED_DELAYED:
-        mod = consts.N1 + consts.N2
-        rhs = sup_f0 + consts.alpha1 + consts.alpha2
-        rhs_desc = "sup|f(.,0,0)| + alpha1 + alpha2"
-    elif spec.variant == pb.DELAYED_ONLY:
-        mod = consts.N1
-        rhs = sup_f0 + consts.alpha1
-        rhs_desc = "alpha1 + sup|f(.,0,0)|"
-    elif spec.variant == pb.HALF_LINE:
-        mod = consts.Q1
-        rhs = sup_f0 + consts.gamma1 + consts.gamma2
-        rhs_desc = "sup|f(.,0,0)| + gamma1 + gamma2"
-    else:
-        raise CertificationError(
-            f"radius search applies to the integral-equation variants, "
-            f"not {spec.variant!r}")
+# per integral variant: the moduli in the contraction constant, and the
+# forcing-plus-tails bound of the radius search with its description
+_INTEGRAL_TERMS = {
+    pb.ADVANCED_DELAYED: (lambda c: c.N1 + c.N2, lambda c, f0: f0 + c.alpha1 + c.alpha2,
+                          "sup|f(.,0,0)| + alpha1 + alpha2"),
+    pb.DELAYED_ONLY: (lambda c: c.N1, lambda c, f0: f0 + c.alpha1,
+                      "alpha1 + sup|f(.,0,0)|"),
+    pb.HALF_LINE: (lambda c: c.Q1, lambda c, f0: f0 + c.gamma1 + c.gamma2,
+                   "sup|f(.,0,0)| + gamma1 + gamma2"),
+}
 
-    def objective(r):
-        return r * (1.0 - 2.0 * np.asarray(spec.f.curve(r)) - 2.0 * mod)
 
-    R, best = _radius_scan(objective)
-    L_at_R = 2.0 * (float(spec.f.curve(np.array([R]))[0]) + mod)
-    slack = best - rhs
-    audit.append(f"objective sup over r in [1e-3, 1e6]: {best:.12g} at R = {R:.6g}")
-    audit.append(f"rhs ({rhs_desc}) = {rhs:.12g} (slack {slack:.3g})")
-    audit.append(f"contraction re-verified at witness: 2(L_f(R) + moduli) = "
-                 f"{L_at_R:.12g} {'< 1' if L_at_R < 1 else '>= 1 (FAIL)'}")
-    passed = slack > slack_margin and L_at_R < 1.0
-    violated = None
-    if not (slack > slack_margin):
-        violated = "sup_r objective > " + rhs_desc
-    elif L_at_R >= 1.0:
-        violated = "contraction at witness radius"
+class _Inputs:
+    """The inputs a row's formulas read, each computed on first read so that
+    a row does exactly the work (constants, base point, stability) it needs."""
+
+    def __init__(self, spec, rho):
+        self.spec, self.rho, self.audit, self.empirical = spec, rho, [], False
+        self.L = self.R = self.best = self.theta = None
+
+    consts = cached_property(lambda q: compute_envelope_constants(q.spec))
+    y0 = cached_property(lambda q: compute_base_point(q.spec))
+    b = cached_property(lambda q: sup_norm(q.y0))
+    ball_ratio = property(lambda q: q.rho / (q.rho + q.b))
+    L_f = cached_property(_lipschitz_or_empirical)
+    L_f_at_R = property(lambda q: float(q.spec.f.curve(np.array([q.R]))[0]))
+    sup_f0 = cached_property(lambda q: q.spec.sup_forcing_at_zero())
+    moduli = property(lambda q: _INTEGRAL_TERMS[q.spec.variant][0](q.consts))
+    forcing_bound = property(
+        lambda q: _INTEGRAL_TERMS[q.spec.variant][1](q.consts, q.sup_f0))
+    forcing_text = property(lambda q: _INTEGRAL_TERMS[q.spec.variant][2])
+    stability = cached_property(_stability_constants)
+    M = property(lambda q: q.stability[0])
+    delta = property(lambda q: q.stability[1])
+    L_g = property(lambda q: 0.0 if q.spec.nonlocal_map is None
+                   else q.spec.nonlocal_map.lipschitz)
+    g0 = property(lambda q: 0.0 if q.spec.nonlocal_map is None
+                  else np.linalg.norm(q.spec.nonlocal_map.at_zero))
+    C_B = property(lambda q: q.consts.C_B or 0.0)
+
+
+class Inequality(NamedTuple):
+    """lhs < rhs when strict, else lhs <= rhs; text names it when violated."""
+
+    text: str
+    lhs: Callable
+    rhs: Callable
+    strict: bool = True
+
+
+class Theorem(NamedTuple):
+    """One contraction theorem as data; see the module docstring."""
+
+    id: str
+    variants: tuple
+    mode: str                             # ball | shifted | radius
+    constant: Callable                    # inputs -> contraction constant
+    inequalities: tuple
+    theta: Optional[str] = None           # "decides" | "reported"
+    objective: Optional[Callable] = None  # (inputs, r) -> radius-scan objective
+    slack_of: int = -1                    # the inequality whose slack is reported
+    xi0: bool = False                     # the constant is the paper's xi0
+    notes: Optional[Callable] = None      # inputs -> extra audit lines
+
+
+def _integral_constant(q):
+    return 2.0 * (q.L_f + q.moduli)
+
+
+def _xi0(q):
+    return q.M * q.L_g + (q.M / q.delta) * (1.0 + q.C_B) * q.spec.forcing_lipschitz()
+
+
+def _resolvent_constant(q):
+    return q.M * q.L_g + (q.M / q.delta) * q.spec.effective_lipschitz()
+
+
+def _contraction(text, rhs=lambda q: 1.0):
+    return Inequality(text, lambda q: q.L, rhs)
+
+
+def _th33_notes(q):
+    lines = ["note: |y0| in the growth condition is read as the uniform norm "
+             "of the computed base point"]
+    if q.spec.f.lipschitz is not None:
+        flat = q.delta / q.M - q.delta * q.L_g - (1.0 + q.C_B) * q.spec.f.lipschitz
+        lines.append(f"constant-Lipschitz flavour: delta/M - delta L_g - (1+C_B) "
+                     f"L_F = {flat:.12g} {'(> 0)' if flat > 0 else '(<= 0)'}")
+    return lines
+
+
+_INTEGRAL = (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY, pb.HALF_LINE)
+_CONTAINED = Inequality("|y0| <= rho", lambda q: q.b, lambda q: q.rho, strict=False)
+_THETA_WITHIN = Inequality("theta <= rho", lambda q: q.theta, lambda q: q.rho,
+                           strict=False)
+_BALL_24 = (_CONTAINED, _contraction("contraction < rho/(rho+|y0|)",
+                                      lambda q: q.ball_ratio))
+
+THEOREMS = (
+    Theorem("th24", (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY), "ball",
+            _integral_constant, _BALL_24),
+    Theorem("thAAA24", (pb.HALF_LINE,), "ball", _integral_constant, _BALL_24),
+    Theorem("teos2-ball", _INTEGRAL, "shifted", _integral_constant,
+            (_contraction("contraction constant < 1"),), theta="decides"),
+    Theorem("K-conditions", _INTEGRAL, "radius",
+            lambda q: 2.0 * (q.L_f_at_R + q.moduli),
+            (Inequality("sup_r objective > {q.forcing_text}",
+                        lambda q: q.forcing_bound, lambda q: q.best),
+             _contraction("contraction at witness radius")),
+            objective=lambda q, r: r * (1.0 - 2.0 * np.asarray(q.spec.f.curve(r))
+                                        - 2.0 * q.moduli),
+            slack_of=0),
+    Theorem("theoaaa1", (pb.EVOLUTION_NONLOCAL,), "ball", _xi0,
+            (_CONTAINED, _contraction("xi0 <= rho/(rho+|y0|)", lambda q: q.ball_ratio)),
+            xi0=True),
+    Theorem("theoaaa12", (pb.EVOLUTION_NONLOCAL,), "shifted", _xi0,
+            (_contraction("xi0 < 1"),), theta="decides", xi0=True),
+    Theorem("th31", (pb.RESOLVENT_NONLOCAL,), "ball", _resolvent_constant,
+            (Inequality("delta L_g + L_f < rho delta/(M(rho+|y0|))",
+                        lambda q: q.delta * q.L_g + q.spec.effective_lipschitz(),
+                        lambda q: q.rho * q.delta / (q.M * (q.rho + q.b))),)),
+    Theorem("th313", (pb.RESOLVENT_NONLOCAL,), "shifted", _resolvent_constant,
+            (_contraction("M L_g + (M/delta) L_f < 1"),), theta="decides"),
+    Theorem("th33", (pb.EVOLUTION_NONLOCAL, pb.RESOLVENT_NONLOCAL,
+                     pb.DELAY_PARABOLIC), "radius",
+            lambda q: q.M * q.L_g + (q.M / q.delta) * (1.0 + q.C_B) * q.L_f_at_R,
+            (Inequality("growth condition", lambda q: q.sup_f0 + q.delta * (q.b + q.g0),
+                        lambda q: q.best),),
+            objective=lambda q, r: (q.delta * r / q.M - q.delta * r * q.L_g
+                                    - r * np.asarray(q.spec.f.curve(r)) * (1.0 + q.C_B)),
+            notes=_th33_notes),
+    Theorem("delay-final", (pb.DELAY_PARABOLIC,), "ball",
+            lambda q: (q.M / q.delta) * q.spec.effective_lipschitz(),
+            (Inequality("(M/delta) sup|f(.,0)| <= rho",
+                        lambda q: (q.M / q.delta) * q.sup_f0, lambda q: q.rho,
+                        strict=False),
+             Inequality("M L_f < rho delta/(rho+|x0|)",
+                        lambda q: q.M * q.spec.effective_lipschitz(),
+                        lambda q: q.rho * q.delta / (q.rho + q.b))),
+            theta="reported"),
+)
+
+
+def _evaluate(row: Theorem, spec, rho, slack_margin) -> ContractionCertificate:
+    """Check one row's hypotheses on spec and record the certificate."""
+    from . import solver  # deferred: solver imports this module
+
+    def check(ineq):
+        lhs, rhs = float(ineq.lhs(q)), float(ineq.rhs(q))
+        holds = rhs - lhs > slack_margin if ineq.strict else lhs <= rhs
+        text = ineq.text.format(q=q)
+        q.audit.append(f"{text}: lhs {lhs:.12g}, rhs {rhs:.12g}, slack {rhs - lhs:.3g}"
+                       f" ({'strict' if ineq.strict else 'non-strict'}): "
+                       f"{'holds' if holds else 'VIOLATED'}")
+        return text, rhs - lhs, holds
+
+    if row.objective is None and (rho is None or not rho > 0.0):
+        raise CertificationError(f"theorem {row.id} needs a positive rho, got {rho!r}")
+    q = _Inputs(spec, rho)
+    if row.objective is not None:
+        if spec.f.lipschitz is None and spec.f.lipschitz_curve is None:
+            raise CertificationError("radius search needs Lipschitz data for f")
+        q.R, q.best = _radius_scan(lambda r: row.objective(q, r))
+        q.audit.append(f"objective sup over r in [1e-3, 1e6]: {q.best:.12g} "
+                       f"at R = {q.R:.6g}")
+    q.L = row.constant(q)
+    q.audit.append(f"contraction constant: {q.L:.12g}")
+    checks = [check(ineq) for ineq in row.inequalities]
+    degenerate = False
+    if ((row.theta == "reported" and q.L < 1.0)
+            or (row.theta == "decides" and all(c[2] for c in checks))):
+        gap = sup_distance(solver.apply_operator(spec, q.y0), q.y0)
+        q.theta = gap / (1.0 - q.L)
+        q.audit.append(f"|Gamma y0 - y0| = {gap:.12g}, theta = {q.theta:.12g} "
+                       f"({row.theta})")
+        if row.theta == "decides":
+            checks.append(check(_THETA_WITHIN))
+            degenerate = gap <= 2.0 * spec.quad_tol
+    if row.notes is not None:
+        q.audit.extend(row.notes(q))
+    failed = [text for text, _, holds in checks if not holds]
+    verdict = "fail" if failed else "pass"
+    if degenerate:
+        verdict, failed = "degenerate-pass", []
+        q.audit.append("base point is already a fixed point within quadrature "
+                       "tolerance; solution is y0")
+    elif verdict == "pass" and q.empirical:
+        verdict = "empirical-pass"
+    # ball certificates record their base point; radius searches only when read
+    y0 = q.y0 if row.objective is None else vars(q).get("y0")
     return ContractionCertificate(
-        theorem_id="K-conditions", variant=spec.variant,
-        verdict="pass" if passed else "fail", L_gamma=L_at_R,
-        witness_radius=R, constants=consts, violated=violated, slack=slack,
-        audit=audit, label=spec.label)
+        theorem_id=row.id, variant=spec.variant, verdict=verdict, L_gamma=q.L,
+        rho=rho, theta=q.theta, xi0=q.L if row.xi0 else None,
+        witness_radius=q.R, base_point=y0, base_sup=None if y0 is None else q.b,
+        constants=q.consts, violated=failed[0] if failed else None,
+        slack=checks[row.slack_of][1], audit=q.audit, label=spec.label)
+
+
+def _resolve(variant: str, mode: str, theorem: Optional[str]) -> Theorem:
+    """The row of an explicit theorem, which must list the variant, else the
+    variant's row for mode."""
+    rows = [r for r in THEOREMS if (r.id == theorem if theorem is not None
+                                    else r.mode == mode) and variant in r.variants]
+    if not rows:
+        what = f"theorem {theorem!r}" if theorem is not None else f"{mode!r} theorem"
+        raise CertificationError(
+            f"no {what} for {variant!r} problems (theorems: "
+            + ", ".join(r.id for r in THEOREMS) + "; modes: ball, shifted, radius)")
+    return rows[0]
 
 
 # ---------------------------------------------------------------------------
-# certificates for the evolution variants
+# entry points: each picks a row of the table
 
 
-def _stability_constants(spec):
-    if spec.variant == pb.RESOLVENT_NONLOCAL:
-        R = spec.resolvent
-        if R is None or R.decay is None:
-            raise CertificationError("resolvent handle has no certified decay "
-                                     "constants (M, gamma, q)")
-        M, gamma, q = R.decay
-        return float(M), float(gamma) / float(q)
-    fam = spec.evolution
-    if fam is None or getattr(fam, "stability", None) is None:
-        raise CertificationError("evolution family has no stability certificate")
-    return float(fam.stability.M), float(fam.stability.delta)
+def certify(spec: pb.ProblemSpec, rho: float = None, mode: str = "ball",
+            theorem: str = None,
+            slack_margin: float = DEFAULT_SLACK) -> ContractionCertificate:
+    """Certificate of theorem, or else of the variant's theorem for mode."""
+    return _evaluate(_resolve(spec.variant, mode, theorem), spec, rho, slack_margin)
+
+
+def certify_ball_zero(spec: pb.ProblemSpec, rho: float,
+                      slack_margin: float = DEFAULT_SLACK) -> ContractionCertificate:
+    """Ball-around-zero certificate (th24, thAAA24): L < rho / (rho + |y0|)."""
+    return certify(spec, rho, "ball", slack_margin=slack_margin)
+
+
+def certify_shifted_ball(spec: pb.ProblemSpec, rho: float,
+                         slack_margin: float = DEFAULT_SLACK) -> ContractionCertificate:
+    """Shifted-ball certificate (teos2-ball): theta <= rho."""
+    return certify(spec, rho, "shifted", slack_margin=slack_margin)
+
+
+def certify_radius_search(spec: pb.ProblemSpec,
+                          slack_margin: float = DEFAULT_SLACK) -> ContractionCertificate:
+    """Radius-search certificate (K-conditions) over r in [1e-3, 1e6]."""
+    return certify(spec, None, "radius", slack_margin=slack_margin)
 
 
 def certify_evolution(spec: pb.ProblemSpec, rho: float, theorem: str = None,
                       slack_margin: float = DEFAULT_SLACK) -> ContractionCertificate:
-    """Certificates for the evolution-family and resolvent variants.
-
-    theorem selects the inequality family; the default depends on the variant:
-    theoaaa1 (ball) for evolution_nonlocal, th31 (ball) for resolvent_nonlocal
-    and delay-final for delay_parabolic.  theoaaa12 / th313 are the shifted
-    variants, th33 the radius search.
-    """
-    from . import solver
-
-    if theorem is None:
-        theorem = {pb.EVOLUTION_NONLOCAL: "theoaaa1",
-                   pb.RESOLVENT_NONLOCAL: "th31",
-                   pb.DELAY_PARABOLIC: "delay-final"}.get(spec.variant)
-    if theorem is None:
-        raise CertificationError(f"variant {spec.variant!r} has no evolution "
-                                 "certificate")
-    audit = []
-    consts = compute_envelope_constants(spec)
-    M, delta = _stability_constants(spec)
-    audit.append(f"stability constants: M = {M:.12g}, delta = {delta:.12g}")
-    y0 = compute_base_point(spec)
-    b = sup_norm(y0)
-    L_g = spec.nonlocal_map.lipschitz if spec.nonlocal_map is not None else 0.0
-    C_B = consts.C_B or 0.0
-
-    if theorem in ("theoaaa1", "theoaaa12"):
-        L_F = spec.forcing_lipschitz()
-        xi0 = M * L_g + (M / delta) * (1.0 + C_B) * L_F
-        audit.append(f"xi0 = M L_g + (M/delta)(1+C_B) L_F = {xi0:.12g}")
-        if theorem == "theoaaa1":
-            rhs = rho / (rho + b)
-            slack = rhs - xi0
-            ok = xi0 <= rhs and b <= rho
-            violated = None if ok else ("|y0| <= rho" if b > rho
-                                        else "xi0 <= rho/(rho+|y0|)")
-            audit.append(f"ball check: {xi0:.12g} <= {rhs:.12g}: {'yes' if ok else 'NO'}")
-            return ContractionCertificate(
-                "theoaaa1", spec.variant, "pass" if ok else "fail", xi0,
-                rho=rho, xi0=xi0, base_point=y0, base_sup=b, constants=consts,
-                violated=violated, slack=slack, audit=audit, label=spec.label)
-        if xi0 >= 1.0:
-            return ContractionCertificate(
-                "theoaaa12", spec.variant, "fail", xi0, rho=rho, xi0=xi0,
-                base_point=y0, base_sup=b, constants=consts,
-                violated="xi0 < 1", slack=1.0 - xi0, audit=audit, label=spec.label)
-        gy0 = solver.apply_operator(spec, y0)
-        theta = sup_distance(gy0, y0) / (1.0 - xi0)
-        ok = 0.0 < theta <= rho or sup_distance(gy0, y0) <= 2 * spec.quad_tol
-        verdict = "pass" if ok else "fail"
-        if sup_distance(gy0, y0) <= 2 * spec.quad_tol:
-            verdict = "degenerate-pass"
-        audit.append(f"theta = {theta:.12g} <= rho = {rho:.12g}: {'yes' if ok else 'NO'}")
-        return ContractionCertificate(
-            "theoaaa12", spec.variant, verdict, xi0, rho=rho, theta=theta,
-            xi0=xi0, base_point=y0, base_sup=b, constants=consts,
-            violated=None if ok else "theta <= rho", slack=rho - theta,
-            audit=audit, label=spec.label)
-
-    if theorem == "th33":
-        L_g_curve = (spec.nonlocal_map.lipschitz if spec.nonlocal_map else 0.0)
-        C = sup_forcing_at_zero(spec)
-        g0 = (np.linalg.norm(spec.nonlocal_map.at_zero)
-              if spec.nonlocal_map is not None else 0.0)
-        # |y0| is read as the uniform norm of the computed base point; the
-        # base point itself depends on the zero-path value of the nonlocal
-        # map, so this reading is recorded for the audit.
-        rhs = C + delta * (b + g0)
-        audit.append("note: |y0| in the growth condition is read as the "
-                     "uniform norm of the computed base point")
-
-        def objective(r):
-            r = np.asarray(r, dtype=float)
-            Lf_r = np.asarray(spec.f.curve(r))
-            return (delta * r / M - delta * r * L_g_curve
-                    - r * Lf_r * (1.0 + C_B))
-
-        R, best = _radius_scan(objective)
-        slack = best - rhs
-        ok = slack > slack_margin
-        audit.append(f"growth objective sup = {best:.12g} at R = {R:.6g}; "
-                     f"rhs = C + delta(|y0|+|g(0)|) = {rhs:.12g}")
-        if spec.f.lipschitz is not None:
-            flat = delta / M - delta * L_g_curve - (1.0 + C_B) * spec.f.lipschitz
-            audit.append(f"constant-Lipschitz flavour: delta/M - delta L_g - "
-                         f"(1+C_B) L_F = {flat:.12g} "
-                         f"{'(> 0)' if flat > 0 else '(<= 0)'}")
-        L = M * L_g_curve + (M / delta) * (1.0 + C_B) * float(spec.f.curve(np.array([R]))[0])
-        return ContractionCertificate(
-            "th33", spec.variant, "pass" if ok else "fail", L, rho=rho,
-            witness_radius=R, base_point=y0, base_sup=b, constants=consts,
-            violated=None if ok else "growth condition", slack=slack,
-            audit=audit, label=spec.label)
-
-    if theorem in ("th31", "th313"):
-        L_f = spec.effective_lipschitz()
-        L = M * L_g + (M / delta) * L_f
-        if theorem == "th31":
-            lhs = delta * L_g + L_f
-            rhs = rho * delta / (M * (rho + b))
-            slack = rhs - lhs
-            ok = lhs < rhs and slack > slack_margin
-            audit.append(f"ball check: delta L_g + L_f = {lhs:.12g} < "
-                         f"rho delta / (M (rho + |y0|)) = {rhs:.12g}: "
-                         f"{'yes' if ok else 'NO'}")
-            return ContractionCertificate(
-                "th31", spec.variant, "pass" if ok else "fail", L, rho=rho,
-                base_point=y0, base_sup=b, constants=consts,
-                violated=None if ok else "delta L_g + L_f < rho delta/(M(rho+|y0|))",
-                slack=slack, audit=audit, label=spec.label)
-        if L >= 1.0:
-            return ContractionCertificate(
-                "th313", spec.variant, "fail", L, rho=rho, base_point=y0,
-                base_sup=b, constants=consts, violated="M L_g + (M/delta) L_f < 1",
-                slack=1.0 - L, audit=audit, label=spec.label)
-        gy0 = solver.apply_operator(spec, y0)
-        gap = sup_distance(gy0, y0)
-        theta = gap / (1.0 - L)
-        verdict = "pass" if theta <= rho else "fail"
-        if gap <= 2 * spec.quad_tol:
-            verdict = "degenerate-pass"
-        audit.append(f"theta = {theta:.12g} <= rho = {rho:.12g}")
-        return ContractionCertificate(
-            "th313", spec.variant, verdict, L, rho=rho, theta=theta,
-            base_point=y0, base_sup=b, constants=consts,
-            violated=None if verdict != "fail" else "theta <= rho",
-            slack=rho - theta, audit=audit, label=spec.label)
-
-    if theorem == "delay-final":
-        L_f = spec.effective_lipschitz()
-        L = (M / delta) * L_f
-        sup_f0 = sup_forcing_at_zero(spec)
-        size_ok = (M / delta) * sup_f0 <= rho
-        lhs = M * L_f
-        rhs = rho * delta / (rho + b)
-        slack = rhs - lhs
-        ball_ok = lhs < rhs and slack > slack_margin
-        audit.append(f"(M/delta) sup|f(.,0)| = {(M / delta) * sup_f0:.12g} <= rho: "
-                     f"{'yes' if size_ok else 'NO'}")
-        audit.append(f"M L_f = {lhs:.12g} < rho delta / (rho + |x0|) = {rhs:.12g}: "
-                     f"{'yes' if ball_ok else 'NO'}")
-        if L < 1.0:
-            gy0 = solver.apply_operator(spec, y0)
-            theta = sup_distance(gy0, y0) / (1.0 - L)
-            audit.append(f"shifted-ball theta = {theta:.12g} "
-                         f"({'<= rho' if theta <= rho else '> rho'})")
-        else:
-            theta = None
-        ok = size_ok and ball_ok
-        violated = None
-        if not size_ok:
-            violated = "(M/delta) sup|f(.,0)| <= rho"
-        elif not ball_ok:
-            violated = "M L_f < rho delta/(rho+|x0|)"
-        return ContractionCertificate(
-            "delay-final", spec.variant, "pass" if ok else "fail", L, rho=rho,
-            theta=theta, base_point=y0, base_sup=b, constants=consts,
-            violated=violated, slack=slack, audit=audit, label=spec.label)
-
-    raise CertificationError(f"unknown evolution theorem {theorem!r}")
+    """Evolution-variant certificate: theorem, by default the variant's ball
+    theorem (theoaaa1, th31 or delay-final)."""
+    return certify(spec, rho, "ball", theorem, slack_margin)
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +501,10 @@ def certify_bohr_neugebauer_hypotheses(spec: pb.ProblemSpec,
     tol = spec.const_tol
     t_grid = spec.constants_grid() if t_grid is None else np.asarray(t_grid, float)
     L_f = spec.effective_lipschitz()
-    terms = [(spec.kernel_delayed.lipschitz, DELAYED)]
+    pairs = [(spec.kernel_delayed.lipschitz, DELAYED)]
     if spec.variant == pb.ADVANCED_DELAYED and spec.kernel_advanced is not None:
-        terms.append((spec.kernel_advanced.lipschitz, ADVANCED))
-    sup_mu, argmax = _joint_sup(terms, t_grid, tol)
+        pairs.append((spec.kernel_advanced.lipschitz, ADVANCED))
+    sup_mu, argmax = _grid_sup(t_grid, _envelope_terms(pairs, tol))
     rho = L_f + sup_mu
     warps_ok = all(spec.warp(k).declared_aa for k in ("a0", "a1", "a2"))
     lines = [
@@ -646,24 +519,3 @@ def certify_bohr_neugebauer_hypotheses(spec: pb.ProblemSpec,
                  "problems; the two-kernel reading is the one the proof uses")
     return HypothesisReport(rho=rho, passed=(rho < 1.0 and warps_ok),
                             warps_declared=warps_ok, lines=lines)
-
-
-# ---------------------------------------------------------------------------
-# dispatcher
-
-
-def certify(spec: pb.ProblemSpec, rho: float = None, mode: str = "ball",
-            theorem: str = None,
-            slack_margin: float = DEFAULT_SLACK) -> ContractionCertificate:
-    """Variant-total dispatch to the matching certificate family."""
-    if spec.variant in (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY, pb.HALF_LINE):
-        if mode == "ball":
-            return certify_ball_zero(spec, rho, slack_margin)
-        if mode == "shifted":
-            return certify_shifted_ball(spec, rho, slack_margin)
-        if mode == "radius":
-            return certify_radius_search(spec, slack_margin)
-        raise CertificationError(f"unknown certification mode {mode!r}")
-    if rho is None:
-        raise CertificationError("evolution certificates need rho")
-    return certify_evolution(spec, rho, theorem=theorem, slack_margin=slack_margin)

@@ -204,16 +204,6 @@ def path_add(p: SampledPath, q: SampledPath) -> SampledPath:
     return p.with_values(p.values + q.values)
 
 
-def path_sub(p: SampledPath, q: SampledPath) -> SampledPath:
-    if p.grid.shape != q.grid.shape or not np.array_equal(p.grid, q.grid):
-        raise ValueError("paths must share a grid")
-    return p.with_values(p.values - q.values)
-
-
-def path_scale(p: SampledPath, alpha: float) -> SampledPath:
-    return p.with_values(alpha * p.values)
-
-
 def sup_distance(p: SampledPath, q: SampledPath) -> float:
     if not np.array_equal(p.grid, q.grid):
         raise ValueError("paths must share a grid")

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernels import KernelSpec, SplitKernelSpec
+from .kernels import KernelSpec, SplitKernelSpec, kronecker_points
 from .paths import SampledPath, TimeWarp, identity_warp
 
 ADVANCED_DELAYED = "advanced_delayed"
@@ -253,6 +253,32 @@ class ProblemSpec:
             return float(self.f.lipschitz)
         raise ProblemError("nonlinearity has no Lipschitz constant; "
                            "use the empirical estimate explicitly")
+
+    def empirical_lipschitz(self, radius: float, n_samples: int = 64) -> float:
+        """Sampled difference-quotient estimate of the nonlinearity's constant
+        inside the working ball, used when no analytic constant is supplied."""
+        d = self.dim
+        pts = (2.0 * kronecker_points(2 * n_samples, 2 * d, seed_shift=0.11) - 1.0)
+        pts = pts.reshape(n_samples, 2, 2 * d) * radius / np.sqrt(d)
+        t_nodes = np.linspace(*self.report_window, n_samples)
+        best = 0.0
+        for i in range(n_samples):
+            u = pts[i, 0, :d][None, :]
+            v = pts[i, 1, :d][None, :]
+            uy = pts[i, 0, d:][None, :]
+            vy = pts[i, 1, d:][None, :]
+            gap = np.linalg.norm(u - v) + np.linalg.norm(uy - vy)
+            if gap == 0:
+                continue
+            t = t_nodes[i:i + 1]
+            quot = float(np.linalg.norm(self.f(t, u, uy) - self.f(t, v, vy))) / gap
+            best = max(best, quot)
+        return best
+
+    def sup_forcing_at_zero(self) -> float:
+        """max over the 257-point constants grid of |f(t, 0, 0)|."""
+        vals = self.f.at_zero(self.constants_grid(257))
+        return float(np.max(np.linalg.norm(vals, axis=1)))
 
     def forcing_lipschitz(self) -> float:
         """Lipschitz constant of the combined state/history nonlinearity for

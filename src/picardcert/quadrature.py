@@ -116,10 +116,6 @@ def zero_envelope() -> DecayEnvelope:
     return DecayEnvelope("exponential", 0.0, 1.0)
 
 
-def envelope_sum_peak(*envs) -> float:
-    return sum(e.peak for e in envs if e is not None)
-
-
 # ---------------------------------------------------------------------------
 # Gauss-Legendre panel machinery
 
@@ -222,16 +218,6 @@ def oriented_bounds(orientation: str, t: float, span: float):
     if orientation == HALF_LINE_DELAYED:
         return max(0.0, t - span), t
     raise ValueError(f"unknown orientation {orientation!r}")
-
-
-def oriented_integral(g, t: float, orientation: str, tail: DecayEnvelope,
-                      tol: float = DEFAULT_SWEEP_TOL):
-    span = tail.truncation_span(tol / 2.0)
-    lo, hi = oriented_bounds(orientation, t, span)
-    if hi <= lo:
-        return 0.0
-    value, _ = adaptive_integral(g, lo, hi, tol / 2.0)
-    return value
 
 
 # ---------------------------------------------------------------------------

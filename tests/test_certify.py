@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -319,9 +321,9 @@ def test_transfer_single_kernel_flavour():
     assert any("delayed-only" in line for line in rep.lines)
 
 
-# -- dispatcher totality --------------------------------------------------------------
+# -- dispatcher totality and the theorem table ------------------------------------------
 
-def test_dispatch_covers_every_variant():
+def _dispatch_specs():
     f = sinusoid_affine(sin_amp=0.2, state_coeff=0.05)
     fam = _stable_family()
     from picardcert.evolution import build_resolvent, exponential_memory
@@ -329,7 +331,7 @@ def test_dispatch_covers_every_variant():
     R = build_resolvent(np.array([[-1.0]]), mem,
                         np.arange(0.0, 10.0 + 0.01, 0.02), tol=1e-8)
     R.decay = (1.0, 1.0, 1.0)
-    specs = {
+    return {
         "advanced_delayed": two_sided_spec(f, cx1=0.1, cx2=0.1),
         "delayed_only": delayed_spec(f=f, cx=0.1),
         "half_line": ProblemSpec(
@@ -351,11 +353,151 @@ def test_dispatch_covers_every_variant():
             variant="delay_parabolic", dim=1, f=f, evolution=fam, delay=0.5,
             report_window=(-4.0, 4.0), grid_step=0.05),
     }
-    for name, spec in specs.items():
-        cert = certify(spec, rho=2.0)
-        assert cert.theorem_id, name
-        assert cert.verdict in ("pass", "fail", "degenerate-pass",
-                                "empirical-pass"), name
+
+
+# the documented mode -> theorem table; None: no theorem serves that mode
+MODE_TABLE = {
+    "advanced_delayed": ("th24", "teos2-ball", "K-conditions"),
+    "delayed_only": ("th24", "teos2-ball", "K-conditions"),
+    "half_line": ("thAAA24", "teos2-ball", "K-conditions"),
+    "evolution_nonlocal": ("theoaaa1", "theoaaa12", "th33"),
+    "resolvent_nonlocal": ("th31", "th313", "th33"),
+    "delay_parabolic": ("delay-final", None, "th33"),
+}
+
+
+def test_dispatch_covers_every_variant():
+    for name, spec in _dispatch_specs().items():
+        for mode, expect in zip(("ball", "shifted", "radius"), MODE_TABLE[name]):
+            if expect is None:
+                with pytest.raises(CertificationError):
+                    certify(spec, rho=2.0, mode=mode)
+                continue
+            cert = certify(spec, rho=2.0, mode=mode)
+            assert cert.theorem_id == expect, (name, mode)
+            assert cert.verdict in ("pass", "fail", "degenerate-pass",
+                                    "empirical-pass"), (name, mode)
+    # an explicit theorem wins over the mode
+    cert = certify(spec, rho=2.0, mode="radius", theorem="delay-final")
+    assert cert.theorem_id == "delay-final"
+
+
+def test_dispatch_rejects_bad_requests():
+    specs = _dispatch_specs()
+    # no rho for a ball theorem, on a full-line and on a half-line problem
+    for name in ("advanced_delayed", "half_line"):
+        with pytest.raises(CertificationError):
+            certify(specs[name])
+    with pytest.raises(CertificationError):
+        certify(specs["delayed_only"], rho=0.0)
+    # a theorem from the other family, or one that does not exist
+    with pytest.raises(CertificationError):
+        certify(specs["delayed_only"], rho=1.0, theorem="th31")
+    with pytest.raises(CertificationError):
+        certify_evolution(specs["evolution_nonlocal"], rho=1.0, theorem="th24")
+    with pytest.raises(CertificationError):
+        certify(specs["delayed_only"], rho=1.0, theorem="th99")
+    # a theorem of the same family written for another variant
+    with pytest.raises(CertificationError):
+        certify_evolution(specs["delay_parabolic"], rho=1.0, theorem="theoaaa1")
+    # an unknown mode
+    with pytest.raises(CertificationError):
+        certify(specs["delayed_only"], rho=1.0, mode="spherical")
+
+
+def test_theoaaa1_ball_check_honours_slack_margin():
+    # same data as test_evolution_ball_arithmetic: slack rho/(rho+|y0|) - xi0
+    # is about 0.37, so a margin of 0.5 must fail the strict ball inequality
+    fam = _stable_family()
+    f = sinusoid_affine(sin_amp=0.25, state_coeff=0.4)
+    spec = ProblemSpec(variant="evolution_nonlocal", dim=1, f=f, evolution=fam,
+                       u0=np.array([0.3]), nonlocal_map=pc.zero_nonlocal(1),
+                       report_window=(0.0, 10.0), grid_step=0.05)
+    assert certify_evolution(spec, rho=1.0, theorem="theoaaa1").passed
+    cert = certify_evolution(spec, rho=1.0, theorem="theoaaa1", slack_margin=0.5)
+    assert 0.0 < cert.slack < 0.5
+    assert cert.verdict == "fail"
+    assert cert.violated == "xi0 <= rho/(rho+|y0|)"
+
+
+_AUDIT_LINE = re.compile(r"^(.*): lhs (\S+), rhs (\S+), slack (\S+) "
+                         r"\((strict|non-strict)\): (holds|VIOLATED)$")
+
+
+def _table_cases():
+    """(spec, rho, theorem) on the small specs above, passing and failing."""
+    d = _dispatch_specs()
+    fam = _stable_family()
+
+    def evo(coeff, g=pc.zero_nonlocal(1), u0=0.3):
+        return ProblemSpec(
+            variant="evolution_nonlocal", dim=1, evolution=fam, u0=np.array([u0]),
+            f=sinusoid_affine(sin_amp=0.25, state_coeff=coeff), nonlocal_map=g,
+            report_window=(0.0, 10.0), grid_step=0.05)
+
+    return [
+        (delayed_spec(f=sinusoid_affine(sin_amp=0.2, state_coeff=0.05), cx=0.1),
+         1.0, "th24"),
+        (delayed_spec(f=sinusoid_affine(sin_amp=5.0), cx=0.05), 1.0, "th24"),
+        (two_sided_spec(sinusoid_affine(sin_amp=0.1, state_coeff=0.3),
+                        cx1=0.4, cx2=0.4), 1.0, "th24"),
+        (d["half_line"], 2.0, "thAAA24"),
+        (d["half_line"], 0.01, "thAAA24"),
+        (delayed_spec(cx=0.25, const=0.8, rate=1.0), 0.5, "teos2-ball"),
+        (delayed_spec(cx=0.25, const=0.8, rate=1.0), 0.3, "teos2-ball"),
+        (delayed_spec(f=sinusoid_affine(sin_amp=0.1, state_coeff=0.6), cx=0.25),
+         1.0, "teos2-ball"),
+        (two_sided_spec(sinusoid_affine(sin_amp=0.5, state_coeff=0.1),
+                        cx1=0.2, cx2=0.1), None, "K-conditions"),
+        (delayed_spec(f=sinusoid_affine(sin_amp=0.5, state_coeff=0.5), cx=0.0),
+         None, "K-conditions"),
+        (evo(0.4), 1.0, "theoaaa1"),
+        (evo(0.4), 0.2, "theoaaa1"),
+        (evo(0.2), 2.0, "theoaaa12"),
+        (evo(1.5), 2.0, "theoaaa12"),
+        (evo(0.3, pc.point_eval_nonlocal(0.2, 1.0, dim=1), 0.1), 1.0, "th33"),
+        (evo(1.5), 1.0, "th33"),
+        (d["resolvent_nonlocal"], 2.0, "th31"),
+        (d["resolvent_nonlocal"], 0.001, "th31"),
+        (d["resolvent_nonlocal"], 2.0, "th313"),
+        (d["resolvent_nonlocal"], 1e-4, "th313"),
+        (d["delay_parabolic"], 2.0, "delay-final"),
+        (d["delay_parabolic"], 0.05, "delay-final"),
+    ]
+
+
+def test_theorem_table_audit_and_verdict():
+    from picardcert.certify import THEOREMS
+    rows = {row.id: row for row in THEOREMS}
+    seen = set()
+    for spec, rho, theorem in _table_cases():
+        row = rows[theorem]
+        cert = certify(spec, rho=rho, theorem=theorem)
+        assert cert.theorem_id == theorem
+        checks = [m.groups() for m in map(_AUDIT_LINE.match, cert.audit) if m]
+        # one line per declared inequality, plus theta <= rho once theta decides
+        declared = len(row.inequalities)
+        if row.theta == "decides" and cert.theta is not None:
+            declared += 1
+        assert len(checks) == declared, (theorem, cert.audit)
+        ineqs = list(row.inequalities) + [None] * (declared - len(row.inequalities))
+        for (text, lhs, rhs, slack, kind, state), ineq in zip(checks, ineqs):
+            strict = ineq.strict if ineq is not None else False
+            assert text.startswith(ineq.text.split("{")[0] if ineq else "theta")
+            assert kind == ("strict" if strict else "non-strict")
+            assert float(slack) == pytest.approx(float(rhs) - float(lhs),
+                                                 rel=1e-2, abs=1e-12)
+            holds = float(slack) > 1e-9 if strict else float(lhs) <= float(rhs)
+            assert (state == "holds") == holds, (theorem, text)
+        failed = [c[0] for c in checks if c[5] == "VIOLATED"]
+        if cert.verdict == "degenerate-pass":
+            assert cert.theta is not None and not failed
+        else:
+            assert cert.passed == (not failed), (theorem, cert.audit)
+            assert cert.violated == (failed[0] if failed else None)
+        seen.add((theorem, cert.passed))
+    # every row is seen both passing and failing
+    assert seen == {(t, ok) for t in rows for ok in (True, False)}
 
 
 def test_certificate_text_round():

@@ -108,6 +108,14 @@ def test_malformed_config_exit_one(tmp_path):
     assert code == 1
 
 
+def test_theorem_of_wrong_family_exit_one(tmp_path):
+    text = ORACLE_CONFIG.replace("variant = advanced_delayed",
+                                 "variant = delayed_only")
+    cfg = write_config(tmp_path, text + "\n[certify]\ntheorem = th31\n")
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "certificate.txt").exists()
+
+
 def test_missing_config_exit_one(tmp_path):
     code = main(["certify", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path)])
