@@ -126,13 +126,11 @@ def compute_envelope_constants(spec: pb.ProblemSpec, t_grid=None) -> EnvelopeCon
     if spec.variant in (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY):
         k1 = spec.kernel_delayed
         out.alpha1 = envelope_constant(k1.envelope, DELAYED, t_grid, tol).value
-        res = envelope_constant(k1.lipschitz, DELAYED, t_grid, tol)
-        out.N1, out.details["N1_argmax"] = res.value, res.argmax_t
+        out.N1 = envelope_constant(k1.lipschitz, DELAYED, t_grid, tol).value
         k2 = spec.kernel_advanced
         if k2 is not None and not k2.is_zero:
             out.alpha2 = envelope_constant(k2.envelope, ADVANCED, t_grid, tol).value
-            res2 = envelope_constant(k2.lipschitz, ADVANCED, t_grid, tol)
-            out.N2, out.details["N2_argmax"] = res2.value, res2.argmax_t
+            out.N2 = envelope_constant(k2.lipschitz, ADVANCED, t_grid, tol).value
         else:
             out.alpha2, out.N2 = 0.0, 0.0
 
@@ -142,9 +140,9 @@ def compute_envelope_constants(spec: pb.ProblemSpec, t_grid=None) -> EnvelopeCon
         out.P2 = envelope_constant(b2.theta, ADVANCED, t_grid, tol).value
         out.beta1_h5 = envelope_constant(b1.aa_part.lipschitz, DELAYED, t_grid, tol).value
         out.beta2_h5 = envelope_constant(b2.aa_part.lipschitz, ADVANCED, t_grid, tol).value
-        out.Q1, out.details["Q1_argmax"] = _grid_sup(t_grid, _envelope_terms(
+        out.Q1 = _grid_sup(t_grid, _envelope_terms(
             [(b1.ergodic_lipschitz, HALF_LINE_DELAYED),
-             (b2.ergodic_lipschitz, ADVANCED)], tol))
+             (b2.ergodic_lipschitz, ADVANCED)], tol))[0]
         # gamma_i: sup_t |oriented integral of B_i(t, s, 0, 0) ds|
         for name, part, orient in (("gamma1", b1, HALF_LINE_DELAYED),
                                    ("gamma2", b2, ADVANCED)):
@@ -160,8 +158,8 @@ def compute_envelope_constants(spec: pb.ProblemSpec, t_grid=None) -> EnvelopeCon
             mats = np.asarray(spec.memory_kernel.matrix(np.full(taus.size, s), taus))
             return np.linalg.norm(mats, ord=2, axis=(-2, -1))
 
-        out.C_B, out.details["C_B_argmax"] = _grid_sup(
-            t_grid, [(history_norm, HALF_LINE_DELAYED, np.inf, tol)])
+        out.C_B = _grid_sup(
+            t_grid, [(history_norm, HALF_LINE_DELAYED, np.inf, tol)])[0]
     else:
         out.C_B = 0.0
     return out
@@ -319,6 +317,8 @@ def _th33_notes(q):
 
 
 _INTEGRAL = (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY, pb.HALF_LINE)
+# the inequalities that read sup|f(.,0,0)| say it is sampled
+_SAMPLED_F0 = f"[sup|f(.,0,0)| is a max over {pb.SUP_F0_SAMPLES} sampled points]"
 _CONTAINED = Inequality("|y0| <= rho", lambda q: q.b, lambda q: q.rho, strict=False)
 _THETA_WITHIN = Inequality("theta <= rho", lambda q: q.theta, lambda q: q.rho,
                            strict=False)
@@ -333,7 +333,7 @@ THEOREMS = (
             (_contraction("contraction constant < 1"),), theta="decides"),
     Theorem("K-conditions", _INTEGRAL, "radius",
             lambda q: 2.0 * (q.L_f_at_R + q.moduli),
-            (Inequality("sup_r objective > {q.forcing_text}",
+            (Inequality("sup_r objective > {q.forcing_text} " + _SAMPLED_F0,
                         lambda q: q.forcing_bound, lambda q: q.best),
              _contraction("contraction at witness radius")),
             objective=lambda q, r: r * (1.0 - 2.0 * np.asarray(q.spec.f.curve(r))
@@ -353,14 +353,15 @@ THEOREMS = (
     Theorem("th33", (pb.EVOLUTION_NONLOCAL, pb.RESOLVENT_NONLOCAL,
                      pb.DELAY_PARABOLIC), "radius",
             lambda q: q.M * q.L_g + (q.M / q.delta) * (1.0 + q.C_B) * q.L_f_at_R,
-            (Inequality("growth condition", lambda q: q.sup_f0 + q.delta * (q.b + q.g0),
+            (Inequality("growth condition " + _SAMPLED_F0,
+                        lambda q: q.sup_f0 + q.delta * (q.b + q.g0),
                         lambda q: q.best),),
             objective=lambda q, r: (q.delta * r / q.M - q.delta * r * q.L_g
                                     - r * np.asarray(q.spec.f.curve(r)) * (1.0 + q.C_B)),
             notes=_th33_notes),
     Theorem("delay-final", (pb.DELAY_PARABOLIC,), "ball",
             lambda q: (q.M / q.delta) * q.spec.effective_lipschitz(),
-            (Inequality("(M/delta) sup|f(.,0)| <= rho",
+            (Inequality("(M/delta) sup|f(.,0)| <= rho " + _SAMPLED_F0,
                         lambda q: (q.M / q.delta) * q.sup_f0, lambda q: q.rho,
                         strict=False),
              Inequality("M L_f < rho delta/(rho+|x0|)",

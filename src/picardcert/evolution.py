@@ -72,6 +72,9 @@ class EvolutionFamily:
     at_metadata: Optional[dict] = None
     stability: Optional[StabilityCertificate] = None
     label: str = ""
+    # cell propagators of the solver's recurrence, keyed by lattice
+    cell_tables: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def propagate(self, t: float, s: float, x: np.ndarray) -> np.ndarray:
         """U(t, s) x for t >= s."""

@@ -10,7 +10,7 @@ truncated interval below the other tol/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -287,7 +287,6 @@ class EnvelopeConstants:
     C_B: Optional[float] = None      # sup_s int_0^s |B(s,tau)| dtau
     t_grid: Optional[np.ndarray] = None
     tol: float = DEFAULT_CONST_TOL
-    details: dict = field(default_factory=dict)
 
     def audit_lines(self):
         lines = []

@@ -6,6 +6,11 @@ tolerance; the window is recorded in the report.  Warped state arguments that
 reach outside the window are served by the constant-tail policy of the
 current iterate, and the induced error is bounded by the envelope tail.
 
+The forced evolution variants advance z' = A(t) z + g(t) one grid cell at a
+time, z_{j+1} = U(t_{j+1}, t_j) z_j + (Gauss quadrature of U(t_{j+1}, s) g(s)
+over the cell), as in Lubich's convolution quadrature; the propagators are
+integrated once per evolution family and grid and reused by every sweep.
+
 The stopping rule converts the contraction certificate into a computable
 error guarantee: iteration stops when the increment falls below
 tol*(1-L)/L, which bounds the distance to the fixed point by tol.
@@ -28,8 +33,9 @@ from .quadrature import adaptive_integral, panel_nodes
 
 _PANEL_ORDER = 15
 _PANEL_WIDTH = 0.5
-_ODE_RTOL = 1e-11
-_ODE_ATOL = 1e-12
+_CELL_ORDER = 6        # Gauss-Legendre nodes per cell of the propagator recurrence
+_CHUNK_CELLS = 50      # cells between restarts of the fundamental matrix at I
+_CHUNK_FLOOR = 1e-3    # least singular value a chunk's fundamental matrix may reach
 
 
 class CertificationRequired(RuntimeError):
@@ -267,17 +273,106 @@ def apply_pi(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
 # operator application: evolution variants
 
 
-def _forced_linear_solve(generator, forcing, t_start, z0, t_eval):
-    """z' = A(t) z + forcing(t) from (t_start, z0), sampled on t_eval."""
-    def rhs(t, z):
-        return generator(t) @ z + forcing(t)
+@dataclass
+class _CellTable:
+    """Propagators of one evolution family over the cells of one lattice.
 
-    sol = solve_ivp(rhs, (t_start, float(t_eval[-1])), z0, method="DOP853",
-                    t_eval=t_eval, rtol=_ODE_RTOL, atol=_ODE_ATOL,
-                    dense_output=False)
-    if not sol.success:
-        raise ConvergenceError(f"propagation failed: {sol.message}")
-    return sol.y.T
+    For cell j = [t_j, t_{j+1}] with Gauss-Legendre nodes s_jk and weights
+    w_jk: Phi[j] = U(t_{j+1}, t_j) and VW[j, k] = w_jk U(t_{j+1}, s_jk), so that
+    z' = A(t) z + g(t) advances one cell by
+    z_{j+1} = Phi[j] z_j + sum_k VW[j, k] g(s_jk).
+    """
+
+    nodes: np.ndarray    # (n, K)
+    Phi: np.ndarray      # (n, d, d)
+    VW: np.ndarray       # (n, K, d, d)
+
+    def __len__(self):
+        return self.nodes.shape[0]
+
+    def tail(self, n: int) -> "_CellTable":
+        """The last n cells."""
+        return _CellTable(self.nodes[-n:], self.Phi[-n:], self.VW[-n:])
+
+
+def _build_cells(fam, edges) -> _CellTable:
+    """Cell propagators between consecutive edges.
+
+    The fundamental matrix X(t) = U(t, t_c) restarts at I at the first edge of
+    every chunk of cells, and U(t, s) = X(t) X(s)^{-1} inside a chunk.  A
+    single pass loses all relative accuracy once X decays below the
+    integrator's atol, so a chunk over which X nears that level is halved.
+    """
+    x, w = np.polynomial.legendre.leggauss(_CELL_ORDER)
+    half = 0.5 * np.diff(edges)
+    nodes = (0.5 * (edges[:-1] + edges[1:]) + half * x[:, None]).T
+    weights = half[:, None] * w
+    n, K, d = nodes.shape[0], _CELL_ORDER, fam.dim
+    Phi, VW = np.empty((n, d, d)), np.empty((n, K, d, d))
+
+    def rhs(r, z):
+        return (fam.generator(r) @ z.reshape(d, d)).ravel()
+
+    start, size = 0, _CHUNK_CELLS
+    while start < n:
+        stop = min(start + size, n)
+        # X at t_j, s_j1, ..., s_jK of every cell, then at the last right edge
+        times = np.append(np.column_stack([edges[start:stop],
+                                           nodes[start:stop]]).ravel(),
+                          edges[stop])
+        sol = solve_ivp(rhs, (times[0], times[-1]), np.eye(d).ravel(),
+                        method="DOP853", t_eval=times, rtol=fam.rtol,
+                        atol=fam.atol)
+        if not sol.success:
+            raise ConvergenceError(f"propagation failed: {sol.message}")
+        X = sol.y.T.reshape(-1, d, d)
+        m = stop - start
+        if m > 1 and np.linalg.svd(X, compute_uv=False).min() < _CHUNK_FLOOR:
+            size = m // 2
+            continue
+        left = X[:-1].reshape(m, K + 1, d, d)
+        right = np.broadcast_to(X[K + 1::K + 1, None], left.shape)
+        # U(t_{j+1}, r) = X(t_{j+1}) X(r)^{-1}, solved as X(r)^T U^T = X(t_{j+1})^T
+        U = np.linalg.solve(left.swapaxes(-1, -2),
+                            right.swapaxes(-1, -2)).swapaxes(-1, -2)
+        Phi[start:stop] = U[:, 0]
+        VW[start:stop] = U[:, 1:] * weights[start:stop, :, None, None]
+        start = stop
+    return _CellTable(nodes, Phi, VW)
+
+
+def _cell_table(fam, grid, run_in: int = 0) -> _CellTable:
+    """Propagators over grid's cells and run_in cells of its step left of it.
+
+    Built once per (family, lattice) and kept on the family; a request for a
+    longer run-in extends the stored table to the left.
+    """
+    key = (grid.tobytes(), fam.rtol, fam.atol)
+    table = fam.cell_tables.get(key)
+    n = grid.size - 1 + run_in
+    h = grid[1] - grid[0]
+    if table is None:
+        table = _build_cells(fam, np.concatenate(
+            [grid[0] - h * np.arange(run_in, 0, -1), grid]))
+    elif len(table) < n:
+        have = len(table) - (grid.size - 1)
+        new = _build_cells(fam, grid[0] - h * np.arange(run_in, have - 1, -1))
+        table = _CellTable(np.concatenate([new.nodes, table.nodes]),
+                           np.concatenate([new.Phi, table.Phi]),
+                           np.concatenate([new.VW, table.VW]))
+    fam.cell_tables[key] = table
+    return table.tail(n)
+
+
+def _cell_recurrence(table: _CellTable, z0, g) -> np.ndarray:
+    """z at every cell edge of z' = A z + g from z0 at the first edge, with g
+    given at the table's Gauss nodes, shape (n, K, d)."""
+    b = np.einsum("jkab,jkb->ja", table.VW, g)
+    z = np.empty((len(table) + 1, z0.size))
+    z[0] = z0
+    for j, (phi, bj) in enumerate(zip(table.Phi, b)):
+        z[j + 1] = phi @ z[j] + bj
+    return z
 
 
 def _causal_history(spec, y) -> np.ndarray:
@@ -307,9 +402,8 @@ def apply_mild_evolution(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
         forcing = CubicSpline(t, forcing_vals, axis=0)
         g_val = (spec.nonlocal_map(y) if spec.nonlocal_map is not None
                  else np.zeros(spec.dim))
-        z0 = spec.u0 + g_val
-        vals = _forced_linear_solve(spec.evolution.generator, forcing,
-                                    float(t[0]), z0, t)
+        table = _cell_table(spec.evolution, t)
+        vals = _cell_recurrence(table, spec.u0 + g_val, forcing(table.nodes))
         return _iterate_like(y, vals)
 
     if spec.variant == pb.RESOLVENT_NONLOCAL:
@@ -344,15 +438,15 @@ def apply_mild_evolution(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
         sup_f = max(sup_f + spec.effective_lipschitz() * sup_norm(y), 1.0)
         span = np.log(max(stab.M * sup_f / (stab.delta * spec.quad_tol), 2.0)) \
             / stab.delta
-
-        def forcing(s):
-            x_del = y.evaluate(np.atleast_1d(s) - tau)
-            zeros = np.zeros_like(x_del)
-            return np.asarray(spec.f(np.atleast_1d(s), x_del, zeros))[0]
-
-        vals = _forced_linear_solve(spec.evolution.generator, forcing,
-                                    float(t[0]) - span, np.zeros(spec.dim), t)
-        return _iterate_like(y, vals)
+        # snapped up to the lattice: starting earlier only shrinks the history
+        run_in = int(np.ceil(span / (t[1] - t[0])))
+        table = _cell_table(spec.evolution, t, run_in)
+        s = table.nodes.ravel()
+        x_del = y.evaluate(s - tau)
+        g = np.asarray(spec.f(s, x_del, np.zeros_like(x_del)))
+        vals = _cell_recurrence(table, np.zeros(spec.dim),
+                                g.reshape(table.nodes.shape + (spec.dim,)))
+        return _iterate_like(y, vals[run_in:])
 
     raise pb.ProblemError(f"variant {spec.variant!r} has no mild-evolution operator")
 

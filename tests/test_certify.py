@@ -500,6 +500,19 @@ def test_theorem_table_audit_and_verdict():
     assert seen == {(t, ok) for t in rows for ok in (True, False)}
 
 
+def test_sampled_forcing_sup_is_labelled():
+    # these rows read sup|f(., 0, 0)| as a max over sampled points; the audit
+    # line of the inequality that reads it says so
+    label = "max over 257 sampled points"
+    cases = [c for c in _table_cases()
+             if c[2] in ("K-conditions", "th33", "delay-final")]
+    assert {c[2] for c in cases} == {"K-conditions", "th33", "delay-final"}
+    for spec, rho, theorem in cases:
+        cert = certify(spec, rho=rho, theorem=theorem)
+        lines = [line for line in cert.audit if label in line]
+        assert len(lines) == 1 and _AUDIT_LINE.match(lines[0]), (theorem, cert.audit)
+
+
 def test_certificate_text_round():
     f = sinusoid_affine(sin_amp=0.2, state_coeff=0.05)
     cert = certify_ball_zero(delayed_spec(f=f, cx=0.1), rho=1.0)

@@ -377,3 +377,140 @@ def test_causal_evolution_fixed_point_vs_augmented_ode():
                     rtol=1e-11, atol=1e-13, method="DOP853")
     err = np.max(np.abs(rep.solution.values[:, 0] - sol.y[0]))
     assert err < 1e-7
+
+
+# -- cell-recurrence propagators ------------------------------------------------------
+
+def _recurrence_family(case):
+    from picardcert.evolution import (EvolutionFamily, certify_stability,
+                                      stability_sample_pairs)
+    if case == "stiff":
+        gen, delta = (lambda t: np.array([[-25.0]])), 25.0
+    else:
+        # time-dependent and non-commuting; the sin t part is skew, so
+        # |U(t, s)| <= exp(-2 (t - s))
+        gen, delta = (lambda t: np.array([[-2.0, np.sin(t)],
+                                          [-np.sin(t), -3.0]])), 2.0
+    fam = EvolutionFamily(gen, dim=gen(0.0).shape[0])
+    certify_stability(fam, stability_sample_pairs((0.0, 20.0), n=12),
+                      M=1.0, delta=delta)
+    return fam
+
+
+def _recurrence_spec(variant, case):
+    fam = _recurrence_family(case)
+    d = fam.dim
+
+    def f_eval(t, x, y):
+        t = np.asarray(t, dtype=float)
+        out = 0.3 * np.asarray(x)[..., ::-1]
+        out[..., 0] += 0.5 * np.sin(t)
+        out[..., -1] += np.cos(2.0 * t)
+        return out
+
+    f = pb.Nonlinearity(f_eval, lipschitz=0.3, dim=d)
+    # over "long" an unchunked fundamental matrix decays to exp(-600); over
+    # "stiff" one chunk of cells already takes it far below the ODE atol
+    window, step = {"rotating": ((0.0, 20.0), 0.05), "long": ((0.0, 300.0), 0.5),
+                    "stiff": ((0.0, 5.0), 0.1)}[case]
+    common = dict(dim=d, f=f, evolution=fam, report_window=window,
+                  grid_step=step, quad_tol=1e-11)
+    if variant == pb.DELAY_PARABOLIC:
+        return pb.ProblemSpec(variant=variant, delay=1.0, **common)
+    return pb.ProblemSpec(variant=variant, u0=np.linspace(0.4, -0.2, d),
+                          nonlocal_map=pc.zero_nonlocal(d), **common)
+
+
+def _forced_ode_image(spec, y):
+    """The operator image of y by integrating z' = A(t) z + g(t) directly,
+    restarted at every knot of the spline forcing, where its third
+    derivative jumps."""
+    from scipy.integrate import solve_ivp
+    from scipy.interpolate import CubicSpline
+
+    t = y.grid
+    gen = spec.evolution.generator
+    if spec.variant == pb.DELAY_PARABOLIC:
+        # y's cubic spline with its constant tails; the delay is a whole
+        # number of steps, so the knots of g are those of the grid, and the
+        # history before the first knot contributes below exp(-40)
+        y_spline = CubicSpline(t, y.values, axis=0)
+
+        def g(s):
+            x = y_spline(max(s - spec.delay, t[0]))[None]
+            return spec.f(np.array([s]), x, np.zeros_like(x))[0]
+        h = spec.grid_step
+        n_left = int(np.ceil(40.0 / (spec.evolution.stability.delta * h)))
+        knots = np.concatenate([t[0] - h * np.arange(n_left, 0, -1), t])
+        z = np.zeros(spec.dim)
+    else:
+        g = CubicSpline(t, spec.f(t, y.values, np.zeros_like(y.values)), axis=0)
+        knots, z = t, spec.u0
+    out = [z]
+    for a, b in zip(knots[:-1], knots[1:]):
+        sol = solve_ivp(lambda s, z: gen(s) @ z + g(s), (a, b), z,
+                        method="DOP853", rtol=1e-13, atol=1e-15)
+        assert sol.success
+        z = sol.y[:, -1]
+        out.append(z)
+    return np.array(out[-t.size:])
+
+
+@pytest.mark.parametrize("case", ["rotating", "long", "stiff"])
+@pytest.mark.parametrize("variant", [pb.EVOLUTION_NONLOCAL, pb.DELAY_PARABOLIC])
+def test_cell_recurrence_matches_forced_ode(variant, case):
+    from picardcert.solver import apply_mild_evolution
+    spec = _recurrence_spec(variant, case)
+    y = zero_start(spec)
+    y = _iterate_like(y, np.column_stack(
+        [np.sin(1.3 * y.grid), np.cos(0.7 * y.grid)])[:, :spec.dim])
+    image = apply_mild_evolution(spec, y)
+    expect = _forced_ode_image(spec, y)
+    assert np.max(np.abs(image.values - expect)) < 1e-9
+
+
+def test_second_solve_reuses_cell_propagators(monkeypatch):
+    # the delay demo's problem: the propagators are built once, so solving
+    # again makes no ODE call at all
+    from picardcert import solver
+    from picardcert.evolution import (certify_stability, scalar_family,
+                                      stability_sample_pairs)
+    fam = scalar_family(lambda t: -(2.0 + np.sin(t)))
+    certify_stability(fam, stability_sample_pairs((-15.0, 15.0), n=30,
+                                                  max_sep=5.0),
+                      M=1.0, delta=1.0)
+    spec = pb.ProblemSpec(variant=pb.DELAY_PARABOLIC, dim=1, evolution=fam,
+                          f=pc.sinusoid_affine(sin_amp=0.5, state_coeff=0.1),
+                          delay=1.0, report_window=(-10.0, 45.0),
+                          grid_step=0.02, quad_tol=1e-8)
+    calls = []
+    ode = solver.solve_ivp
+    monkeypatch.setattr(solver, "solve_ivp",
+                        lambda *a, **kw: calls.append(1) or ode(*a, **kw))
+    cert = pc.certify_evolution(spec, rho=2.0, theorem="delay-final")
+    first = picard_solve(spec, cert, tol=1e-8)
+    built = len(calls)
+    assert built > 0
+    second = picard_solve(spec, cert, tol=1e-8)
+    assert len(calls) == built
+    assert np.array_equal(first.solution.values, second.solution.values)
+
+
+def test_longer_run_in_extends_the_cell_table():
+    # a larger iterate needs a longer delay run-in: the stored propagators
+    # grow to the left and their old cells are kept as they are
+    from picardcert.solver import apply_mild_evolution
+    spec = _recurrence_spec(pb.DELAY_PARABOLIC, "rotating")
+    y = zero_start(spec)
+    apply_mild_evolution(spec, y)
+    (short,) = spec.evolution.cell_tables.values()
+    big = _iterate_like(y, 1e3 * np.column_stack([np.sin(1.3 * y.grid),
+                                                  np.cos(0.7 * y.grid)]))
+    image = apply_mild_evolution(spec, big)
+    (longer,) = spec.evolution.cell_tables.values()
+    assert len(longer) > len(short)
+    assert np.array_equal(longer.Phi[-len(short):], short.Phi)
+    fresh = apply_mild_evolution(_recurrence_spec(pb.DELAY_PARABOLIC, "rotating"),
+                                 big)
+    assert np.max(np.abs(image.values - fresh.values)) \
+        < 1e-9 * np.max(np.abs(fresh.values))
