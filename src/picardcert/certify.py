@@ -94,72 +94,61 @@ class ContractionCertificate:
 # envelope constants per variant
 
 
-def _grid_sup(t_grid, terms):
-    """(max, argmax) over t in t_grid of the norm of a sum of integrals; each
-    term (g, orientation, span, tol) integrates s -> g(t, s) over
-    oriented_bounds(orientation, t, span) to tolerance tol."""
-    best, best_t = 0.0, float(t_grid[0])
+def _grid_sup(t_grid, g, orientation, span, tol):
+    """Max over t in t_grid of the norm of the integral of s -> g(t, s) over
+    oriented_bounds(orientation, t, span), to tolerance tol."""
+    best = 0.0
     for t in map(float, t_grid):
-        total = 0.0
-        for g, orientation, span, tol in terms:
-            lo, hi = oriented_bounds(orientation, t, span)
-            if hi > lo:
-                total = total + adaptive_integral(lambda s: g(t, s), lo, hi, tol)[0]
-        val = float(np.linalg.norm(total))
-        if val > best:
-            best, best_t = val, t
-    return best, best_t
+        lo, hi = oriented_bounds(orientation, t, span)
+        if hi > lo:
+            val = adaptive_integral(lambda s: g(t, s), lo, hi, tol)[0]
+            best = max(best, float(np.linalg.norm(val)))
+    return best
 
 
-def _envelope_terms(pairs, tol):
-    """_grid_sup terms of (envelope, orientation) pairs, tails below tol/2."""
-    return [(env, orient, env.truncation_span(tol / 2.0), tol / 2.0)
-            for env, orient in pairs if env is not None and env.amplitude > 0.0]
-
-
-def compute_envelope_constants(spec: pb.ProblemSpec, t_grid=None) -> EnvelopeConstants:
-    """Integral constants the variant's inequalities consume, with provenance."""
-    tol = spec.const_tol
-    t_grid = spec.constants_grid() if t_grid is None else np.asarray(t_grid, float)
-    out = EnvelopeConstants(t_grid=t_grid, tol=tol)
+def compute_envelope_constants(spec: pb.ProblemSpec) -> EnvelopeConstants:
+    """Integral constants the variant's inequalities consume: envelope masses
+    in closed form, and gamma1/gamma2 sampled on spec.constants_grid()."""
+    out = EnvelopeConstants(tol=spec.const_tol)
 
     if spec.variant in (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY):
         k1 = spec.kernel_delayed
-        out.alpha1 = envelope_constant(k1.envelope, DELAYED, t_grid, tol).value
-        out.N1 = envelope_constant(k1.lipschitz, DELAYED, t_grid, tol).value
+        out.alpha1 = envelope_constant(k1.envelope, DELAYED)
+        out.N1 = envelope_constant(k1.lipschitz, DELAYED)
         k2 = spec.kernel_advanced
         if k2 is not None and not k2.is_zero:
-            out.alpha2 = envelope_constant(k2.envelope, ADVANCED, t_grid, tol).value
-            out.N2 = envelope_constant(k2.lipschitz, ADVANCED, t_grid, tol).value
+            out.alpha2 = envelope_constant(k2.envelope, ADVANCED)
+            out.N2 = envelope_constant(k2.lipschitz, ADVANCED)
         else:
             out.alpha2, out.N2 = 0.0, 0.0
 
     elif spec.variant == pb.HALF_LINE:
         b1, b2 = spec.split_delayed, spec.split_advanced
-        out.P1 = envelope_constant(b1.theta, HALF_LINE_DELAYED, t_grid, tol).value
-        out.P2 = envelope_constant(b2.theta, ADVANCED, t_grid, tol).value
-        out.beta1_h5 = envelope_constant(b1.aa_part.lipschitz, DELAYED, t_grid, tol).value
-        out.beta2_h5 = envelope_constant(b2.aa_part.lipschitz, ADVANCED, t_grid, tol).value
-        out.Q1 = _grid_sup(t_grid, _envelope_terms(
-            [(b1.ergodic_lipschitz, HALF_LINE_DELAYED),
-             (b2.ergodic_lipschitz, ADVANCED)], tol))[0]
+        out.P1 = envelope_constant(b1.theta, HALF_LINE_DELAYED)
+        out.P2 = envelope_constant(b2.theta, ADVANCED)
+        out.beta1_h5 = envelope_constant(b1.aa_part.lipschitz, DELAYED)
+        out.beta2_h5 = envelope_constant(b2.aa_part.lipschitz, ADVANCED)
+        # sup_t of int_0^t mu3_1 + int_t^inf mu3_2, approached as t -> inf
+        out.Q1 = (envelope_constant(b1.ergodic_lipschitz, HALF_LINE_DELAYED)
+                  + envelope_constant(b2.ergodic_lipschitz, ADVANCED))
         # gamma_i: sup_t |oriented integral of B_i(t, s, 0, 0) ds|
+        tol = spec.const_tol
+        out.t_grid = spec.constants_grid()
         for name, part, orient in (("gamma1", b1, HALF_LINE_DELAYED),
                                    ("gamma2", b2, ADVANCED)):
             def at_zero(t, s, part=part):
                 z = np.zeros((s.size, part.dim))
                 return np.asarray(part.full_evaluator(np.full(s.size, t), s, z, z))
             span = part.aa_part.envelope.truncation_span(tol / 2.0)
-            setattr(out, name, _grid_sup(t_grid, [(at_zero, orient, span, tol / 2.0)])[0])
+            setattr(out, name, _grid_sup(out.t_grid, at_zero, orient, span, tol / 2.0))
 
     elif spec.memory_kernel is not None:
-        # C_B: sup over s >= 0 of the integral over [0, s] of the history kernel norm
-        def history_norm(s, taus):
-            mats = np.asarray(spec.memory_kernel.matrix(np.full(taus.size, s), taus))
-            return np.linalg.norm(mats, ord=2, axis=(-2, -1))
-
-        out.C_B = _grid_sup(
-            t_grid, [(history_norm, HALF_LINE_DELAYED, np.inf, tol)])[0]
+        # C_B: sup over s >= 0 of the integral over [0, s] of |B(s, tau)|,
+        # bounded by the mass of the kernel's envelope
+        if spec.memory_kernel.envelope is None:
+            raise CertificationError("the causal history kernel declares no decay "
+                                     "envelope, so C_B has no bound")
+        out.C_B = envelope_constant(spec.memory_kernel.envelope, HALF_LINE_DELAYED)
     else:
         out.C_B = 0.0
     return out
@@ -490,8 +479,7 @@ class HypothesisReport:
         return "\n".join(self.lines) + "\n"
 
 
-def certify_bohr_neugebauer_hypotheses(spec: pb.ProblemSpec,
-                                       t_grid=None) -> HypothesisReport:
+def certify_bohr_neugebauer_hypotheses(spec: pb.ProblemSpec) -> HypothesisReport:
     """Smallness condition under which bounded solutions with relatively
     compact range inherit the recurrence of the data: the nonlinearity
     constant plus the supremum of the oriented Lipschitz-modulus integrals
@@ -499,18 +487,15 @@ def certify_bohr_neugebauer_hypotheses(spec: pb.ProblemSpec,
     if spec.variant not in (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY):
         raise CertificationError("the recurrence-transfer condition applies to "
                                  "the full-line integral-equation variants")
-    tol = spec.const_tol
-    t_grid = spec.constants_grid() if t_grid is None else np.asarray(t_grid, float)
     L_f = spec.effective_lipschitz()
-    pairs = [(spec.kernel_delayed.lipschitz, DELAYED)]
+    sup_mu = envelope_constant(spec.kernel_delayed.lipschitz, DELAYED)
     if spec.variant == pb.ADVANCED_DELAYED and spec.kernel_advanced is not None:
-        pairs.append((spec.kernel_advanced.lipschitz, ADVANCED))
-    sup_mu, argmax = _grid_sup(t_grid, _envelope_terms(pairs, tol))
+        sup_mu += envelope_constant(spec.kernel_advanced.lipschitz, ADVANCED)
     rho = L_f + sup_mu
     warps_ok = all(spec.warp(k).declared_aa for k in ("a0", "a1", "a2"))
     lines = [
         f"recurrence-transfer smallness: L_f + sup_t(moduli integrals) = "
-        f"{rho:.12g} (argmax t = {argmax:g})",
+        f"{rho:.12g} (closed form)",
         f"time warps declared recurrent: {'yes' if warps_ok else 'NO'}",
         f"verdict: {'pass' if rho < 1.0 and warps_ok else 'fail'}",
     ]

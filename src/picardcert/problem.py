@@ -243,7 +243,8 @@ class ProblemSpec:
         return lo + self.grid_step * np.arange(n + 1)
 
     def constants_grid(self, n: int = 129) -> np.ndarray:
-        """t-grid over which envelope suprema are taken (recorded in reports)."""
+        """t-grid on which the sampled sups are taken: gamma1/gamma2 of half-line
+        problems and sup|f(t, 0, 0)| (recorded in reports)."""
         lo, hi = self.report_window
         if self.variant in (HALF_LINE, EVOLUTION_NONLOCAL, RESOLVENT_NONLOCAL):
             lo = max(lo, 0.0)

@@ -6,12 +6,16 @@ envelopes are first-class here: they choose the truncation point of each
 semi-infinite integral so that the neglected tail is provably below tol/2,
 and adaptive Gauss-Legendre panels bring the quadrature error on the
 truncated interval below the other tol/2.
+
+The envelope constants of the certificates, sups over all t of oriented
+envelope integrals, need no quadrature: each is the envelope's total mass in
+closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.special import erfc
@@ -22,7 +26,7 @@ HALF_LINE_DELAYED = "half_line_delayed"  # integral over 0 <= s <= t
 
 ORIENTATIONS = (DELAYED, ADVANCED, HALF_LINE_DELAYED)
 
-DEFAULT_CONST_TOL = 1e-10   # envelope constants
+DEFAULT_CONST_TOL = 1e-10   # sampled certificate constants (gamma1/gamma2)
 DEFAULT_SWEEP_TOL = 1e-8    # inside Picard sweeps
 
 
@@ -32,19 +36,16 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class DecayEnvelope:
-    """Nonnegative two-time profile  env(t, s) = amplitude * m(t) * profile(|t-s|).
+    """Nonnegative two-time profile  env(t, s) = amplitude * profile(|t-s|).
 
     profile is exp(-rate*u) for kind 'exponential' and exp(-rate*u^2) for
-    kind 'gaussian'; m is an optional bounded modulation in t with
-    sup |m| <= mod_sup.  The analytic tail mass beyond a separation U is what
+    kind 'gaussian'.  The analytic tail mass beyond a separation U is what
     licenses truncating semi-infinite integrals dominated by this envelope.
     """
 
     kind: str
     amplitude: float
     rate: float
-    modulation: Optional[Callable] = None
-    mod_sup: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("exponential", "gaussian"):
@@ -54,8 +55,6 @@ class DecayEnvelope:
         if self.rate <= 0.0 and self.amplitude > 0.0:
             raise QuadratureError(
                 "envelope does not decay (rate <= 0): tail not integrable")
-        if self.mod_sup < 0.0:
-            raise ValueError("mod_sup must be nonnegative")
 
     def profile(self, u):
         u = np.asarray(u, dtype=float)
@@ -68,22 +67,15 @@ class DecayEnvelope:
     def __call__(self, t, s):
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
-        out = self.amplitude * self.profile(np.abs(t - s))
-        if self.modulation is not None:
-            out = out * self.modulation(t)
-        return out
-
-    @property
-    def peak(self) -> float:
-        return self.amplitude * self.mod_sup
+        return self.amplitude * self.profile(np.abs(t - s))
 
     def tail_mass(self, span: float) -> float:
         """Upper bound for the integral of the envelope beyond separation span."""
         if self.amplitude == 0.0:
             return 0.0
         if self.kind == "exponential":
-            return self.peak * np.exp(-self.rate * span) / self.rate
-        return self.peak * 0.5 * np.sqrt(np.pi / self.rate) * erfc(np.sqrt(self.rate) * span)
+            return self.amplitude * np.exp(-self.rate * span) / self.rate
+        return self.amplitude * 0.5 * np.sqrt(np.pi / self.rate) * erfc(np.sqrt(self.rate) * span)
 
     def total_mass(self) -> float:
         return self.tail_mass(0.0)
@@ -96,7 +88,7 @@ class DecayEnvelope:
             return 1.0
         tol = 0.99 * tol  # stay strictly inside the budget despite rounding
         if self.kind == "exponential":
-            span = np.log(max(self.peak / (self.rate * tol), 1.0)) / self.rate
+            span = np.log(max(self.amplitude / (self.rate * tol), 1.0)) / self.rate
             return float(max(span, 1.0))
         lo, hi = 0.0, 1.0
         while self.tail_mass(hi) > tol and hi < 1e6:
@@ -224,53 +216,25 @@ def oriented_bounds(orientation: str, t: float, span: float):
 # envelope constants (suprema over t of oriented envelope integrals)
 
 
-@dataclass(frozen=True)
-class EnvelopeConstantResult:
-    value: float
-    argmax_t: float
-    t_grid: np.ndarray
-    tol: float
-
-    def __float__(self):
-        return self.value
-
-
-def envelope_constant(env: DecayEnvelope, orientation: str, t_grid,
-                      tol: float = DEFAULT_CONST_TOL) -> EnvelopeConstantResult:
-    """max over the t-grid of the oriented integral of env(t, .).
-
-    The supremum over all of R is approximated on the recorded finite grid,
-    which should span several periods of the envelope's modulation; the grid
-    and the attaining t are kept so certificates stay auditable.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0:
-        raise ValueError("t_grid is empty")
+def envelope_constant(env: DecayEnvelope, orientation: str) -> float:
+    """sup over all real t of the oriented integral of env(t, .), in closed
+    form: the envelope's total mass (1/rate, resp. sqrt(pi/rate)/2, times the
+    amplitude).  The sup is attained for the delayed and advanced
+    orientations; for half_line_delayed it is the limit as t -> infinity."""
     if orientation not in ORIENTATIONS:
         raise ValueError(f"unknown orientation {orientation!r}")
-    if env.amplitude == 0.0:
-        return EnvelopeConstantResult(0.0, float(t_grid[0]), t_grid, tol)
-    span = env.truncation_span(tol / 2.0)
-    best_val, best_t = -np.inf, t_grid[0]
-    for t in t_grid:
-        lo, hi = oriented_bounds(orientation, float(t), span)
-        if hi <= lo:
-            val = 0.0
-        else:
-            val, _ = adaptive_integral(lambda s: env(float(t), s), lo, hi, tol / 2.0)
-            val = float(val)
-        if val > best_val:
-            best_val, best_t = val, float(t)
-    return EnvelopeConstantResult(best_val, best_t, t_grid, tol)
+    return float(env.total_mass())
 
 
 @dataclass
 class EnvelopeConstants:
     """Snapshot of the integral constants entering certificate inequalities.
 
-    Each entry is the max of an oriented envelope integral over a recorded
-    finite t-grid with the truncation tail below the declared tolerance.
-    None means "not applicable to this problem variant".
+    Every constant except gamma1/gamma2 is a sum of envelope masses, exact in
+    closed form.  gamma1/gamma2 integrate the kernel itself at zero state,
+    which has no closed form: they are the max over the recorded finite
+    t-grid, with the truncation tail below tol.  None means "not applicable
+    to this problem variant".
     """
 
     alpha1: Optional[float] = None   # sup_t int lambda_1, delayed side
@@ -282,10 +246,10 @@ class EnvelopeConstants:
     P1: Optional[float] = None       # sup_t int theta_1 on [0, t]
     P2: Optional[float] = None       # sup_t int theta_2 on [t, inf)
     Q1: Optional[float] = None       # sup_t (int mu3_1 + int mu3_2)
-    gamma1: Optional[float] = None   # sup_t |int_0^t B_1(t,s,0,0) ds|
-    gamma2: Optional[float] = None   # sup_t |int_t^inf B_2(t,s,0,0) ds|
+    gamma1: Optional[float] = None   # sup_t |int_0^t B_1(t,s,0,0) ds|, sampled
+    gamma2: Optional[float] = None   # sup_t |int_t^inf B_2(t,s,0,0) ds|, sampled
     C_B: Optional[float] = None      # sup_s int_0^s |B(s,tau)| dtau
-    t_grid: Optional[np.ndarray] = None
+    t_grid: Optional[np.ndarray] = None   # where gamma1/gamma2 were sampled
     tol: float = DEFAULT_CONST_TOL
 
     def audit_lines(self):
@@ -294,8 +258,10 @@ class EnvelopeConstants:
                      "P1", "P2", "Q1", "gamma1", "gamma2", "C_B"):
             val = getattr(self, name)
             if val is not None:
-                lines.append(f"  {name} = {val:.12g}")
-        if self.t_grid is not None and len(self.t_grid):
-            lines.append(f"  t-grid: {len(self.t_grid)} points on "
-                         f"[{self.t_grid[0]:g}, {self.t_grid[-1]:g}], tol {self.tol:g}")
+                how = "sampled" if name in ("gamma1", "gamma2") else "closed form"
+                lines.append(f"  {name} = {val:.12g} ({how})")
+        if self.t_grid is not None:
+            lines.append(f"  gamma1, gamma2 sampled on a t-grid of {len(self.t_grid)} "
+                         f"points on [{self.t_grid[0]:g}, {self.t_grid[-1]:g}], "
+                         f"tol {self.tol:g}")
         return lines

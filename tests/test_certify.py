@@ -46,6 +46,34 @@ def test_moduli_constants_for_exponential_kernel():
     assert c.alpha1 == pytest.approx(0.25 * 3.0 / 2.0, abs=1e-7)
 
 
+def half_line_spec():
+    return ProblemSpec(
+        variant="half_line", dim=1, f=sinusoid_affine(sin_amp=0.2, state_coeff=0.05),
+        split_delayed=pc.split_exponential_kernel(2.0, aa_const=0.1, erg_cx=0.1,
+                                                  state_bound=3.0),
+        split_advanced=pc.split_exponential_kernel(
+            2.0, orientation="advanced", state_bound=3.0),
+        report_window=(0.0, 10.0), grid_step=0.05)
+
+
+def test_constants_audit_names_provenance():
+    full = two_sided_spec(zero_nonlinearity(), cx1=0.25, cx2=0.25)
+    lines = compute_envelope_constants(full).audit_lines()
+    assert [line.split()[0] for line in lines] == ["alpha1", "alpha2", "N1", "N2"]
+    assert all(line.endswith(" (closed form)") for line in lines)
+    rep = certify_bohr_neugebauer_hypotheses(full)
+    assert rep.lines[0].endswith("(closed form)") and "argmax" not in rep.to_text()
+
+    lines = compute_envelope_constants(half_line_spec()).audit_lines()
+    assert [line.split()[0] for line in lines[:5]] == ["beta1_h5", "beta2_h5",
+                                                       "P1", "P2", "Q1"]
+    assert all(line.endswith(" (closed form)") for line in lines[:5])
+    assert [line.split()[0] for line in lines[5:7]] == ["gamma1", "gamma2"]
+    assert all(line.endswith(" (sampled)") for line in lines[5:7])
+    assert len(lines) == 8 and lines[7].startswith(
+        "  gamma1, gamma2 sampled on a t-grid of 129 points on [0, 10]")
+
+
 # -- base points --------------------------------------------------------------------
 
 def test_base_point_zero_problem():
@@ -310,6 +338,16 @@ def test_transfer_hypotheses_fail():
     rep = certify_bohr_neugebauer_hypotheses(spec)
     assert not rep.passed
     assert rep.rho == pytest.approx(1.1, abs=1e-6)
+
+
+def test_transfer_hypotheses_fail_at_boundary():
+    # L_f + int mu = 0.5 + 1.0/2.0 = 1 exactly, and the smallness condition
+    # is strict
+    f = sinusoid_affine(sin_amp=0.1, state_coeff=0.5)
+    spec = delayed_spec(f=f, cx=1.0)
+    rep = certify_bohr_neugebauer_hypotheses(spec)
+    assert rep.rho == 1.0
+    assert rep.passed is False
 
 
 def test_transfer_single_kernel_flavour():

@@ -280,6 +280,7 @@ def test_inequality_zero_case():
                                     weight(0.25), weight(0.25),
                                     lambda t: 0.0 * np.asarray(t), grid)
     assert rep.rho == pytest.approx(0.5, abs=1e-8)
+    assert rep.lines[0] == "rho = 0.5 (closed form)"
     assert rep.hypothesis_holds
     assert rep.conclusion_holds
     assert rep.bound == pytest.approx(0.0)
@@ -306,6 +307,17 @@ def test_inequality_hypothesis_witness():
     # 2.1 > 1 + 0.5*2.1 = 2.05: the hypothesis must fail, with a witness
     assert not rep.hypothesis_holds
     assert rep.worst_witness["lhs"] > rep.worst_witness["rhs"]
+
+
+def test_inequality_rho_at_one_rejected():
+    # two weights of mass 1/2 give rho = 1 exactly, where the bound
+    # sup a/(1-rho) does not exist
+    grid = np.linspace(-2, 2, 9)
+    with pytest.raises(ValueError):
+        check_integral_inequality(lambda t: np.ones_like(np.asarray(t, float)),
+                                  weight(0.5), weight(0.5),
+                                  lambda t: np.ones_like(np.asarray(t, float)),
+                                  grid)
 
 
 def test_inequality_rho_above_one_rejected():
@@ -352,8 +364,34 @@ def test_causal_bound_constant():
     from picardcert.certify import compute_envelope_constants
     spec = _causal_spec(coeff=0.2)
     c = compute_envelope_constants(spec)
-    # sup_s int_0^s 0.2 e^{-(s-tau)} dtau = 0.2 (1 - e^{-s}) -> 0.2
-    assert c.C_B == pytest.approx(0.2 * (1 - np.exp(-12.0)), abs=1e-6)
+    # sup over all s >= 0 of int_0^s 0.2 e^{-(s-tau)} dtau = 0.2 (1 - e^{-s}),
+    # approached as s -> inf; the window's end s = 12 does not bound it
+    assert c.C_B == 0.2
+
+
+def test_constants_need_no_quadrature(monkeypatch):
+    # every constant of the full-line and causal-evolution variants is an
+    # envelope mass; only half-line gamma1/gamma2 may integrate
+    import picardcert.certify as certify_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the constants layer integrated numerically")
+
+    monkeypatch.setattr(certify_module, "adaptive_integral", refuse)
+    full = oracle_spec()
+    assert certify_module.compute_envelope_constants(full).N1 == 0.125
+    rep = certify_module.certify_bohr_neugebauer_hypotheses(full)
+    assert rep.rho == 0.125
+    assert certify_module.compute_envelope_constants(_causal_spec()).C_B == 0.2
+
+
+def test_causal_kernel_without_envelope_raises():
+    from dataclasses import replace
+    from picardcert.certify import CertificationError, compute_envelope_constants
+    from picardcert.evolution import CausalKernel
+    bare = CausalKernel(lambda t, s: np.exp(-np.abs(t - s))[..., None, None], 1)
+    with pytest.raises(CertificationError):
+        compute_envelope_constants(replace(_causal_spec(), memory_kernel=bare))
 
 
 def test_causal_evolution_fixed_point_vs_augmented_ode():
