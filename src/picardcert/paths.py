@@ -12,7 +12,6 @@ can be shared freely across workers.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
@@ -401,9 +400,3 @@ def read_csv(f, **path_kwargs) -> SampledPath:
         if own:
             fh.close()
     return SampledPath(np.array(grid), np.array(rows), **path_kwargs)
-
-
-def to_csv_text(p: SampledPath) -> str:
-    buf = io.StringIO()
-    write_csv(p, buf)
-    return buf.getvalue()

@@ -237,11 +237,6 @@ class ProblemSpec:
 
     # -- grids ---------------------------------------------------------------
 
-    def report_grid(self) -> np.ndarray:
-        lo, hi = self.report_window
-        n = int(round((hi - lo) / self.grid_step))
-        return lo + self.grid_step * np.arange(n + 1)
-
     def constants_grid(self, n: int = 129) -> np.ndarray:
         """t-grid on which the sampled sups are taken: gamma1/gamma2 of half-line
         problems and sup|f(t, 0, 0)| (recorded in reports)."""

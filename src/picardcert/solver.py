@@ -6,6 +6,12 @@ tolerance; the window is recorded in the report.  Warped state arguments that
 reach outside the window are served by the constant-tail policy of the
 current iterate, and the induced error is bounded by the envelope tail.
 
+Every integral against the iterate (kernel terms, causal history, resolvent
+convolution) is one `_sweep`: Gauss-Legendre panels over [lo_i, hi_i] at
+every node t_i, read in blocks of at most `_SWEEP_BLOCK` points so that
+memory stays flat (the heat demo's resolvent convolution reads 315k points,
+160 MB of 8 x 8 matrices if read at once).
+
 The forced evolution variants advance z' = A(t) z + g(t) one grid cell at a
 time, z_{j+1} = U(t_{j+1}, t_j) z_j + (Gauss quadrature of U(t_{j+1}, s) g(s)
 over the cell), as in Lubich's convolution quadrature; the propagators are
@@ -29,10 +35,11 @@ from . import problem as pb
 from .certify import ContractionCertificate
 from .paths import (HALF_LINE, SampledPath, TAIL_CONSTANT, sup_distance,
                     sup_norm, zero_path)
-from .quadrature import adaptive_integral, panel_nodes
+from .quadrature import adaptive_integral, gauss_legendre
 
 _PANEL_ORDER = 15
 _PANEL_WIDTH = 0.5
+_SWEEP_BLOCK = 1 << 13  # most quadrature points one integrand call receives
 _CELL_ORDER = 6        # Gauss-Legendre nodes per cell of the propagator recurrence
 _CHUNK_CELLS = 50      # cells between restarts of the fundamental matrix at I
 _CHUNK_FLOOR = 1e-3    # least singular value a chunk's fundamental matrix may reach
@@ -180,87 +187,105 @@ def _iterate_like(y: SampledPath, values: np.ndarray) -> SampledPath:
 
 
 # ---------------------------------------------------------------------------
-# operator application: full-line advanced/delayed equations
+# the quadrature sweep
 
 
-def _kernel_sweep(spec, envelope, evaluator, warp, y, t, advanced: bool) -> np.ndarray:
-    """Vectorized oriented integral of evaluator(t, s, y(s), y(a(s))) over all t.
+def _sweep(t, lo, hi, integrand) -> np.ndarray:
+    """int_{lo_i}^{hi_i} integrand(t_i, s) ds at every node t_i.
 
-    The truncation span comes from the kernel's envelope; nodes are fixed
-    Gauss-Legendre panels in the separation u = |t - s|, shared by every t.
+    Each interval gets the rule of quadrature.panel_nodes(lo_i, hi_i,
+    _PANEL_WIDTH, _PANEL_ORDER); an empty one integrates to zero.
+    integrand(T, S) takes flat arrays of node times and points, whole panels
+    and at most _SWEEP_BLOCK points per call, and returns one row per point.
     """
-    span = envelope.truncation_span(spec.quad_tol / 2.0)
-    u, w = panel_nodes(0.0, span, max_width=_PANEL_WIDTH, order=_PANEL_ORDER)
-    S = t[:, None] + u[None, :] if advanced else t[:, None] - u[None, :]
-    flat = S.ravel()
-    ys = y.evaluate(flat).reshape(S.shape + (spec.dim,))
-    if warp.is_identity:
-        ya = ys
-    else:
-        ya = y.evaluate(warp(flat)).reshape(S.shape + (spec.dim,))
-    T = np.broadcast_to(t[:, None], S.shape)
-    vals = np.asarray(evaluator(T, S, ys, ya))
-    return np.tensordot(vals, w, axes=(1, 0)) if vals.ndim == 3 \
-        else (vals * w[None, :]).sum(axis=1)
-
-
-def apply_gamma(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
-    """Image of y under the advanced/delayed integral operator on y's grid."""
-    t = y.grid
-    out = np.zeros((t.size, spec.dim))
-    if spec.f is not None and not spec.f.is_zero:
-        yt = y.values
-        a0 = spec.warp("a0")
-        ya0 = yt if a0.is_identity else y.evaluate(a0(t))
-        out += np.asarray(spec.f(t, yt, ya0))
-    k1 = spec.kernel_delayed
-    if k1 is not None and not k1.is_zero:
-        out += _kernel_sweep(spec, k1.envelope, k1.evaluator, spec.warp("a1"), y, t,
-                             advanced=False)
-    k2 = spec.kernel_advanced
-    if k2 is not None and not k2.is_zero:
-        out += _kernel_sweep(spec, k2.envelope, k2.evaluator, spec.warp("a2"), y, t,
-                             advanced=True)
-    return _iterate_like(y, out)
-
-
-# ---------------------------------------------------------------------------
-# operator application: half-line equations
-
-
-def _half_line_delayed_sweep(spec, split, warp, y, t) -> np.ndarray:
-    """Per-t integral over [max(0, t - span), t] of the split kernel."""
-    span = split.aa_part.envelope.truncation_span(spec.quad_tol / 2.0)
-    out = np.zeros((t.size, spec.dim))
-    for i, ti in enumerate(t):
-        lo = max(0.0, ti - span)
-        if ti <= lo:
-            continue
-        s, w = panel_nodes(lo, ti, max_width=_PANEL_WIDTH, order=_PANEL_ORDER)
-        ys = y.evaluate(s)
-        ya = ys if warp.is_identity else y.evaluate(warp(s))
-        vals = np.asarray(split.full_evaluator(np.full(s.size, ti), s, ys, ya))
-        out[i] = np.tensordot(w, vals, axes=(0, 0))
+    t, lo, hi = np.broadcast_arrays(np.asarray(t, dtype=float), lo, hi)
+    width = hi - lo
+    count = np.ceil(np.maximum(width, 0.0) / _PANEL_WIDTH).astype(int)
+    first = np.cumsum(count) - count
+    owner = np.repeat(np.arange(t.size), count)
+    k = np.arange(owner.size) - first[owner]
+    step = width[owner] / count[owner]
+    # the panel edges of np.linspace(lo, hi, count + 1)
+    left = k * step + lo[owner]
+    right = np.where(k + 1 == count[owner], hi[owner], (k + 1) * step + lo[owner])
+    mid, half = 0.5 * (right + left), 0.5 * (right - left)
+    x, w = gauss_legendre(_PANEL_ORDER)
+    per_block = _SWEEP_BLOCK // _PANEL_ORDER
+    panels = []
+    for b in range(0, max(owner.size, 1), per_block):
+        p = slice(b, b + per_block)
+        S = (mid[p, None] + half[p, None] * x).ravel()
+        vals = np.asarray(integrand(np.repeat(t[owner[p]], _PANEL_ORDER), S))
+        vals = vals.reshape((-1, _PANEL_ORDER) + vals.shape[1:])
+        panels.append(np.einsum("pk,pk...->p...", half[p, None] * w, vals))
+    panels = np.concatenate(panels)
+    out = np.zeros((t.size,) + panels.shape[1:])
+    busy = count > 0
+    out[busy] = np.add.reduceat(panels, first[busy], axis=0)
     return out
 
 
-def apply_pi(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
-    """Image of y under the half-line operator: pointwise term, history
-    integral from zero, and forward integral to +infinity."""
+def _history(spec, y) -> np.ndarray:
+    """History integral int_0^t B(t, s) y(s) ds on y's grid."""
+    mk = spec.memory_kernel
+    t = y.grid
+    return _sweep(t, 0.0, t, lambda T, S: np.einsum(
+        "kij,kj->ki", mk.matrix(T, S), y.evaluate(S)))
+
+
+# ---------------------------------------------------------------------------
+# operator application: full-line and half-line integral equations
+
+
+def _integral_image(spec, y, start, delayed, advanced) -> SampledPath:
+    """Pointwise term of y plus its delayed and advanced kernel terms.
+
+    Each kernel is (envelope, evaluator) or None; its integral is truncated
+    where the envelope's tail falls below half the quadrature tolerance, and
+    the delayed one starts no earlier than start.
+    """
     t = y.grid
     out = np.zeros((t.size, spec.dim))
     if spec.f is not None and not spec.f.is_zero:
         a0 = spec.warp("a0")
         ya0 = y.values if a0.is_identity else y.evaluate(a0(t))
         out += np.asarray(spec.f(t, y.values, ya0))
-    if spec.split_delayed is not None:
-        out += _half_line_delayed_sweep(spec, spec.split_delayed,
-                                        spec.warp("a1"), y, t)
-    b2 = spec.split_advanced
-    if b2 is not None:
-        out += _kernel_sweep(spec, b2.aa_part.envelope, b2.full_evaluator,
-                             spec.warp("a2"), y, t, advanced=True)
+    for kernel, key, is_delayed in ((delayed, "a1", True),
+                                    (advanced, "a2", False)):
+        if kernel is None:
+            continue
+        envelope, evaluator = kernel
+        warp = spec.warp(key)
+
+        def integrand(T, S):
+            ys = y.evaluate(S)
+            ya = ys if warp.is_identity else y.evaluate(warp(S))
+            return evaluator(T, S, ys, ya)
+
+        span = envelope.truncation_span(spec.quad_tol / 2.0)
+        lo, hi = ((np.maximum(start, t - span), t) if is_delayed
+                  else (t, t + span))
+        out += _sweep(t, lo, hi, integrand)
     return _iterate_like(y, out)
+
+
+def apply_gamma(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
+    """Image of y under the advanced/delayed integral operator on y's grid."""
+    k1, k2 = spec.kernel_delayed, spec.kernel_advanced
+    return _integral_image(
+        spec, y, -np.inf,
+        None if k1 is None or k1.is_zero else (k1.envelope, k1.evaluator),
+        None if k2 is None or k2.is_zero else (k2.envelope, k2.evaluator))
+
+
+def apply_pi(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
+    """Image of y under the half-line operator: pointwise term, history
+    integral from zero, and forward integral to +infinity."""
+    b1, b2 = spec.split_delayed, spec.split_advanced
+    return _integral_image(
+        spec, y, 0.0,
+        None if b1 is None else (b1.aa_part.envelope, b1.full_evaluator),
+        None if b2 is None else (b2.aa_part.envelope, b2.full_evaluator))
 
 
 # ---------------------------------------------------------------------------
@@ -369,53 +394,28 @@ def _cell_recurrence(table: _CellTable, z0, g) -> np.ndarray:
     return z
 
 
-def _causal_history(spec, y) -> np.ndarray:
-    """History integral int_0^t B(t, s) y(s) ds on y's grid."""
-    mk = spec.memory_kernel
-    t = y.grid
-    out = np.zeros((t.size, spec.dim))
-    for i, ti in enumerate(t):
-        if ti <= 0.0:
-            continue
-        s, w = panel_nodes(0.0, ti, max_width=_PANEL_WIDTH, order=_PANEL_ORDER)
-        mats = np.asarray(mk.matrix(np.full(s.size, ti), s))
-        ys = y.evaluate(s)
-        vals = np.einsum("kij,kj->ki", mats, ys)
-        out[i] = np.tensordot(w, vals, axes=(0, 0))
-    return out
-
-
 def apply_mild_evolution(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
     """Image of y under the mild-solution operator of the evolution variants."""
     t = y.grid
+    if spec.variant in (pb.EVOLUTION_NONLOCAL, pb.RESOLVENT_NONLOCAL):
+        z0 = spec.u0 + (spec.nonlocal_map(y) if spec.nonlocal_map is not None
+                        else 0.0)
+        forcing = np.asarray(spec.f(t, y.values, np.zeros_like(y.values)))
+
     if spec.variant == pb.EVOLUTION_NONLOCAL:
-        hist = _causal_history(spec, y) if spec.memory_kernel is not None \
-            else np.zeros((t.size, spec.dim))
-        zeros = np.zeros_like(y.values)
-        forcing_vals = hist + np.asarray(spec.f(t, y.values, zeros))
-        forcing = CubicSpline(t, forcing_vals, axis=0)
-        g_val = (spec.nonlocal_map(y) if spec.nonlocal_map is not None
-                 else np.zeros(spec.dim))
+        if spec.memory_kernel is not None:
+            forcing = _history(spec, y) + forcing
         table = _cell_table(spec.evolution, t)
-        vals = _cell_recurrence(table, spec.u0 + g_val, forcing(table.nodes))
-        return _iterate_like(y, vals)
+        g = CubicSpline(t, forcing, axis=0)(table.nodes)
+        return _iterate_like(y, _cell_recurrence(table, z0, g))
 
     if spec.variant == pb.RESOLVENT_NONLOCAL:
         R = spec.resolvent
-        g_val = (spec.nonlocal_map(y) if spec.nonlocal_map is not None
-                 else np.zeros(spec.dim))
-        vals = np.einsum("kij,j->ki", R.eval(t), spec.u0 + g_val)
-        if spec.f is not None and not spec.f.is_zero:
-            zeros = np.zeros_like(y.values)
-            f_vals = np.asarray(spec.f(t, y.values, zeros))
-            f_interp = CubicSpline(t, f_vals, axis=0)
-            for i, ti in enumerate(t):
-                if ti <= 0.0:
-                    continue
-                s, w = panel_nodes(0.0, ti, max_width=_PANEL_WIDTH,
-                                   order=_PANEL_ORDER)
-                conv = np.einsum("kij,kj->ki", R.eval(ti - s), f_interp(s))
-                vals[i] += np.tensordot(w, conv, axes=(0, 0))
+        vals = np.einsum("kij,j->ki", R.eval(t), z0)
+        if not spec.f.is_zero:
+            f_interp = CubicSpline(t, forcing, axis=0)
+            vals += _sweep(t, 0.0, t, lambda T, S: np.einsum(
+                "kij,kj->ki", R.eval(T - S), f_interp(S)))
         return _iterate_like(y, vals)
 
     if spec.variant == pb.DELAY_PARABOLIC:
@@ -498,14 +498,10 @@ def picard_solve(spec: pb.ProblemSpec, cert: ContractionCertificate,
         notes.append("contraction constant >= 1: plain increment stopping")
 
     if start is not None:
-        y = SampledPath(start.grid, start.values, domain_kind=start.domain_kind,
-                        interpolation=start.interpolation,
-                        tail_policy=TAIL_CONSTANT)
+        y = _iterate_like(start, start.values)
         notes.append("alternative start accepted (uniqueness experiment)")
     elif cert.base_point is not None:
-        bp = cert.base_point
-        y = SampledPath(bp.grid, bp.values, domain_kind=bp.domain_kind,
-                        interpolation=bp.interpolation, tail_policy=TAIL_CONSTANT)
+        y = _iterate_like(cert.base_point, cert.base_point.values)
     else:
         from .certify import compute_base_point
         y = compute_base_point(spec)

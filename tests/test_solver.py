@@ -124,6 +124,97 @@ def test_gamma_pi_consistency_on_shared_history():
     assert np.max(np.abs(gam - expect[sel])) < 1e-7
 
 
+# -- the quadrature sweep --------------------------------------------------------------
+
+def _sweep_reference(t, lo, hi, integrand):
+    """Node by node: the composite rule of panel_nodes on each [lo_i, hi_i]."""
+    from picardcert import solver
+    from picardcert.quadrature import panel_nodes
+    rows, counts = [], []
+    for ti, a, b in zip(t, lo, hi):
+        s, w = panel_nodes(a, b, max_width=solver._PANEL_WIDTH,
+                           order=solver._PANEL_ORDER)
+        vals = np.asarray(integrand(np.full(s.size, ti), s))
+        rows.append(np.tensordot(w, vals, axes=(0, 0)))
+        counts.append(s.size // solver._PANEL_ORDER)
+    return np.array(rows), np.array(counts)
+
+
+def _vector_integrand(T, S):
+    return np.stack([np.exp(-np.abs(T - S)) * np.sin(S), np.cos(T * S)],
+                    axis=-1)
+
+
+def _matrix_integrand(T, S):
+    return np.stack([np.stack([np.sin(S), np.tanh(T - S)], axis=-1),
+                     np.stack([np.cos(T + S), np.exp(-0.1 * S * S)], axis=-1)],
+                    axis=-2)
+
+
+@pytest.mark.parametrize("integrand", [_vector_integrand, _matrix_integrand],
+                         ids=["vector", "matrix"])
+@pytest.mark.parametrize("bounds", ["causal", "half_line", "delayed",
+                                    "advanced"])
+def test_sweep_matches_per_node_panels(bounds, integrand):
+    from picardcert import solver
+    t = np.linspace(0.0, 40.0, 301)
+    if bounds in ("delayed", "advanced"):
+        t = t - 20.0
+    lo, hi = {"causal": (np.zeros_like(t), t),
+              "half_line": (np.maximum(0.0, t - 7.3), t),
+              "delayed": (t - 7.3, t),
+              "advanced": (t, t + 7.3)}[bounds]
+    expect, counts = _sweep_reference(t, lo, hi, integrand)
+    got = solver._sweep(t, lo, hi, integrand)
+    assert got.shape == expect.shape
+    assert np.max(np.abs(got - expect)) < 1e-13
+    if bounds == "causal":
+        assert counts[0] == 0 and np.all(got[0] == 0.0)   # t = 0: empty
+    if bounds == "half_line":
+        assert np.any(t - 7.3 < 0.0) and np.any(t - 7.3 > 0.0)  # clipped at 0
+    # some node's panels fall into two integrand calls
+    per_block = solver._SWEEP_BLOCK // solver._PANEL_ORDER
+    first = np.cumsum(counts) - counts
+    last = first + counts - 1
+    busy = counts > 0
+    assert np.any(first[busy] // per_block != last[busy] // per_block)
+
+
+def test_sweep_of_empty_intervals_only():
+    from picardcert import solver
+    t = np.array([0.0, 0.0])
+    got = solver._sweep(t, t, t, _vector_integrand)
+    assert got.shape == (2, 2) and np.all(got == 0.0)
+
+
+def test_sweep_reads_at_most_one_block(monkeypatch):
+    # a forced heat problem: the resolvent convolution and the forcing read
+    # more points in all than one block, never more than one block at a time
+    from picardcert import solver
+    from picardcert.evolution import ResolventOperator, heat_demo_assemble
+    from picardcert.paths import SampledPath
+    grid = np.arange(0.0, 4.0 + 0.005, 0.01)
+    a_path = SampledPath(grid, 0.5 * np.sin(grid), domain_kind="half_line",
+                         tail_policy="constant")
+    spec, _, _ = heat_demo_assemble(n=2, horizon=4.0, grid_step=0.01,
+                                    a_path=a_path, b_func=np.tanh,
+                                    b_lipschitz=1.0)
+    y = _iterate_like(zero_start(spec), np.full((grid.size, spec.dim), 0.3))
+    sizes = {"eval": [], "evaluate": []}
+    for cls, name in ((ResolventOperator, "eval"), (SampledPath, "evaluate")):
+        original = getattr(cls, name)
+
+        def recorder(self, t, _original=original, _sizes=sizes[name]):
+            _sizes.append(np.size(t))
+            return _original(self, t)
+
+        monkeypatch.setattr(cls, name, recorder)
+        monkeypatch.setattr(cls, "__call__", recorder)
+    solver.apply_operator(spec, y)
+    assert sum(sizes["eval"]) > solver._SWEEP_BLOCK
+    assert max(sizes["eval"] + sizes["evaluate"]) <= solver._SWEEP_BLOCK
+
+
 # -- picard iteration ------------------------------------------------------------------
 
 def test_zero_problem_two_sweeps():
@@ -350,11 +441,11 @@ def _causal_spec(coeff=0.2, forcing=0.3, u0=0.4, window=(0.0, 12.0),
 
 
 def test_causal_history_integral_closed_form():
-    from picardcert.solver import _causal_history
+    from picardcert.solver import _history
     spec = _causal_spec(coeff=0.5)
     y = zero_start(spec)
     y = _iterate_like(y, np.sin(y.grid)[:, None])
-    hist = _causal_history(spec, y)
+    hist = _history(spec, y)
     g = y.grid
     expect = 0.5 * (np.sin(g) - np.cos(g) + np.exp(-g)) / 2.0
     assert np.max(np.abs(hist[:, 0] - expect)) < 5e-9
