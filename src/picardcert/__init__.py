@@ -30,7 +30,7 @@ from .evolution import (CausalKernel, EvolutionFamily, MemoryKernel,
                         StabilityCertificate, build_resolvent,
                         certify_stability, check_bi_aa_family,
                         cocycle_residual, constant_family, delay_demo_solve,
-                        exponential_memory, heat_demo_assemble, propagate,
+                        exponential_memory, heat_demo_assemble,
                         scalar_family)
 from .diagnostics import (DiagnosticReport, aaa_split_estimate, bochner_test,
                           bohr_neugebauer_verdict, range_compactness_trend)

@@ -224,7 +224,10 @@ class ProblemSpec:
             need(self.resolvent is not None and self.u0 is not None,
                  "resolvent_nonlocal problems need the resolvent handle and u0")
             need(self.f is not None, "resolvent_nonlocal problems need the forcing")
-            need(self.report_window[0] >= 0.0, "resolvent problems live on t >= 0")
+            need(self.report_window[0] == 0.0, "resolvent problems start at t = 0")
+            need(self.report_window[1] <= self.resolvent.grid[-1] + 1e-12,
+                 "report window ends past the resolvent's grid, beyond its "
+                 "decay audit and residual check")
         if v == DELAY_PARABOLIC:
             need(self.evolution is not None, "delay problems need the evolution family")
             need(self.f is not None and self.delay is not None,

@@ -6,16 +6,20 @@ tolerance; the window is recorded in the report.  Warped state arguments that
 reach outside the window are served by the constant-tail policy of the
 current iterate, and the induced error is bounded by the envelope tail.
 
-Every integral against the iterate (kernel terms, causal history, resolvent
-convolution) is one `_sweep`: Gauss-Legendre panels over [lo_i, hi_i] at
-every node t_i, read in blocks of at most `_SWEEP_BLOCK` points so that
-memory stays flat (the heat demo's resolvent convolution reads 315k points,
-160 MB of 8 x 8 matrices if read at once).
+Every integral against the iterate (kernel terms, causal history) is one
+`_sweep`: Gauss-Legendre panels over [lo_i, hi_i] at every node t_i, read in
+blocks of at most `_SWEEP_BLOCK` points so that memory stays flat (a sweep of
+the sinusoid-oracle config at step 0.02 reads 1.4M points; read at once,
+every array over them would take 11 MB).
 
 The forced evolution variants advance z' = A(t) z + g(t) one grid cell at a
 time, z_{j+1} = U(t_{j+1}, t_j) z_j + (Gauss quadrature of U(t_{j+1}, s) g(s)
 over the cell), as in Lubich's convolution quadrature; the propagators are
 integrated once per evolution family and grid and reused by every sweep.
+The resolvent variant is the same recurrence for the augmented system of its
+exponential-sum memory, z = (v, w_1, ..., w_K) with z' = A_hat z + (g, 0):
+its propagators are matrix exponentials of the constant generator A_hat,
+the same for every cell, and v is the image.
 
 The stopping rule converts the contraction certificate into a computable
 error guarantee: iteration stops when the increment falls below
@@ -30,6 +34,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
+from scipy.linalg import expm
 
 from . import problem as pb
 from .certify import ContractionCertificate
@@ -294,7 +299,8 @@ def apply_pi(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
 
 @dataclass
 class _CellTable:
-    """Propagators of one evolution family over the cells of one lattice.
+    """Propagators of one evolution family, or of a resolvent's augmented
+    generator, over the cells of one lattice.
 
     For cell j = [t_j, t_{j+1}] with Gauss-Legendre nodes s_jk and weights
     w_jk: Phi[j] = U(t_{j+1}, t_j) and VW[j, k] = w_jk U(t_{j+1}, s_jk), so that
@@ -314,6 +320,14 @@ class _CellTable:
         return _CellTable(self.nodes[-n:], self.Phi[-n:], self.VW[-n:])
 
 
+def _cell_nodes(edges):
+    """Gauss-Legendre nodes and weights of every cell, each (n, K)."""
+    x, w = np.polynomial.legendre.leggauss(_CELL_ORDER)
+    half = 0.5 * np.diff(edges)
+    nodes = (0.5 * (edges[:-1] + edges[1:]) + half * x[:, None]).T
+    return nodes, half[:, None] * w
+
+
 def _build_cells(fam, edges) -> _CellTable:
     """Cell propagators between consecutive edges.
 
@@ -322,10 +336,7 @@ def _build_cells(fam, edges) -> _CellTable:
     single pass loses all relative accuracy once X decays below the
     integrator's atol, so a chunk over which X nears that level is halved.
     """
-    x, w = np.polynomial.legendre.leggauss(_CELL_ORDER)
-    half = 0.5 * np.diff(edges)
-    nodes = (0.5 * (edges[:-1] + edges[1:]) + half * x[:, None]).T
-    weights = half[:, None] * w
+    nodes, weights = _cell_nodes(edges)
     n, K, d = nodes.shape[0], _CELL_ORDER, fam.dim
     Phi, VW = np.empty((n, d, d)), np.empty((n, K, d, d))
 
@@ -383,6 +394,20 @@ def _cell_table(fam, grid, run_in: int = 0) -> _CellTable:
     return table.tail(n)
 
 
+def _resolvent_cells(R, grid) -> _CellTable:
+    """Propagators of the resolvent's augmented generator over the cells of
+    a uniform grid: the same expm(h A_hat) and w_k expm((h - o_k) A_hat) at
+    the Gauss offsets o_k of every cell."""
+    gen = R.generator
+    nodes, weights = _cell_nodes(grid)
+    Phi = expm((grid[1] - grid[0]) * gen)
+    VW = np.array([w * expm((grid[1] - s) * gen)
+                   for s, w in zip(nodes[0], weights[0])])
+    n = nodes.shape[0]
+    return _CellTable(nodes, np.broadcast_to(Phi, (n,) + Phi.shape),
+                      np.broadcast_to(VW, (n,) + VW.shape))
+
+
 def _cell_recurrence(table: _CellTable, z0, g) -> np.ndarray:
     """z at every cell edge of z' = A z + g from z0 at the first edge, with g
     given at the table's Gauss nodes, shape (n, K, d)."""
@@ -402,21 +427,17 @@ def apply_mild_evolution(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
                         else 0.0)
         forcing = np.asarray(spec.f(t, y.values, np.zeros_like(y.values)))
 
-    if spec.variant == pb.EVOLUTION_NONLOCAL:
-        if spec.memory_kernel is not None:
-            forcing = _history(spec, y) + forcing
-        table = _cell_table(spec.evolution, t)
+        if spec.variant == pb.EVOLUTION_NONLOCAL:
+            if spec.memory_kernel is not None:
+                forcing = _history(spec, y) + forcing
+            table = _cell_table(spec.evolution, t)
+        else:
+            table = _resolvent_cells(spec.resolvent, t)
         g = CubicSpline(t, forcing, axis=0)(table.nodes)
-        return _iterate_like(y, _cell_recurrence(table, z0, g))
-
-    if spec.variant == pb.RESOLVENT_NONLOCAL:
-        R = spec.resolvent
-        vals = np.einsum("kij,j->ki", R.eval(t), z0)
-        if not spec.f.is_zero:
-            f_interp = CubicSpline(t, forcing, axis=0)
-            vals += _sweep(t, 0.0, t, lambda T, S: np.einsum(
-                "kij,kj->ki", R.eval(T - S), f_interp(S)))
-        return _iterate_like(y, vals)
+        # [I; 0]: the resolvent's auxiliary states start at zero, unforced
+        lift = np.eye(table.Phi.shape[-1], spec.dim)
+        z = _cell_recurrence(table, lift @ z0, g @ lift.T)
+        return _iterate_like(y, z[:, :spec.dim])
 
     if spec.variant == pb.DELAY_PARABOLIC:
         tau = float(spec.delay)

@@ -116,6 +116,47 @@ def test_theorem_of_wrong_family_exit_one(tmp_path):
     assert not (tmp_path / "certificate.txt").exists()
 
 
+RESOLVENT_CONFIG = """
+[problem]
+variant = resolvent_nonlocal
+window = 0 10
+grid_step = 0.05
+
+[nonlinearity]
+family = sinusoid_affine
+sin_amp = 0.2
+state_coeff = 0.3
+
+[memory]
+coeff = -0.25
+rate = 1.0
+
+[resolvent]
+a_value = -2.0
+horizon = 10
+decay_gamma = 1.5
+
+[numeric]
+rho = 2.0
+"""
+
+
+def test_resolvent_window_outside_its_grid_exit_one(tmp_path):
+    # the resolvent is tabulated, audited and checked only up to its horizon,
+    # and the mild solution is computed from t = 0 on
+    cfg = write_config(tmp_path, RESOLVENT_CONFIG)
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    for name, old, new, reason in (
+            ("short.ini", "horizon = 10", "horizon = 5", "resolvent's grid"),
+            ("late.ini", "window = 0 10", "window = 2 10", "start at t = 0")):
+        bad = write_config(tmp_path, RESOLVENT_CONFIG.replace(old, new),
+                           name=name)
+        with pytest.raises(ConfigError, match=reason):
+            build_problem(load_config(bad))
+        assert main(["certify", "--config", str(bad),
+                     "--out", str(tmp_path)]) == 1
+
+
 def test_missing_config_exit_one(tmp_path):
     code = main(["certify", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path)])

@@ -172,14 +172,17 @@ def test_resolvent_starts_at_identity_exactly():
     assert np.array_equal(R.eval(0.0), np.eye(1))
 
 
-def test_resolvent_trapezoid_agrees_with_exp_aux():
+def test_resolvent_refuses_what_it_cannot_tabulate():
+    from picardcert.evolution import MemoryKernel
     mem = exponential_memory([(np.array([[-0.25]]), 1.0)], dim=1)
-    grid = np.arange(0.0, 4.0 + 0.001, 0.002)
-    Ra = build_resolvent(np.array([[-2.0]]), mem, grid, tol=1e-8,
-                         method="exp_aux")
-    Rt = build_resolvent(np.array([[-2.0]]), mem, grid, tol=1e-3,
-                         method="trapezoid")
-    assert np.max(np.abs(Ra.values - Rt.values)) < 5e-6
+    bare = MemoryKernel(mem.matrix, 1)
+    grid = np.arange(0.0, 4.0 + 0.01, 0.02)
+    with pytest.raises(ValueError, match="exponential-sum"):
+        build_resolvent(np.array([[-2.0]]), bare, grid, tol=1e-8)
+    with pytest.raises(ValueError, match="uniform"):
+        build_resolvent(np.array([[-2.0]]), mem, grid ** 2 / 4.0, tol=1e-8)
+    with pytest.raises(ValueError, match="t = 0"):
+        build_resolvent(np.array([[-2.0]]), mem, grid + 0.5, tol=1e-8)
 
 
 def test_resolvent_residual_on_test_vectors():

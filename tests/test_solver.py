@@ -188,31 +188,25 @@ def test_sweep_of_empty_intervals_only():
 
 
 def test_sweep_reads_at_most_one_block(monkeypatch):
-    # a forced heat problem: the resolvent convolution and the forcing read
-    # more points in all than one block, never more than one block at a time
+    # the sinusoid oracle: one delayed-kernel sweep reads more points in all
+    # than one block, never more than one block at a time
     from picardcert import solver
-    from picardcert.evolution import ResolventOperator, heat_demo_assemble
     from picardcert.paths import SampledPath
-    grid = np.arange(0.0, 4.0 + 0.005, 0.01)
-    a_path = SampledPath(grid, 0.5 * np.sin(grid), domain_kind="half_line",
-                         tail_policy="constant")
-    spec, _, _ = heat_demo_assemble(n=2, horizon=4.0, grid_step=0.01,
-                                    a_path=a_path, b_func=np.tanh,
-                                    b_lipschitz=1.0)
-    y = _iterate_like(zero_start(spec), np.full((grid.size, spec.dim), 0.3))
-    sizes = {"eval": [], "evaluate": []}
-    for cls, name in ((ResolventOperator, "eval"), (SampledPath, "evaluate")):
-        original = getattr(cls, name)
+    spec = oracle_spec()
+    y = zero_start(spec)
+    y = _iterate_like(y, np.sin(y.grid)[:, None])
+    sizes = []
+    original = SampledPath.evaluate
 
-        def recorder(self, t, _original=original, _sizes=sizes[name]):
-            _sizes.append(np.size(t))
-            return _original(self, t)
+    def recorder(self, t):
+        sizes.append(np.size(t))
+        return original(self, t)
 
-        monkeypatch.setattr(cls, name, recorder)
-        monkeypatch.setattr(cls, "__call__", recorder)
+    monkeypatch.setattr(SampledPath, "evaluate", recorder)
+    monkeypatch.setattr(SampledPath, "__call__", recorder)
     solver.apply_operator(spec, y)
-    assert sum(sizes["eval"]) > solver._SWEEP_BLOCK
-    assert max(sizes["eval"] + sizes["evaluate"]) <= solver._SWEEP_BLOCK
+    assert sum(sizes) > solver._SWEEP_BLOCK
+    assert max(sizes) <= solver._SWEEP_BLOCK
 
 
 # -- picard iteration ------------------------------------------------------------------
@@ -526,10 +520,12 @@ def _recurrence_family(case):
     return fam
 
 
-def _recurrence_spec(variant, case):
-    fam = _recurrence_family(case)
-    d = fam.dim
+# exponential-sum memory of the resolvent cases, (G_k, r_k)
+_MEMORY_TERMS = ((np.array([[0.3, 0.0], [0.1, -0.2]]), 1.5),
+                 (np.array([[0.0, -0.2], [0.25, 0.0]]), 0.7))
 
+
+def _recurrence_spec(variant, case):
     def f_eval(t, x, y):
         t = np.asarray(t, dtype=float)
         out = 0.3 * np.asarray(x)[..., ::-1]
@@ -537,13 +533,27 @@ def _recurrence_spec(variant, case):
         out[..., -1] += np.cos(2.0 * t)
         return out
 
-    f = pb.Nonlinearity(f_eval, lipschitz=0.3, dim=d)
     # over "long" an unchunked fundamental matrix decays to exp(-600); over
-    # "stiff" one chunk of cells already takes it far below the ODE atol
-    window, step = {"rotating": ((0.0, 20.0), 0.05), "long": ((0.0, 300.0), 0.5),
-                    "stiff": ((0.0, 5.0), 0.1)}[case]
-    common = dict(dim=d, f=f, evolution=fam, report_window=window,
-                  grid_step=step, quad_tol=1e-11)
+    # "stiff" one chunk of cells already takes it far below the ODE atol; the
+    # 600 cells of "long" resolvent cases would show drift in the powers of
+    # one cell's propagator
+    window, step = {"rotating": ((0.0, 20.0), 0.05), "short": ((0.0, 20.0), 0.05),
+                    "long": ((0.0, 300.0), 0.5),
+                    "stiff": ((0.0, 5.0), 0.1)}[case.split("_")[-1]]
+    if variant == pb.RESOLVENT_NONLOCAL:
+        from picardcert.evolution import build_resolvent, exponential_memory
+        memory = exponential_memory(
+            _MEMORY_TERMS[:1 if case.startswith("one") else 2], dim=2)
+        # a fine table: its residual check differentiates it by a stencil
+        R = build_resolvent(np.array([[-2.0, 1.0], [-1.0, -3.0]]), memory,
+                            np.arange(0.0, window[1] + 0.005, 0.01), tol=1e-8)
+        d, source = 2, dict(resolvent=R)
+    else:
+        fam = _recurrence_family(case)
+        d, source = fam.dim, dict(evolution=fam)
+    f = pb.Nonlinearity(f_eval, lipschitz=0.3, dim=d)
+    common = dict(dim=d, f=f, report_window=window, grid_step=step,
+                  quad_tol=1e-11, **source)
     if variant == pb.DELAY_PARABOLIC:
         return pb.ProblemSpec(variant=variant, delay=1.0, **common)
     return pb.ProblemSpec(variant=variant, u0=np.linspace(0.4, -0.2, d),
@@ -558,7 +568,6 @@ def _forced_ode_image(spec, y):
     from scipy.interpolate import CubicSpline
 
     t = y.grid
-    gen = spec.evolution.generator
     if spec.variant == pb.DELAY_PARABOLIC:
         # y's cubic spline with its constant tails; the delay is a whole
         # number of steps, so the knots of g are those of the grid, and the
@@ -575,18 +584,35 @@ def _forced_ode_image(spec, y):
     else:
         g = CubicSpline(t, spec.f(t, y.values, np.zeros_like(y.values)), axis=0)
         knots, z = t, spec.u0
+    if spec.variant == pb.RESOLVENT_NONLOCAL:
+        # the memory's auxiliary states: v' = A v + sum_k w_k + g,
+        # w_k' = G_k v - r_k w_k, with w_k(0) = 0; v is the image
+        A, terms, d = spec.resolvent.A, spec.resolvent.memory.exp_terms, spec.dim
+
+        def rhs(s, z):
+            v, w = z[:d], z[d:].reshape(-1, d)
+            dw = [G @ v - rate * wk for (G, rate), wk in zip(terms, w)]
+            return np.concatenate([A @ v + w.sum(axis=0) + g(s)] + dw)
+        z = np.concatenate([z, np.zeros(len(terms) * d)])
+    else:
+        def rhs(s, z):
+            return spec.evolution.generator(s) @ z + g(s)
     out = [z]
     for a, b in zip(knots[:-1], knots[1:]):
-        sol = solve_ivp(lambda s, z: gen(s) @ z + g(s), (a, b), z,
-                        method="DOP853", rtol=1e-13, atol=1e-15)
+        sol = solve_ivp(rhs, (a, b), z, method="DOP853", rtol=1e-13,
+                        atol=1e-15)
         assert sol.success
         z = sol.y[:, -1]
         out.append(z)
-    return np.array(out[-t.size:])
+    return np.array(out[-t.size:])[:, :spec.dim]
 
 
-@pytest.mark.parametrize("case", ["rotating", "long", "stiff"])
-@pytest.mark.parametrize("variant", [pb.EVOLUTION_NONLOCAL, pb.DELAY_PARABOLIC])
+@pytest.mark.parametrize("variant, case", [
+    (variant, case) for variant in (pb.EVOLUTION_NONLOCAL, pb.DELAY_PARABOLIC)
+    for case in ("rotating", "long", "stiff")] + [
+    (pb.RESOLVENT_NONLOCAL, case) for case in (
+        "one_term_short", "two_terms_short", "one_term_long",
+        "two_terms_long")])
 def test_cell_recurrence_matches_forced_ode(variant, case):
     from picardcert.solver import apply_mild_evolution
     spec = _recurrence_spec(variant, case)
