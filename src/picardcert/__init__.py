@@ -6,11 +6,9 @@ from .paths import (AAADecomposition, DomainEscapeError, SampledPath,
                     TimeWarp, aaa_norm, identity_warp, range_epsilon_net,
                     read_csv, shift_warp, sup_norm, warp_compose, write_csv)
 from .quadrature import (DecayEnvelope, EnvelopeConstants, QuadratureError,
-                         envelope_constant, integrate_advanced,
-                         integrate_delayed)
+                         envelope_constant)
 from .kernels import (KernelSpec, SamplePlan, SplitKernelSpec,
-                      check_lambda_bound, check_lipschitz,
-                      check_split_consistency, exponential_kernel,
+                      check_lambda_bound, check_lipschitz, exponential_kernel,
                       gaussian_kernel, convolution_sinusoid_kernel,
                       split_exponential_kernel, zero_kernel)
 from .problem import (Nonlinearity, NonlocalMap, ProblemSpec, ProblemError,
@@ -28,10 +26,9 @@ from .solver import (CertificationRequired, NonContractionError, SolverReport,
 from .evolution import (CausalKernel, EvolutionFamily, MemoryKernel,
                         ResolventOperator, exponential_causal,
                         StabilityCertificate, build_resolvent,
-                        certify_stability, check_bi_aa_family,
-                        cocycle_residual, constant_family, delay_demo_solve,
-                        exponential_memory, heat_demo_assemble,
-                        scalar_family)
+                        certify_stability, cocycle_residual, constant_family,
+                        delay_demo_solve, exponential_memory,
+                        heat_demo_assemble, scalar_family)
 from .diagnostics import (DiagnosticReport, aaa_split_estimate, bochner_test,
                           bohr_neugebauer_verdict, range_compactness_trend)
 

@@ -21,8 +21,8 @@ from . import problem as pb
 from .certify import CertificationError, certify
 from .diagnostics import (aaa_split_estimate, bochner_test,
                           bohr_neugebauer_verdict, range_compactness_trend)
-from .evolution import (build_resolvent, certify_stability, delay_demo_solve,
-                        exponential_causal, exponential_memory,
+from .evolution import (build_resolvent, certify_stability, decay_violations,
+                        delay_demo_solve, exponential_causal, exponential_memory,
                         heat_demo_assemble, scalar_family,
                         stability_sample_pairs)
 from .kernels import (KERNEL_FAMILIES, SPLIT_KERNEL_FAMILIES)
@@ -299,6 +299,12 @@ def build_problem(cfg: RunConfig) -> ProblemSpec:
                             tol=max(num.get("quad_tol", 1e-8), 1e-9))
         R.decay = (sec.get("decay_m", 1.0),
                    sec.get("decay_gamma", 1.0), sec.get("decay_q", 1.0))
+        over = decay_violations(R.norm_table())
+        if over.size:
+            t, norm, bound = over[0]
+            raise ConfigError(f"[resolvent] decay does not hold: |R({t:g})| = "
+                              f"{norm:.6g} > M exp(-gamma t/q) = {bound:.6g}, first "
+                              f"of {len(over)} violations at sampled times")
         kwargs["resolvent"] = R
         kwargs["u0"] = np.zeros(dim)
         kwargs["nonlocal_map"] = _build_nonlocal(cfg, dim)
@@ -382,8 +388,12 @@ def _diagnose_path(cfg, spec, path, tol_override=None):
                                              pb.DELAYED_ONLY):
         return bohr_neugebauer_verdict(spec, path, shifts, probe, tol, eps,
                                        windows)
-    recur = bochner_test(path, shifts, probe, tol)
-    compact = range_compactness_trend(path, eps, windows)
+    return _merge_sides(bochner_test(path, shifts, probe, tol),
+                        range_compactness_trend(path, eps, windows))
+
+
+def _merge_sides(recur, compact):
+    """Fold the compact-range side into recur; a disagreement is indeterminate."""
     recur.net_sizes = compact.net_sizes
     recur.notes.append(f"compact-range side: {compact.verdict}")
     if compact.verdict != recur.verdict:
@@ -457,11 +467,10 @@ def cmd_demo(args) -> int:
         _write(out / "delay_solver_report.txt", report.to_text())
         shifts = 2.0 * np.pi * np.arange(1, 6)
         probe = np.linspace(-3.0, 3.0, 25)
-        recur = bochner_test(report.solution_work, shifts, probe, tol=1e-2)
-        compact = range_compactness_trend(report.solution, 0.01,
-                                          [(-10.0, 25.0), (-10.0, 45.0)])
-        recur.net_sizes = compact.net_sizes
-        recur.notes.append(f"compact-range side: {compact.verdict}")
+        recur = _merge_sides(
+            bochner_test(report.solution_work, shifts, probe, tol=1e-2),
+            range_compactness_trend(report.solution, 0.01,
+                                    [(-10.0, 25.0), (-10.0, 45.0)]))
         _write(out / "delay_diagnostic.txt", recur.to_text())
         _write(out / "delay_residuals.csv", recur.residual_csv_text())
         print(f"delay demo artifacts written to {out}")

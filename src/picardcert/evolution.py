@@ -61,36 +61,21 @@ class StabilityCertificate:
 class EvolutionFamily:
     """Two-parameter propagator for x' = A(t) x, A(t) a d x d matrix.
 
-    Propagation integrates the matrix equation with an adaptive high-order
-    stepper; the dense output serves quadrature nodes.  at_metadata records
-    declared sectorial-regularity data without verifying it: the checkable
-    desk-scale content of that hypothesis is the existence and stability of
-    the propagator, which is verified directly.
+    propagate_matrix integrates the matrix equation from s to t with an
+    adaptive high-order stepper.  The sectorial-regularity hypothesis on
+    A(t) is not represented: its checkable content is the existence and
+    stability of the propagator, which is verified directly.
     """
 
     generator: Callable
     dim: int = 1
     rtol: float = _ODE_RTOL
     atol: float = _ODE_ATOL
-    at_metadata: Optional[dict] = None
     stability: Optional[StabilityCertificate] = None
     label: str = ""
     # cell propagators of the solver's recurrence, keyed by lattice
     cell_tables: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
-
-    def propagate(self, t: float, s: float, x: np.ndarray) -> np.ndarray:
-        """U(t, s) x for t >= s."""
-        if t < s:
-            raise PropagationError(f"propagate needs t >= s (got t={t}, s={s})")
-        x = np.asarray(x, dtype=float)
-        if t == s:
-            return x.copy()
-        sol = solve_ivp(lambda r, z: self.generator(r) @ z, (s, t), x,
-                        method="DOP853", rtol=self.rtol, atol=self.atol)
-        if not sol.success:
-            raise PropagationError(f"propagation failed: {sol.message}")
-        return sol.y[:, -1]
 
     def propagate_matrix(self, t: float, s: float) -> np.ndarray:
         """The full matrix U(t, s)."""
@@ -184,45 +169,6 @@ def certify_stability(fam: EvolutionFamily, pairs, M: float = None,
                                 lines=lines)
     fam.stability = cert
     return cert
-
-
-def check_bi_aa_family(fam: EvolutionFamily, shifts, sample_pairs, x_vectors=None,
-                       tol: float = 1e-3):
-    """Heuristic recurrence check of the propagator under diagonal time shifts.
-
-    For each shift the matrices U(t + shift, s + shift) on the sampled (t, s)
-    pairs are compared; a greedy filter keeps shifts whose propagator tables
-    are mutually close, the tail average serves as the candidate limit, and
-    the verdict reports whether residuals decrease.  Heuristic by
-    construction: finite sampling cannot prove the double limits.
-    """
-    from .diagnostics import DiagnosticReport, greedy_cauchy_filter
-
-    shifts = np.asarray(shifts, dtype=float)
-    tables = []
-    for sh in shifts:
-        mats = [fam.propagate_matrix(t + sh, s + sh) for t, s in sample_pairs]
-        tables.append(np.concatenate([m.ravel() for m in mats]))
-    tables = np.array(tables)
-    accepted, levels = greedy_cauchy_filter(tables, tol)
-    if len(accepted) < 3:
-        verdict = "inconsistent"
-        fwd = []
-    else:
-        tail = accepted[max(0, len(accepted) - max(1, len(accepted) // 4)):]
-        limit = tables[tail].mean(axis=0)
-        fwd = [float(np.max(np.abs(tables[i] - limit))) for i in accepted]
-        verdict = ("consistent"
-                   if fwd[-1] <= tol and fwd[-1] <= fwd[0] + 1e-12
-                   else "indeterminate")
-    return DiagnosticReport(
-        kind="bi_recurrence_family", verdict=verdict,
-        shifts=shifts, accepted=np.asarray(accepted, dtype=int),
-        forward_residuals=np.asarray(fwd, dtype=float),
-        backward_residuals=np.empty(0),
-        evidence={"filter_levels": levels, "n_pairs": len(sample_pairs)},
-        notes=["heuristic: sampled recurrence of the propagator family; "
-               "always labelled heuristic"])
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +312,13 @@ class ResolventOperator:
             return np.column_stack([t, norms, np.full(t.size, np.nan)])
         M, gamma, q = self.decay
         return np.column_stack([t, norms, M * np.exp(-gamma * t / q)])
+
+
+def decay_violations(table: np.ndarray) -> np.ndarray:
+    """The rows of a norm_table at which |R(t)| exceeds the decay bound by
+    more than 1e-12.  A sampled audit: no row found does not prove the bound
+    between the sampled times."""
+    return table[table[:, 1] > table[:, 2] + 1e-12]
 
 
 def build_resolvent(A, memory: MemoryKernel, grid, tol: float = 1e-10,
@@ -573,7 +526,7 @@ def heat_demo_assemble(n: int = 4, alpha_eq: float = 1.0, alpha_amp: float = 2e-
     R = build_resolvent(A, memory, grid, tol=max(tol, 1e-9))
     R.decay = (M, gamma, q)
     table = R.norm_table()
-    decay_ok = bool(np.all(table[:, 1] <= table[:, 2] + 1e-12))
+    decay_ok = not decay_violations(table).size
 
     # forcing f(t, u) = (0, a(t) b(theta)) on the velocity block
     if u0 is None:

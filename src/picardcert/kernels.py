@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .quadrature import (ADVANCED, DELAYED, HALF_LINE_DELAYED, DecayEnvelope,
-                         adaptive_integral, zero_envelope)
+                         zero_envelope)
 
 _SQRT_PRIMES = np.sqrt(np.array([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0]))
 
@@ -434,71 +434,3 @@ def check_convolution_form(k: KernelSpec, plan: SamplePlan) -> KernelCheckReport
             worst = float(gap[j])
             witness = {"t": float(t[j]), "s": float(s[j])}
     return KernelCheckReport("convolution_form", worst, witness, n, worst <= 1e-12)
-
-
-def check_split_consistency(sk: SplitKernelSpec, plan: SamplePlan) -> KernelCheckReport:
-    """Residual of full = aa + ergodic and of the ergodic envelope inequality."""
-    t = plan.ts_pairs[:, 0]
-    s = plan.ts_pairs[:, 1]
-    worst_env = -np.inf
-    witness = {}
-    n = 0
-    for x, y in plan.states:
-        xx = np.broadcast_to(x, (t.size, sk.dim))
-        yy = np.broadcast_to(y, (t.size, sk.dim))
-        erg = np.asarray(sk.ergodic_evaluator(t, s, xx, yy))
-        bound = sk.theta(t, s) * np.asarray(sk.ergodic_hat(s, xx, yy))
-        viol = np.linalg.norm(erg, axis=-1) - bound
-        n += t.size
-        j = int(np.argmax(viol))
-        if viol[j] > worst_env:
-            worst_env = float(viol[j])
-            witness = {"t": float(t[j]), "s": float(s[j]), "x": np.array(x)}
-    # the split residual is identically zero by construction for the built-in
-    # family; recompute it anyway so user-supplied splits are audited
-    x, y = plan.states[0]
-    xx = np.broadcast_to(x, (t.size, sk.dim))
-    yy = np.broadcast_to(y, (t.size, sk.dim))
-    resid = np.linalg.norm(
-        np.asarray(sk.full_evaluator(t, s, xx, yy))
-        - np.asarray(sk.aa_part.evaluator(t, s, xx, yy))
-        - np.asarray(sk.ergodic_evaluator(t, s, xx, yy)), axis=-1).max()
-    rep = KernelCheckReport("split_consistency", max(worst_env, float(resid)),
-                            witness, n, worst_env <= 1e-12 and resid <= 1e-12)
-    rep.notes.append(f"split residual {float(resid):.3g}, "
-                     f"ergodic envelope violation {worst_env:.3g}")
-    return rep
-
-
-def check_vanishing_trends(sk: SplitKernelSpec, t_seq, T: float = 5.0,
-                           interval=(-3.0, 0.0), tol: float = 1e-10) -> KernelCheckReport:
-    """Decay trends the split hypotheses demand as t -> +inf.
-
-    Checks, along the increasing t-sequence: the integral of theta over
-    [0, T]; the integral of the recurrent part's Lipschitz modulus over a
-    fixed compact interval; and the integral of the zero-state bound over
-    (-inf, 0].  A decreasing trend is reported; finite sampling cannot prove
-    the limits themselves.
-    """
-    t_seq = np.asarray(t_seq, dtype=float)
-    if t_seq.size < 2 or not np.all(np.diff(t_seq) > 0):
-        raise ValueError("t_seq must be increasing with at least two entries")
-    rows = []
-    for t in t_seq:
-        th, _ = adaptive_integral(lambda s: sk.theta(float(t), s), 0.0, T, tol)
-        nu, _ = adaptive_integral(lambda s: sk.aa_part.lipschitz(float(t), s),
-                                  interval[0], interval[1], tol)
-        if sk.zero_bound is not None and sk.zero_bound.amplitude > 0.0:
-            span = sk.zero_bound.truncation_span(tol)
-            vth, _ = adaptive_integral(lambda s: sk.zero_bound(float(t), s),
-                                       -span, 0.0, tol)
-        else:
-            vth = 0.0
-        rows.append((float(t), float(th), float(nu), float(vth)))
-    arr = np.array(rows)
-    decreasing = bool(np.all(np.diff(arr[:, 1:], axis=0) <= tol))
-    rep = KernelCheckReport("vanishing_trends",
-                            float(arr[-1, 1:].max()), {"rows": arr},
-                            len(rows), decreasing)
-    rep.notes.append("trend check only: finite sampling cannot prove the limits")
-    return rep

@@ -197,12 +197,6 @@ def sup_norm(p: SampledPath) -> float:
     return float(np.max(np.linalg.norm(p.values, axis=1)))
 
 
-def path_add(p: SampledPath, q: SampledPath) -> SampledPath:
-    if p.grid.shape != q.grid.shape or not np.array_equal(p.grid, q.grid):
-        raise ValueError("paths must share a grid")
-    return p.with_values(p.values + q.values)
-
-
 def sup_distance(p: SampledPath, q: SampledPath) -> float:
     if not np.array_equal(p.grid, q.grid):
         raise ValueError("paths must share a grid")
@@ -342,18 +336,6 @@ class AAADecomposition:
         return SampledPath(grid, vals, domain_kind=HALF_LINE,
                            interpolation=self.ergodic.interpolation,
                            tail_policy=self.ergodic.tail_policy)
-
-    def ergodic_window_profile(self, n_windows: int = 8) -> np.ndarray:
-        """Sup of the ergodic part over n_windows consecutive blocks of its grid."""
-        norms = np.linalg.norm(self.ergodic.values, axis=1)
-        blocks = np.array_split(norms, n_windows)
-        return np.array([b.max() if b.size else 0.0 for b in blocks])
-
-    def check_ergodic_decay(self, tol: float = 1e-6, n_windows: int = 8) -> bool:
-        """Sliding-window sup of the ergodic part is non-increasing to ~0."""
-        prof = self.ergodic_window_profile(n_windows)
-        nonincreasing = np.all(np.diff(prof) <= tol)
-        return bool(nonincreasing and prof[-1] <= tol)
 
 
 def aaa_norm(g: AAADecomposition) -> float:

@@ -219,7 +219,7 @@ class ProblemSpec:
             need(self.evolution is not None and self.u0 is not None,
                  "evolution_nonlocal problems need the evolution family and u0")
             need(self.f is not None, "evolution_nonlocal problems need the forcing")
-            need(self.report_window[0] >= 0.0, "evolution problems live on t >= 0")
+            need(self.report_window[0] == 0.0, "evolution problems start at t = 0")
         if v == RESOLVENT_NONLOCAL:
             need(self.resolvent is not None and self.u0 is not None,
                  "resolvent_nonlocal problems need the resolvent handle and u0")
@@ -243,10 +243,7 @@ class ProblemSpec:
     def constants_grid(self, n: int = 129) -> np.ndarray:
         """t-grid on which the sampled sups are taken: gamma1/gamma2 of half-line
         problems and sup|f(t, 0, 0)| (recorded in reports)."""
-        lo, hi = self.report_window
-        if self.variant in (HALF_LINE, EVOLUTION_NONLOCAL, RESOLVENT_NONLOCAL):
-            lo = max(lo, 0.0)
-        return np.linspace(lo, hi, n)
+        return np.linspace(*self.report_window, n)
 
     def effective_lipschitz(self) -> float:
         if self.f is None:

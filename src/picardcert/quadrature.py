@@ -1,11 +1,9 @@
-"""Semi-infinite quadrature driven by declared decay envelopes.
+"""Decay envelopes, Gauss-Legendre panels and envelope constants.
 
 Every integrability hypothesis consumed by the certificates is an envelope
 statement (an integrand dominated by a decaying profile in |t - s|), so
-envelopes are first-class here: they choose the truncation point of each
-semi-infinite integral so that the neglected tail is provably below tol/2,
-and adaptive Gauss-Legendre panels bring the quadrature error on the
-truncated interval below the other tol/2.
+envelopes are first-class here: their tail mass says where a semi-infinite
+integral may be truncated with the neglected tail provably below a tolerance.
 
 The envelope constants of the certificates, sups over all t of oriented
 envelope integrals, need no quadrature: each is the envelope's total mass in
@@ -27,7 +25,6 @@ HALF_LINE_DELAYED = "half_line_delayed"  # integral over 0 <= s <= t
 ORIENTATIONS = (DELAYED, ADVANCED, HALF_LINE_DELAYED)
 
 DEFAULT_CONST_TOL = 1e-10   # sampled certificate constants (gamma1/gamma2)
-DEFAULT_SWEEP_TOL = 1e-8    # inside Picard sweeps
 
 
 class QuadratureError(RuntimeError):
@@ -176,29 +173,6 @@ def adaptive_integral(g, a: float, b: float, tol: float,
             stack.append((lo, mid, left, depth + 1))
             stack.append((mid, hi, right, depth + 1))
     return total, err_total
-
-
-# ---------------------------------------------------------------------------
-# semi-infinite integrals
-
-
-def integrate_delayed(g, t: float, tail: DecayEnvelope, tol: float = DEFAULT_SWEEP_TOL):
-    """Integral of g over (-inf, t] for an integrand dominated by tail.
-
-    The truncation point is chosen from the envelope so the neglected tail is
-    below tol/2; the adaptive panels keep the quadrature error on the kept
-    interval below the other tol/2.
-    """
-    span = tail.truncation_span(tol / 2.0)
-    value, _ = adaptive_integral(g, t - span, t, tol / 2.0)
-    return value
-
-
-def integrate_advanced(g, t: float, tail: DecayEnvelope, tol: float = DEFAULT_SWEEP_TOL):
-    """Integral of g over [t, +inf) for an integrand dominated by tail."""
-    span = tail.truncation_span(tol / 2.0)
-    value, _ = adaptive_integral(g, t, t + span, tol / 2.0)
-    return value
 
 
 def oriented_bounds(orientation: str, t: float, span: float):

@@ -162,10 +162,10 @@ def work_window(spec: pb.ProblemSpec) -> tuple:
         m_adv = (b2.aa_part.envelope.truncation_span(tol / 2.0)
                  if b2 is not None else 0.0)
         extra = _warp_margin(spec)
-        return (max(0.0, lo), hi + m_adv + extra)
+        return (lo, hi + m_adv + extra)
     if spec.variant == pb.DELAY_PARABOLIC:
         return (lo - _delay_margin(spec), hi)
-    return (max(0.0, lo), hi)
+    return (lo, hi)
 
 
 def work_grid(spec: pb.ProblemSpec) -> np.ndarray:

@@ -134,7 +134,7 @@ rate = 1.0
 [resolvent]
 a_value = -2.0
 horizon = 10
-decay_gamma = 1.5
+decay_gamma = 1.0
 
 [numeric]
 rho = 2.0
@@ -155,6 +155,42 @@ def test_resolvent_window_outside_its_grid_exit_one(tmp_path):
             build_problem(load_config(bad))
         assert main(["certify", "--config", str(bad),
                      "--out", str(tmp_path)]) == 1
+
+
+def test_resolvent_declared_decay_audited(tmp_path):
+    # R(t) = (1 - t/2) e^{-1.5 t} for this memory: e^{-5t} fails the sampled
+    # audit of the declared bound, and the config is refused
+    bad = write_config(tmp_path, RESOLVENT_CONFIG.replace(
+        "decay_gamma = 1.0", "decay_gamma = 5"))
+    with pytest.raises(ConfigError, match=r"decay does not hold: \|R\("):
+        build_problem(load_config(bad))
+    assert main(["certify", "--config", str(bad),
+                 "--out", str(tmp_path)]) == 1
+
+
+EVOLUTION_CONFIG = """
+[problem]
+variant = evolution_nonlocal
+window = 2 10
+grid_step = 0.05
+
+[nonlinearity]
+family = sinusoid_affine
+sin_amp = 0.2
+
+[evolution]
+family = scalar_constant
+value = -1.0
+"""
+
+
+def test_evolution_window_after_zero_exit_one(tmp_path):
+    # u0 is the state at t = 0; a window from t = 2 would start the cell
+    # recurrence there from u0, as if t = 2 were t = 0
+    cfg = write_config(tmp_path, EVOLUTION_CONFIG)
+    with pytest.raises(ConfigError, match="start at t = 0"):
+        build_problem(load_config(cfg))
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
 
 def test_missing_config_exit_one(tmp_path):
@@ -260,6 +296,24 @@ def test_demo_heat(tmp_path):
     assert decay[0] == "t,resolvent_norm,decay_bound"
     rows = np.array([[float(x) for x in line.split(",")] for line in decay[1:]])
     assert np.all(rows[:, 1] <= rows[:, 2] + 1e-12)
+
+
+@pytest.mark.slow
+def test_demo_delay_sides_disagree_indeterminate(tmp_path, monkeypatch):
+    from picardcert import cli
+
+    real = cli.range_compactness_trend
+
+    def inconsistent(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep.verdict = "inconsistent"
+        return rep
+
+    monkeypatch.setattr(cli, "range_compactness_trend", inconsistent)
+    assert main(["demo", "delay", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "delay_diagnostic.txt").read_text()
+    assert text.splitlines()[1].startswith("verdict: indeterminate")
+    assert "compact-range side: inconsistent" in text
 
 
 @pytest.mark.slow

@@ -5,7 +5,7 @@ from scipy.linalg import expm
 import picardcert as pc
 from picardcert.evolution import (PropagationError,
                                   build_resolvent, certify_stability,
-                                  check_bi_aa_family, cocycle_residual,
+                                  cocycle_residual,
                                   constant_family, delay_demo_solve,
                                   dirichlet_laplacian, exponential_memory,
                                   heat_demo_assemble, scalar_family,
@@ -22,20 +22,20 @@ def two_plus_sin_family():
 
 def test_scalar_exponential():
     fam = constant_family([[-1.0]])
-    out = fam.propagate(2.0, 0.0, np.array([1.0]))
+    out = fam.propagate_matrix(2.0, 0.0) @ np.array([1.0])
     assert out[0] == pytest.approx(np.exp(-2.0), rel=1e-10)
 
 
 def test_identity_at_equal_times():
     fam = two_plus_sin_family()
     x = np.array([0.7])
-    assert np.array_equal(fam.propagate(1.3, 1.3, x), x)
+    assert np.array_equal(fam.propagate_matrix(1.3, 1.3) @ x, x)
 
 
 def test_propagate_rejects_backward():
     fam = constant_family([[-1.0]])
     with pytest.raises(PropagationError):
-        fam.propagate(0.0, 1.0, np.array([1.0]))
+        fam.propagate_matrix(0.0, 1.0)
 
 
 def test_matrix_exponential_oracle():
@@ -101,34 +101,6 @@ def test_stability_empirical_search():
     assert cert.empirical
     assert cert.passed
     assert 1.5 <= cert.delta <= 2.0
-
-
-# -- recurrence of the family -----------------------------------------------------------
-
-def _probe_pairs():
-    return [(1.0, 0.0), (2.5, 1.0), (4.0, 2.0)]
-
-
-def test_family_recurrence_autonomous_exact():
-    fam = constant_family([[-1.0]])
-    rep = check_bi_aa_family(fam, shifts=np.linspace(0, 30, 16),
-                             sample_pairs=_probe_pairs(), tol=1e-6)
-    assert rep.verdict == "consistent"
-    assert rep.forward_residuals[-1] <= 1e-8
-
-
-def test_family_recurrence_periodic_shifts():
-    fam = two_plus_sin_family()
-    rep = check_bi_aa_family(fam, shifts=2 * np.pi * np.arange(12),
-                             sample_pairs=_probe_pairs(), tol=1e-6)
-    assert rep.verdict == "consistent"
-
-
-def test_family_recurrence_labelled_heuristic():
-    fam = constant_family([[-1.0]])
-    rep = check_bi_aa_family(fam, shifts=np.linspace(0, 10, 8),
-                             sample_pairs=_probe_pairs(), tol=1e-6)
-    assert any("heuristic" in n for n in rep.notes)
 
 
 # -- resolvent construction ------------------------------------------------------------

@@ -1,0 +1,39 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+import picardcert
+
+MODULES = sorted(p for p in Path(picardcert.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _unused_imports(source: str):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_catches_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import numpy as np\n"
+              "from .quadrature import DecayEnvelope, adaptive_integral\n"
+              "x = np.zeros(1)\n"
+              "def f(e: DecayEnvelope): return e\n")
+    assert _unused_imports(source) == [(3, "adaptive_integral")]

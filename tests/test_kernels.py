@@ -3,11 +3,9 @@ import pytest
 
 from picardcert.kernels import (SamplePlan, check_convolution_form,
                                 check_lambda_bound, check_lipschitz,
-                                check_split_consistency,
-                                check_vanishing_trends,
                                 convolution_sinusoid_kernel,
                                 exponential_kernel, gaussian_kernel,
-                                split_exponential_kernel, zero_kernel)
+                                zero_kernel)
 from picardcert.quadrature import DecayEnvelope
 
 
@@ -115,35 +113,3 @@ def test_gaussian_kernel_bound():
     k = gaussian_kernel(0.5, cx=1.0, state_bound=2.0)
     rep = check_lambda_bound(k, plan(dim=1, bound=2.0))
     assert rep.passed
-
-
-# -- split kernels -------------------------------------------------------------------
-
-def test_split_consistency_zero_ergodic():
-    sk = split_exponential_kernel(1.0, aa_const=0.5, erg_const=0.0)
-    rep = check_split_consistency(sk, plan("half_line_delayed"))
-    assert rep.passed
-
-
-def test_split_consistency_with_ergodic_part():
-    sk = split_exponential_kernel(1.0, aa_cx=0.2, erg_cx=0.3, erg_const=0.1,
-                                  erg_decay=1.0)
-    rep = check_split_consistency(sk, plan("half_line_delayed"))
-    assert rep.passed
-
-
-def test_split_mismatch_detected():
-    sk = split_exponential_kernel(1.0, aa_const=1.0, erg_const=0.5)
-    # corrupt the envelope factorisation: claim a hat bound that is too small
-    object.__setattr__(sk, "ergodic_hat",
-                       lambda s, x, y: 0.1 * np.exp(-np.clip(s, 0, None)))
-    rep = check_split_consistency(sk, plan("half_line_delayed"))
-    assert not rep.passed
-    assert rep.max_violation > 0.0
-
-
-def test_vanishing_trends_decay():
-    sk = split_exponential_kernel(1.0, aa_const=0.3, erg_cx=0.2, erg_decay=0.5)
-    rep = check_vanishing_trends(sk, t_seq=np.array([5.0, 10.0, 20.0, 40.0]))
-    assert rep.passed  # all three trend integrals decrease along the sequence
-    assert any("trend" in n for n in rep.notes)

@@ -5,7 +5,7 @@ import pytest
 
 from picardcert.paths import (AAADecomposition, DomainEscapeError, SampledPath,
                               TimeWarp, aaa_norm, from_function, identity_warp,
-                              path_add, range_epsilon_net, read_csv,
+                              range_epsilon_net, read_csv,
                               shift_warp, sup_norm, warp_compose, write_csv,
                               zero_path)
 
@@ -106,9 +106,6 @@ def test_sup_norm_axioms_on_shared_grids():
         for p in paths:
             assert sup_norm(p.with_values(a * p.values)) == pytest.approx(
                 abs(a) * sup_norm(p), rel=1e-14, abs=1e-300)
-    for p in paths:
-        for q in paths:
-            assert sup_norm(path_add(p, q)) <= sup_norm(p) + sup_norm(q) + 1e-14
 
 
 # -- warps ---------------------------------------------------------------------
@@ -221,13 +218,6 @@ def test_aaa_norm_recurrent_plus_decay():
 def test_aaa_norm_dominates_recombined():
     dec = _decomposition(np.sin, lambda t: np.exp(-t) * np.cos(3 * t))
     assert aaa_norm(dec) >= sup_norm(dec.recombined()) - 1e-12
-
-
-def test_ergodic_decay_profile():
-    dec = _decomposition(np.sin, lambda t: np.exp(-t))
-    assert dec.check_ergodic_decay(tol=1e-6)
-    bad = _decomposition(np.sin, lambda t: np.abs(np.sin(0.3 * t)))
-    assert not bad.check_ergodic_decay(tol=1e-6)
 
 
 # -- CSV round trip ---------------------------------------------------------------
