@@ -221,7 +221,8 @@ _INTEGRAL_TERMS = {
                           "sup|f(.,0,0)| + alpha1 + alpha2"),
     pb.DELAYED_ONLY: (lambda c: c.N1, lambda c, f0: f0 + c.alpha1,
                       "alpha1 + sup|f(.,0,0)|"),
-    pb.HALF_LINE: (lambda c: c.Q1, lambda c, f0: f0 + c.gamma1 + c.gamma2,
+    pb.HALF_LINE: (lambda c: c.beta1_h5 + c.beta2_h5 + c.Q1,
+                   lambda c, f0: f0 + c.gamma1 + c.gamma2,
                    "sup|f(.,0,0)| + gamma1 + gamma2"),
 }
 

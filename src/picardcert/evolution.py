@@ -210,15 +210,24 @@ def exponential_memory(terms, dim: int, label: str = "exponential_sum") -> Memor
 
 @dataclass(frozen=True)
 class CausalKernel:
-    """Two-time kernel B(t, s) of the history operator int_0^t B(t, s) u(s) ds."""
+    """Two-time kernel B(t, s) of the history operator int_0^t B(t, s) u(s) ds.
+
+    convolution, when declared, factors the history integrand as KernelSpec's
+    does: B(t, s) x = theta(t - s) fhat(s, x, y), with y unused.
+    """
 
     matrix: Callable                 # (t, s) -> (..., d, d), vectorized
     dim: int
     envelope: Optional[DecayEnvelope] = None
+    convolution: Optional[tuple] = None    # (theta(u), fhat(s, x, y))
     label: str = ""
 
     def __call__(self, t, s):
         return self.matrix(t, s)
+
+    def evaluator(self, t, s, x, y):
+        """The history integrand B(t, s) x in KernelSpec's signature."""
+        return np.einsum("...ij,...j->...i", self.matrix(t, s), x)
 
 
 def exponential_causal(G, rate: float, dim: int,
@@ -226,13 +235,18 @@ def exponential_causal(G, rate: float, dim: int,
     """B(t, s) = exp(-rate (t - s)) G."""
     G = np.atleast_2d(np.asarray(G, dtype=float))
 
+    def theta(u):
+        return np.exp(-rate * np.abs(u))
+
     def matrix(t, s):
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
-        return np.exp(-rate * np.abs(t - s))[..., None, None] * G
+        return theta(t - s)[..., None, None] * G
 
     env = DecayEnvelope("exponential", float(np.linalg.norm(G, ord=2)), rate)
-    return CausalKernel(matrix, dim, envelope=env, label=label)
+    return CausalKernel(matrix, dim, envelope=env,
+                        convolution=(theta, lambda s, x, y: np.asarray(x) @ G.T),
+                        label=label)
 
 
 @dataclass

@@ -198,7 +198,9 @@ class SplitKernelSpec:
     The ergodic part is dominated by theta(t, s) * ergodic_hat(s, x, y) with
     ergodic_hat vanishing as s -> +inf uniformly on bounded state sets, and is
     Lipschitz in the states with modulus ergodic_lipschitz.  zero_bound
-    dominates |aa_part(t, s, 0, 0)|.
+    dominates |aa_part(t, s, 0, 0)|.  convolution, when declared, factors the
+    full kernel B as in KernelSpec; its fhat carries the signed ergodic
+    factor, of which ergodic_hat is only a norm bound.
     """
 
     aa_part: KernelSpec
@@ -208,6 +210,7 @@ class SplitKernelSpec:
     ergodic_lipschitz: DecayEnvelope
     zero_bound: Optional[DecayEnvelope] = None
     orientation: str = HALF_LINE_DELAYED
+    convolution: Optional[tuple] = None    # (theta(u), fhat(s, x, y)) of B
     label: str = ""
 
     @property
@@ -221,7 +224,7 @@ class SplitKernelSpec:
     def full_evaluator(self, t, s, x, y):
         return self.aa_part.evaluator(t, s, x, y) + self.ergodic_evaluator(t, s, x, y)
 
-    __call__ = full_evaluator
+    evaluator = __call__ = full_evaluator
 
 
 def split_exponential_kernel(rate: float, aa_const=0.0,
@@ -237,7 +240,6 @@ def split_exponential_kernel(rate: float, aa_const=0.0,
                             state_bound=state_bound, orientation=orientation,
                             label=label + ":aa")
     e0 = _as_const_vec(erg_const, dim)
-    hat_amp = (abs(erg_cx) + abs(erg_cy)) * state_bound + float(np.linalg.norm(e0))
     mu3_amp = max(abs(erg_cx), abs(erg_cy))
 
     def erg_ev(t, s, x, y):
@@ -245,6 +247,14 @@ def split_exponential_kernel(rate: float, aa_const=0.0,
         s = np.asarray(s, dtype=float)
         w = np.exp(-rate * np.abs(t - s)) * np.exp(-erg_decay * np.clip(s, 0.0, None))
         return w[..., None] * (erg_cx * np.asarray(x) + erg_cy * np.asarray(y) + e0)
+
+    theta_u, aa_hat = aa.convolution
+
+    def fhat(s, x, y):
+        s = np.asarray(s, dtype=float)
+        vanish = np.exp(-erg_decay * np.clip(s, 0.0, None))
+        return aa_hat(s, x, y) + vanish[..., None] * (
+            erg_cx * np.asarray(x) + erg_cy * np.asarray(y) + e0)
 
     def erg_hat(s, x, y):
         s = np.asarray(s, dtype=float)
@@ -263,7 +273,8 @@ def split_exponential_kernel(rate: float, aa_const=0.0,
     zb = (DecayEnvelope("exponential", aa_zero_amp, rate)
           if aa_zero_amp else zero_envelope())
     return SplitKernelSpec(aa, erg_ev, theta, erg_hat, mu3, zero_bound=zb,
-                           orientation=orientation, label=label)
+                           orientation=orientation,
+                           convolution=(theta_u, fhat), label=label)
 
 
 SPLIT_KERNEL_FAMILIES = {
@@ -409,9 +420,14 @@ def check_lipschitz(k: KernelSpec, plan: SamplePlan,
     return KernelCheckReport(name, worst, witness, n, worst <= 1e-12)
 
 
-def check_convolution_form(k: KernelSpec, plan: SamplePlan) -> KernelCheckReport:
+def check_convolution_form(k, plan: SamplePlan) -> KernelCheckReport:
     """If a convolution form Theta(t-s)*fhat(s,x,y) is declared, it must agree
-    with the evaluator to machine precision on samples."""
+    with the evaluator to machine precision on samples.
+
+    k is any kernel with dim, convolution and evaluator(t, s, x, y): a
+    KernelSpec, a SplitKernelSpec or an evolution.CausalKernel.  The solver's
+    lattice rule integrates the declared form, not the evaluator.
+    """
     if k.convolution is None:
         rep = KernelCheckReport("convolution_form", 0.0, {}, 0, True)
         rep.notes.append("no convolution form declared")

@@ -213,8 +213,9 @@ class ProblemSpec:
         if v == HALF_LINE:
             need(self.split_delayed is not None and self.split_advanced is not None,
                  "half_line problems need both split kernels")
-            need(self.report_window[0] >= 0.0,
-                 "half_line problems live on t >= 0")
+            need(self.report_window[0] == 0.0,
+                 "half_line problems start at t = 0, where the history "
+                 "integral starts")
         if v == EVOLUTION_NONLOCAL:
             need(self.evolution is not None and self.u0 is not None,
                  "evolution_nonlocal problems need the evolution family and u0")

@@ -74,6 +74,26 @@ def test_constants_audit_names_provenance():
         "  gamma1, gamma2 sampled on a t-grid of 129 points on [0, 10]")
 
 
+def test_half_line_constant_reads_the_recurrent_moduli():
+    # the recurrent part's Lipschitz modulus 0.4 e^{-0.5|t-s|} has mass 0.8:
+    # without beta1 the constant read 2 (0.05 + Q1) = 0.1 and thAAA24 passed,
+    # while the sweeps contract at a measured rate of about 0.78
+    from picardcert.solver import picard_solve
+    spec = ProblemSpec(
+        variant="half_line", dim=1, f=sinusoid_affine(sin_amp=1.0, state_coeff=0.05),
+        split_delayed=pc.split_exponential_kernel(0.5, aa_cx=0.4, state_bound=3.0),
+        split_advanced=pc.split_exponential_kernel(0.5, orientation="advanced",
+                                                   state_bound=3.0),
+        report_window=(0.0, 12.0), grid_step=0.05, quad_tol=1e-9)
+    cert = certify_ball_zero(spec, rho=1.0)
+    c = cert.constants
+    assert (c.beta1_h5, c.beta2_h5, c.Q1) == (0.8, 0.0, 0.0)
+    assert cert.L_gamma == pytest.approx(2.0 * (0.05 + 0.8), abs=1e-12)
+    assert not cert.passed
+    rep = picard_solve(spec, cert, tol=1e-8, allow_uncertified=True)
+    assert 0.7 < max(rep.measured_rates) <= cert.L_gamma
+
+
 # -- base points --------------------------------------------------------------------
 
 def test_base_point_zero_problem():

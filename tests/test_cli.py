@@ -193,6 +193,41 @@ def test_evolution_window_after_zero_exit_one(tmp_path):
     assert main(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
 
+HALF_LINE_CONFIG = """
+[problem]
+variant = half_line
+window = 2 12
+grid_step = 0.05
+state_bound = 3.0
+
+[nonlinearity]
+family = sinusoid_affine
+sin_amp = 1.0
+
+[split.delayed]
+family = split_exponential
+rate = 2.0
+aa_state_coeff = 0.25
+
+[split.advanced]
+family = split_exponential
+rate = 2.0
+"""
+
+
+def test_half_line_window_after_zero_exit_one(tmp_path):
+    # the history integral runs from t = 0; a window from t = 2 would read
+    # [0, 2] through the iterate's constant tail y(2)
+    cfg = write_config(tmp_path, HALF_LINE_CONFIG)
+    with pytest.raises(ConfigError, match="start at t = 0"):
+        build_problem(load_config(cfg))
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    good = write_config(tmp_path, HALF_LINE_CONFIG.replace("window = 2 12",
+                                                           "window = 0 12"),
+                        name="zero.ini")
+    assert main(["certify", "--config", str(good), "--out", str(tmp_path)]) == 0
+
+
 def test_missing_config_exit_one(tmp_path):
     code = main(["certify", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path)])

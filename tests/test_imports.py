@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,16 @@ def test_guard_catches_an_unused_import():
               "x = np.zeros(1)\n"
               "def f(e: DecayEnvelope): return e\n")
     assert _unused_imports(source) == [(3, "adaptive_integral")]
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal about doubles the import time of the package, which every
+    # command pays; the solver's FFTs come from scipy.fft
+    src = str(Path(picardcert.__file__).parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, picardcert; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

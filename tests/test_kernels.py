@@ -109,6 +109,55 @@ def test_convolution_form_machine_precision():
     assert rep.max_violation <= 1e-14
 
 
+def _built_in_kernels():
+    """Every built-in family with nonzero coefficients, as the solver's
+    lattice rule meets it: (kernel, sample-plan orientation)."""
+    from picardcert.evolution import exponential_causal
+    from picardcert.kernels import split_exponential_kernel
+    affine = dict(cx=0.3, cy=-0.2, const=[0.1, -0.4], dim=2, state_bound=2.0)
+    split = dict(aa_const=0.2, aa_cx=0.1, aa_cy=0.05, erg_cx=-0.3, erg_cy=0.2,
+                 erg_const=[0.4, -0.1], erg_decay=0.7, dim=2, state_bound=2.0)
+    G = np.array([[0.3, -0.1], [0.2, 0.5]])
+    return {
+        "exponential": (exponential_kernel(2.0, **affine), "delayed"),
+        "exponential_advanced": (exponential_kernel(
+            2.0, orientation="advanced", **affine), "advanced"),
+        "gaussian": (gaussian_kernel(0.7, **affine), "delayed"),
+        "convolution_sinusoid": (convolution_sinusoid_kernel(
+            1.5, mod_amp=0.4, mod_omega=1.3, **affine), "delayed"),
+        "split_delayed": (split_exponential_kernel(2.0, **split),
+                          "half_line_delayed"),
+        "split_advanced": (split_exponential_kernel(
+            2.0, orientation="advanced", **split), "advanced"),
+        "exponential_causal": (exponential_causal(G, 1.2, 2),
+                               "half_line_delayed"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_built_in_kernels()))
+def test_every_built_in_declares_its_convolution_form(name):
+    # the lattice rule integrates the declared (theta, fhat), so the form must
+    # be the kernel, signs of the ergodic part included
+    k, orientation = _built_in_kernels()[name]
+    assert k.convolution is not None
+    rep = check_convolution_form(k, plan(orientation, dim=2, bound=2.0))
+    assert rep.passed and rep.n_samples > 0
+    assert rep.max_violation <= 1e-14
+
+
+def test_convolution_form_refutes_an_unsigned_ergodic_factor():
+    # ergodic_hat is a norm bound: declared in place of the signed factor it
+    # is refuted on samples
+    from dataclasses import replace
+    from picardcert.kernels import split_exponential_kernel
+    k = split_exponential_kernel(2.0, erg_cx=-0.3, state_bound=2.0)
+    theta, _ = k.convolution
+    wrong = replace(k, convolution=(theta, lambda s, x, y: k.ergodic_hat(
+        s, x, y)[..., None]))
+    rep = check_convolution_form(wrong, plan("half_line_delayed", bound=2.0))
+    assert not rep.passed
+
+
 def test_gaussian_kernel_bound():
     k = gaussian_kernel(0.5, cx=1.0, state_bound=2.0)
     rep = check_lambda_bound(k, plan(dim=1, bound=2.0))

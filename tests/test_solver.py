@@ -188,11 +188,12 @@ def test_sweep_of_empty_intervals_only():
 
 
 def test_sweep_reads_at_most_one_block(monkeypatch):
-    # the sinusoid oracle: one delayed-kernel sweep reads more points in all
-    # than one block, never more than one block at a time
+    # the sinusoid oracle's kernel without its declared convolution form, the
+    # only kind of input that still sweeps: one delayed-kernel sweep reads
+    # more points in all than one block, never more than one block at a time
     from picardcert import solver
     from picardcert.paths import SampledPath
-    spec = oracle_spec()
+    spec = _without_form(oracle_spec())
     y = zero_start(spec)
     y = _iterate_like(y, np.sin(y.grid)[:, None])
     sizes = []
@@ -207,6 +208,113 @@ def test_sweep_reads_at_most_one_block(monkeypatch):
     solver.apply_operator(spec, y)
     assert sum(sizes) > solver._SWEEP_BLOCK
     assert max(sizes) <= solver._SWEEP_BLOCK
+
+
+# -- the convolution lattice -----------------------------------------------------------
+
+def _without_form(spec):
+    """spec with every kernel's convolution form dropped: its operator then
+    integrates by _sweep, the oracle of the lattice rule."""
+    from dataclasses import replace
+    fields = {}
+    for name in ("kernel_delayed", "kernel_advanced", "split_delayed",
+                 "split_advanced", "memory_kernel"):
+        k = getattr(spec, name)
+        if k is not None and k.convolution is not None:
+            fields[name] = replace(k, convolution=None)
+    return replace(spec, **fields)
+
+
+# the shipped configs' step 0.02: there _sweep's panels, which straddle the
+# spline knots, are accurate to about 1e-11 inside the report window
+_LATTICE_CASES = {
+    "oracle": lambda: oracle_spec(window=(-10.0, 10.0), step=0.02),
+    "mirror": lambda: mirror_spec(window=(-10.0, 10.0), step=0.02),
+    "warped": lambda: pb.ProblemSpec(
+        variant="delayed_only", dim=1, f=pc.sinusoid_affine(sin_amp=1.0),
+        kernel_delayed=pc.exponential_kernel(2.0, cy=0.25, state_bound=3.0),
+        warps={"a1": pc.shift_warp(-0.5)},
+        report_window=(-10.0, 10.0), grid_step=0.02, quad_tol=1e-9),
+    "gaussian": lambda: pb.ProblemSpec(
+        variant="advanced_delayed", dim=1, f=pc.sinusoid_affine(sin_amp=1.0),
+        kernel_delayed=pc.gaussian_kernel(1.5, cx=0.2, const=0.1,
+                                          state_bound=3.0),
+        kernel_advanced=pc.convolution_sinusoid_kernel(
+            2.0, cx=0.1, orientation="advanced", state_bound=3.0),
+        report_window=(-10.0, 10.0), grid_step=0.02, quad_tol=1e-9),
+    "half_line": lambda: pb.ProblemSpec(
+        variant="half_line", dim=1,
+        f=pc.sinusoid_affine(sin_amp=1.0, state_coeff=0.05),
+        split_delayed=pc.split_exponential_kernel(
+            2.0, aa_cx=0.1, erg_cx=0.05, erg_const=0.3, state_bound=3.0),
+        split_advanced=pc.split_exponential_kernel(
+            2.0, aa_cx=0.05, erg_cy=-0.1, erg_decay=0.5,
+            orientation="advanced", state_bound=3.0),
+        report_window=(0.0, 12.0), grid_step=0.02, quad_tol=1e-9),
+    "causal": lambda: _causal_spec(coeff=0.5),
+}
+
+
+@pytest.mark.parametrize("case", list(_LATTICE_CASES))
+def test_lattice_matches_sweep_on_report_window(case):
+    from picardcert.solver import apply_operator
+    spec = _LATTICE_CASES[case]()
+    y = zero_start(spec)
+    y = _iterate_like(y, (np.sin(y.grid) + 0.3 * np.cos(2.1 * y.grid))[:, None])
+    lattice = apply_operator(spec, y)
+    sweep = apply_operator(_without_form(spec), y)
+    lo, hi = spec.report_window
+    inside = (y.grid >= lo) & (y.grid <= hi)
+    gap = np.abs(lattice.values - sweep.values)[inside]
+    assert np.max(gap) < 1e-10
+    assert np.max(np.abs(lattice.values)) > 0.1
+
+
+def test_lattice_reads_each_cell_node_once(monkeypatch):
+    # the oracle's delayed term reads y at K nodes of every cell of the grid
+    # and of its padding, once per application
+    from picardcert import solver
+    from picardcert.paths import SampledPath
+    spec = oracle_spec()
+    y = zero_start(spec)
+    y = _iterate_like(y, np.sin(y.grid)[:, None])
+    sizes = []
+    original = SampledPath.evaluate
+    monkeypatch.setattr(SampledPath, "evaluate",
+                        lambda self, t: sizes.append(np.size(t)) or original(self, t))
+    solver.apply_operator(spec, y)
+    h = spec.grid_step
+    pad = int(np.ceil(spec.kernel_delayed.envelope.truncation_span(
+        spec.quad_tol / 2.0) / h))
+    assert sizes == [(y.grid.size - 1 + pad) * solver._CELL_ORDER]
+
+
+def test_lattice_settles_where_sweep_straddles_the_tail(monkeypatch):
+    # at the work window's left edge the iterate is read through its constant
+    # tail, whose kink sits on a cell edge of the lattice but inside one of
+    # _sweep's panels: doubling the lattice's Gauss order leaves the image
+    # there as it is, while _sweep is off by far more
+    from picardcert import solver
+    spec = oracle_spec()
+    y = zero_start(spec)
+    y = _iterate_like(y, np.sin(y.grid)[:, None])
+    six = solver.apply_operator(spec, y).values[:, 0]
+    sweep = solver.apply_operator(_without_form(spec), y).values[:, 0]
+    edge = int(np.argmax(np.abs(six - sweep)))
+    assert y.grid[edge] < spec.report_window[0]
+    monkeypatch.setattr(solver, "_CELL_ORDER", 12)
+    twelve = solver.apply_operator(spec, y).values[:, 0]
+    assert abs(twelve[edge] - six[edge]) < 1e-13
+    assert abs(sweep[edge] - six[edge]) > 1e-7
+
+
+def test_lattice_refuses_a_non_uniform_grid():
+    spec = oracle_spec(window=(-4.0, 4.0))
+    g = zero_start(spec).grid
+    g = g + 1e-3 * np.sin(g)
+    y = pc.SampledPath(g, np.sin(g)[:, None], tail_policy="constant")
+    with pytest.raises(ValueError, match="uniform"):
+        apply_gamma(spec, y)
 
 
 # -- picard iteration ------------------------------------------------------------------
