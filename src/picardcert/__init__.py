@@ -23,9 +23,8 @@ from .solver import (CertificationRequired, NonContractionError, SolverReport,
                      apply_gamma, apply_mild_evolution, apply_operator,
                      apply_pi, check_integral_inequality, picard_solve,
                      residual)
-from .evolution import (CausalKernel, EvolutionFamily, MemoryKernel,
-                        ResolventOperator, exponential_causal,
-                        StabilityCertificate, build_resolvent,
+from .evolution import (EvolutionFamily, MemoryKernel, ResolventOperator,
+                        exponential_causal, StabilityCertificate, build_resolvent,
                         certify_stability, cocycle_residual, constant_family,
                         delay_demo_solve, exponential_memory,
                         heat_demo_assemble, scalar_family)

@@ -138,16 +138,13 @@ def compute_envelope_constants(spec: pb.ProblemSpec) -> EnvelopeConstants:
                                    ("gamma2", b2, ADVANCED)):
             def at_zero(t, s, part=part):
                 z = np.zeros((s.size, part.dim))
-                return np.asarray(part.full_evaluator(np.full(s.size, t), s, z, z))
-            span = part.aa_part.envelope.truncation_span(tol / 2.0)
+                return np.asarray(part.evaluator(np.full(s.size, t), s, z, z))
+            span = part.envelope.truncation_span(tol / 2.0)
             setattr(out, name, _grid_sup(out.t_grid, at_zero, orient, span, tol / 2.0))
 
     elif spec.memory_kernel is not None:
         # C_B: sup over s >= 0 of the integral over [0, s] of |B(s, tau)|,
         # bounded by the mass of the kernel's envelope
-        if spec.memory_kernel.envelope is None:
-            raise CertificationError("the causal history kernel declares no decay "
-                                     "envelope, so C_B has no bound")
         out.C_B = envelope_constant(spec.memory_kernel.envelope, HALF_LINE_DELAYED)
     else:
         out.C_B = 0.0

@@ -164,7 +164,7 @@ def _build_nonlinearity(cfg, dim):
     return f
 
 
-def _build_kernel(cfg, which, dim, state_bound, orientation):
+def _build_kernel(cfg, which, dim, state_bound):
     sec = dict(cfg.section(f"kernel.{which}"))
     if not sec:
         return None
@@ -172,8 +172,8 @@ def _build_kernel(cfg, which, dim, state_bound, orientation):
     if family not in KERNEL_FAMILIES:
         raise ConfigError(f"unknown kernel family {family!r}")
     if family == "zero":
-        return KERNEL_FAMILIES["zero"](dim=dim, orientation=orientation)
-    kw = {"dim": dim, "state_bound": state_bound, "orientation": orientation}
+        return KERNEL_FAMILIES["zero"](dim=dim)
+    kw = {"dim": dim, "state_bound": state_bound}
     if "state_coeff" in sec:
         kw["cx"] = sec.pop("state_coeff")
     if "warp_state_coeff" in sec:
@@ -182,14 +182,14 @@ def _build_kernel(cfg, which, dim, state_bound, orientation):
     return KERNEL_FAMILIES[family](**kw)
 
 
-def _build_split(cfg, which, dim, state_bound, orientation):
+def _build_split(cfg, which, dim, state_bound):
     sec = dict(cfg.section(f"split.{which}"))
     if not sec:
         return None
     family = sec.pop("family", "split_exponential")
     if family not in SPLIT_KERNEL_FAMILIES:
         raise ConfigError(f"unknown split kernel family {family!r}")
-    kw = {"dim": dim, "state_bound": state_bound, "orientation": orientation}
+    kw = {"dim": dim, "state_bound": state_bound}
     rename = {"aa_state_coeff": "aa_cx", "aa_warp_state_coeff": "aa_cy",
               "erg_state_coeff": "erg_cx", "erg_warp_state_coeff": "erg_cy"}
     for src, dst in rename.items():
@@ -256,20 +256,18 @@ def build_problem(cfg: RunConfig) -> ProblemSpec:
         grid_step=prob.get("grid_step", 0.05),
         quad_tol=num.get("quad_tol", 1e-8),
         const_tol=num.get("const_tol", 1e-10),
-        state_bound=state_bound, label=prob.get("label", ""),
+        label=prob.get("label", ""),
         f=_build_nonlinearity(cfg, dim), warps=_build_warps(cfg))
 
     if variant in (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY):
-        kwargs["kernel_delayed"] = _build_kernel(cfg, "delayed", dim,
-                                                 state_bound, "delayed")
+        kwargs["kernel_delayed"] = _build_kernel(cfg, "delayed", dim, state_bound)
         if variant == pb.ADVANCED_DELAYED:
             kwargs["kernel_advanced"] = _build_kernel(cfg, "advanced", dim,
-                                                      state_bound, "advanced")
+                                                      state_bound)
     elif variant == pb.HALF_LINE:
-        kwargs["split_delayed"] = _build_split(cfg, "delayed", dim,
-                                               state_bound, "half_line_delayed")
+        kwargs["split_delayed"] = _build_split(cfg, "delayed", dim, state_bound)
         kwargs["split_advanced"] = _build_split(cfg, "advanced", dim,
-                                                state_bound, "advanced")
+                                                state_bound)
     elif variant in (pb.EVOLUTION_NONLOCAL, pb.DELAY_PARABOLIC):
         fam, delay = _build_evolution(cfg)
         if fam is None:

@@ -212,10 +212,7 @@ def interior_residual(spec, p: SampledPath) -> float:
     y = SampledPath(p.grid, p.values, domain_kind=p.domain_kind,
                     interpolation=p.interpolation, tail_policy=TAIL_CONSTANT)
     image = solver.apply_operator(spec, y)
-    margin = 0.0
-    for k in (spec.kernel_delayed, spec.kernel_advanced):
-        if k is not None and not k.is_zero:
-            margin = max(margin, k.envelope.truncation_span(spec.quad_tol / 2.0))
+    margin = max(solver.kernel_span(spec, k) for k in solver.kernel_terms(spec))
     mask = (y.grid >= y.grid[0] + margin) & (y.grid <= y.grid[-1] - margin)
     if not mask.any():
         mask = slice(None)

@@ -26,6 +26,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
+from .kernels import KernelSpec, form_evaluator
 from .paths import SampledPath
 from .quadrature import DecayEnvelope, panel_nodes
 
@@ -208,45 +209,25 @@ def exponential_memory(terms, dim: int, label: str = "exponential_sum") -> Memor
     return MemoryKernel(matrix, dim, exp_terms=terms, envelope=env, label=label)
 
 
-@dataclass(frozen=True)
-class CausalKernel:
-    """Two-time kernel B(t, s) of the history operator int_0^t B(t, s) u(s) ds.
-
-    convolution, when declared, factors the history integrand as KernelSpec's
-    does: B(t, s) x = theta(t - s) fhat(s, x, y), with y unused.
-    """
-
-    matrix: Callable                 # (t, s) -> (..., d, d), vectorized
-    dim: int
-    envelope: Optional[DecayEnvelope] = None
-    convolution: Optional[tuple] = None    # (theta(u), fhat(s, x, y))
-    label: str = ""
-
-    def __call__(self, t, s):
-        return self.matrix(t, s)
-
-    def evaluator(self, t, s, x, y):
-        """The history integrand B(t, s) x in KernelSpec's signature."""
-        return np.einsum("...ij,...j->...i", self.matrix(t, s), x)
-
-
 def exponential_causal(G, rate: float, dim: int,
-                       label: str = "exponential_causal") -> CausalKernel:
-    """B(t, s) = exp(-rate (t - s)) G."""
+                       label: str = "exponential_causal") -> KernelSpec:
+    """History kernel B(t, s) x = exp(-rate (t - s)) G x of the integral
+    int_0^t B(t, s) u(s) ds, as a KernelSpec whose y argument is unused.
+
+    Its envelope |G| exp(-rate |t - s|) dominates it on the unit state ball
+    and is also its Lipschitz modulus.
+    """
     G = np.atleast_2d(np.asarray(G, dtype=float))
+    env = DecayEnvelope("exponential", float(np.linalg.norm(G, ord=2)), rate)
 
     def theta(u):
         return np.exp(-rate * np.abs(u))
 
-    def matrix(t, s):
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        return theta(t - s)[..., None, None] * G
+    def fhat(s, x, y):
+        return np.asarray(x) @ G.T
 
-    env = DecayEnvelope("exponential", float(np.linalg.norm(G, ord=2)), rate)
-    return CausalKernel(matrix, dim, envelope=env,
-                        convolution=(theta, lambda s, x, y: np.asarray(x) @ G.T),
-                        label=label)
+    return KernelSpec(form_evaluator(theta, fhat), env, env, dim=dim,
+                      convolution=(theta, fhat), label=label)
 
 
 @dataclass

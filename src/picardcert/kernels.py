@@ -1,11 +1,14 @@
 """Two-time kernels C(t, s, x, y) with their structural envelopes.
 
 A kernel spec bundles the evaluator with everything the certificates need to
-know about it: the orientation of its integral, a decay envelope dominating
-it on a declared bounded state set, Lipschitz moduli in the state arguments,
-and (optionally) the limit kernel of its diagonal translates with its own
-modulus.  Split kernels additionally separate a recurrent part from an
-ergodic part that dies off in forward time.
+know about it: a decay envelope dominating the whole kernel on a declared
+bounded state set, Lipschitz moduli in the state arguments, (optionally) the
+limit kernel of its diagonal translates with its own modulus, and its
+convolution form theta(t - s) * fhat(s, x, y).  Each built-in family declares
+that form once and derives its evaluator from it (`form_evaluator`).  Split
+kernels additionally separate a recurrent part from an ergodic part that dies
+off in forward time.  A kernel has no side of its own: the problem slot that
+holds it (delayed or advanced) decides which integral it enters.
 
 The structural inequalities are quantified over uncountable sets, so they are
 verified by deterministic sampling (grids plus low-discrepancy points); the
@@ -19,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import (ADVANCED, DELAYED, HALF_LINE_DELAYED, DecayEnvelope,
+from .quadrature import (ADVANCED, HALF_LINE_DELAYED, DecayEnvelope,
                          zero_envelope)
 
 _SQRT_PRIMES = np.sqrt(np.array([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0]))
@@ -34,7 +37,7 @@ def kronecker_points(n: int, dim: int, seed_shift: float = 0.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel of one oriented integral together with its envelope data.
+    """A kernel of one integral together with its envelope data.
 
     evaluator(t, s, x, y) must broadcast: t, s arrays of shape (...,) and
     x, y arrays of shape (..., d) produce (..., d).  The envelope dominates
@@ -44,7 +47,6 @@ class KernelSpec:
     """
 
     evaluator: Callable
-    orientation: str
     envelope: DecayEnvelope
     lipschitz: DecayEnvelope
     dim: int = 1
@@ -54,24 +56,29 @@ class KernelSpec:
     convolution: Optional[tuple] = None    # (theta(u), fhat(s, x, y))
     label: str = ""
 
-    def __post_init__(self):
-        if self.orientation not in (DELAYED, ADVANCED, HALF_LINE_DELAYED):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
-
     def __call__(self, t, s, x, y):
         return self.evaluator(t, s, x, y)
 
     @property
     def is_zero(self) -> bool:
-        return self.envelope.amplitude == 0.0
+        """Zero on its state ball and constant in the states: zero everywhere."""
+        return self.envelope.amplitude == 0.0 and self.lipschitz.amplitude == 0.0
 
 
-def zero_kernel(dim: int = 1, orientation: str = DELAYED) -> KernelSpec:
+def zero_kernel(dim: int = 1) -> KernelSpec:
     def ev(t, s, x, y):
         shape = np.broadcast_shapes(np.shape(t), np.shape(s))
         return np.zeros(shape + (dim,))
-    return KernelSpec(ev, orientation, zero_envelope(), zero_envelope(),
-                      dim=dim, label="zero")
+    return KernelSpec(ev, zero_envelope(), zero_envelope(), dim=dim,
+                      label="zero")
+
+
+def form_evaluator(theta, fhat) -> Callable:
+    """The evaluator theta(t - s) * fhat(s, x, y) of a declared convolution form."""
+    def ev(t, s, x, y):
+        u = np.asarray(t, dtype=float) - np.asarray(s, dtype=float)
+        return np.asarray(theta(u))[..., None] * fhat(s, x, y)
+    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -90,97 +97,72 @@ def _as_const_vec(const, dim):
     return c
 
 
-def _affine_data(cx, cy, const, dim, state_bound):
+def _affine_kernel(kind, rate, cx, cy, const, dim, state_bound, label,
+                   modulation=None, mod_bound=1.0) -> KernelSpec:
+    """theta(t-s) * m(s) * (cx*x + cy*y + const), theta the unit profile of
+    kind at rate and m the modulation (1 when None), |m| <= mod_bound.
+
+    Autonomous in (t, s) up to the separation and the recurrent m, so the
+    kernel is its own translation limit, with the same modulus.
+    """
     c0 = _as_const_vec(const, dim)
     lam_amp = (abs(cx) + abs(cy)) * state_bound + float(np.linalg.norm(c0))
     mu_amp = max(abs(cx), abs(cy))
-    return c0, lam_amp, mu_amp
+    unit = DecayEnvelope(kind, 1.0, rate)
+
+    def theta(u):
+        return unit.profile(np.abs(u))
+
+    def fhat(s, x, y):
+        v = cx * np.asarray(x) + cy * np.asarray(y) + c0
+        if modulation is None:
+            return v
+        return modulation(np.asarray(s, dtype=float))[..., None] * v
+
+    ev = form_evaluator(theta, fhat)
+    env = DecayEnvelope(kind, lam_amp * mod_bound, rate)
+    mu = DecayEnvelope(kind, mu_amp * mod_bound, rate) if mu_amp else zero_envelope()
+    return KernelSpec(ev, env, mu, dim=dim, state_bound=state_bound,
+                      limit_evaluator=ev, limit_lipschitz=mu,
+                      convolution=(theta, fhat), label=label)
 
 
 def exponential_kernel(rate: float, cx: float = 0.0, cy: float = 0.0,
                        const=0.0, dim: int = 1, state_bound: float = 1.0,
-                       orientation: str = DELAYED,
                        label: str = "exponential_decay") -> KernelSpec:
     """C(t,s,x,y) = exp(-rate*|t-s|) * (cx*x + cy*y + const)."""
-    c0, lam_amp, mu_amp = _affine_data(cx, cy, const, dim, state_bound)
-
-    def ev(t, s, x, y):
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        w = np.exp(-rate * np.abs(t - s))
-        return w[..., None] * (cx * np.asarray(x) + cy * np.asarray(y) + c0)
-
-    env = DecayEnvelope("exponential", lam_amp, rate)
-    mu = DecayEnvelope("exponential", mu_amp, rate) if mu_amp else zero_envelope()
-    # autonomous in (t, s) up to the separation: the kernel is its own
-    # translation limit, with the same modulus
-    return KernelSpec(ev, orientation, env, mu, dim=dim, state_bound=state_bound,
-                      limit_evaluator=ev, limit_lipschitz=mu,
-                      convolution=(lambda u: np.exp(-rate * np.abs(u)),
-                                   lambda s, x, y: cx * np.asarray(x) + cy * np.asarray(y) + c0),
-                      label=label)
+    return _affine_kernel("exponential", rate, cx, cy, const, dim,
+                          state_bound, label)
 
 
 def gaussian_kernel(rate: float, cx: float = 0.0, cy: float = 0.0,
                     const=0.0, dim: int = 1, state_bound: float = 1.0,
-                    orientation: str = DELAYED,
                     label: str = "gaussian_decay") -> KernelSpec:
     """C(t,s,x,y) = exp(-rate*(t-s)^2) * (cx*x + cy*y + const)."""
-    c0, lam_amp, mu_amp = _affine_data(cx, cy, const, dim, state_bound)
-
-    def ev(t, s, x, y):
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        w = np.exp(-rate * (t - s) ** 2)
-        return w[..., None] * (cx * np.asarray(x) + cy * np.asarray(y) + c0)
-
-    env = DecayEnvelope("gaussian", lam_amp, rate)
-    mu = DecayEnvelope("gaussian", mu_amp, rate) if mu_amp else zero_envelope()
-    return KernelSpec(ev, orientation, env, mu, dim=dim, state_bound=state_bound,
-                      limit_evaluator=ev, limit_lipschitz=mu,
-                      convolution=(lambda u: np.exp(-rate * u * u),
-                                   lambda s, x, y: cx * np.asarray(x) + cy * np.asarray(y) + c0),
-                      label=label)
+    return _affine_kernel("gaussian", rate, cx, cy, const, dim, state_bound,
+                          label)
 
 
 def convolution_sinusoid_kernel(rate: float, cx: float = 0.0, cy: float = 0.0,
                                 const=0.0, mod_amp: float = 0.5,
                                 mod_omega: float = 1.0, dim: int = 1,
                                 state_bound: float = 1.0,
-                                orientation: str = DELAYED,
                                 label: str = "convolution_sinusoid") -> KernelSpec:
     """C(t,s,x,y) = exp(-rate*|t-s|) * (1 + mod_amp*sin(mod_omega*s)) * (cx*x + cy*y + const).
 
     Separation-decaying factor times a recurrent factor in the inner time, the
     convolution-with-oscillation shape.  The sinusoidal factor's translation
     limits along suitable sequences are sinusoids again, so the limit kernel
-    is supplied explicitly (equal to the kernel itself up to phase).
+    is the kernel itself up to phase.
     """
-    c0, lam_amp, mu_amp = _affine_data(cx, cy, const, dim, state_bound)
-    scale = 1.0 + abs(mod_amp)
-
-    def fhat(s, x, y):
-        s = np.asarray(s, dtype=float)
-        m = 1.0 + mod_amp * np.sin(mod_omega * s)
-        return m[..., None] * (cx * np.asarray(x) + cy * np.asarray(y) + c0)
-
-    def ev(t, s, x, y):
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        w = np.exp(-rate * np.abs(t - s))
-        return w[..., None] * fhat(s, x, y)
-
-    env = DecayEnvelope("exponential", lam_amp * scale, rate)
-    mu = (DecayEnvelope("exponential", mu_amp * scale, rate)
-          if mu_amp else zero_envelope())
-    return KernelSpec(ev, orientation, env, mu, dim=dim, state_bound=state_bound,
-                      limit_evaluator=ev, limit_lipschitz=mu,
-                      convolution=(lambda u: np.exp(-rate * np.abs(u)), fhat),
-                      label=label)
+    return _affine_kernel("exponential", rate, cx, cy, const, dim,
+                          state_bound, label,
+                          modulation=lambda s: 1.0 + mod_amp * np.sin(mod_omega * s),
+                          mod_bound=1.0 + abs(mod_amp))
 
 
 KERNEL_FAMILIES = {
-    "zero": lambda dim=1, orientation=DELAYED, **kw: zero_kernel(dim, orientation),
+    "zero": zero_kernel,
     "exponential_decay": exponential_kernel,
     "gaussian_decay": gaussian_kernel,
     "convolution_sinusoid": convolution_sinusoid_kernel,
@@ -193,38 +175,37 @@ KERNEL_FAMILIES = {
 
 @dataclass(frozen=True)
 class SplitKernelSpec:
-    """Kernel B = aa_part + ergodic_part for half-line problems.
+    """Kernel B = aa_part + ergodic part for half-line problems.
 
-    The ergodic part is dominated by theta(t, s) * ergodic_hat(s, x, y) with
-    ergodic_hat vanishing as s -> +inf uniformly on bounded state sets, and is
-    Lipschitz in the states with modulus ergodic_lipschitz.  zero_bound
-    dominates |aa_part(t, s, 0, 0)|.  convolution, when declared, factors the
-    full kernel B as in KernelSpec; its fhat carries the signed ergodic
-    factor, of which ergodic_hat is only a norm bound.
+    evaluator is B itself, and envelope dominates all of B on aa_part's state
+    ball, as KernelSpec's does; every truncation of a B integral reads it.
+    The ergodic part is dominated by theta(t, s) times a factor vanishing as
+    s -> +inf uniformly on bounded state sets, and is Lipschitz in the states
+    with modulus ergodic_lipschitz.  zero_bound dominates |aa_part(t, s, 0, 0)|.
+    convolution, when declared, factors B as in KernelSpec; its fhat carries
+    the signed ergodic factor.
     """
 
     aa_part: KernelSpec
-    ergodic_evaluator: Callable
+    evaluator: Callable
+    envelope: DecayEnvelope
     theta: DecayEnvelope
-    ergodic_hat: Callable
     ergodic_lipschitz: DecayEnvelope
     zero_bound: Optional[DecayEnvelope] = None
-    orientation: str = HALF_LINE_DELAYED
     convolution: Optional[tuple] = None    # (theta(u), fhat(s, x, y)) of B
     label: str = ""
+
+    def __call__(self, t, s, x, y):
+        return self.evaluator(t, s, x, y)
 
     @property
     def dim(self) -> int:
         return self.aa_part.dim
 
     @property
-    def state_bound(self) -> float:
-        return self.aa_part.state_bound
-
-    def full_evaluator(self, t, s, x, y):
-        return self.aa_part.evaluator(t, s, x, y) + self.ergodic_evaluator(t, s, x, y)
-
-    evaluator = __call__ = full_evaluator
+    def is_zero(self) -> bool:
+        return (self.envelope.amplitude == 0.0 and self.aa_part.is_zero
+                and self.ergodic_lipschitz.amplitude == 0.0)
 
 
 def split_exponential_kernel(rate: float, aa_const=0.0,
@@ -232,22 +213,15 @@ def split_exponential_kernel(rate: float, aa_const=0.0,
                              erg_cx: float = 0.0, erg_cy: float = 0.0,
                              erg_const=0.0, erg_decay: float = 1.0,
                              dim: int = 1, state_bound: float = 1.0,
-                             orientation: str = HALF_LINE_DELAYED,
                              label: str = "split_exponential") -> SplitKernelSpec:
     """Recurrent part exp(-rate*|t-s|)(aa_cx*x + aa_cy*y + aa_const) plus an
     ergodic part exp(-rate*|t-s|) * exp(-erg_decay*s) * (erg_cx*x + erg_cy*y + erg_const)."""
+    if erg_decay < 0.0:
+        raise ValueError("erg_decay must be nonnegative: a growing ergodic "
+                         "factor has no decay envelope")
     aa = exponential_kernel(rate, aa_cx, aa_cy, aa_const, dim=dim,
-                            state_bound=state_bound, orientation=orientation,
-                            label=label + ":aa")
+                            state_bound=state_bound, label=label + ":aa")
     e0 = _as_const_vec(erg_const, dim)
-    mu3_amp = max(abs(erg_cx), abs(erg_cy))
-
-    def erg_ev(t, s, x, y):
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        w = np.exp(-rate * np.abs(t - s)) * np.exp(-erg_decay * np.clip(s, 0.0, None))
-        return w[..., None] * (erg_cx * np.asarray(x) + erg_cy * np.asarray(y) + e0)
-
     theta_u, aa_hat = aa.convolution
 
     def fhat(s, x, y):
@@ -256,25 +230,21 @@ def split_exponential_kernel(rate: float, aa_const=0.0,
         return aa_hat(s, x, y) + vanish[..., None] * (
             erg_cx * np.asarray(x) + erg_cy * np.asarray(y) + e0)
 
-    def erg_hat(s, x, y):
-        s = np.asarray(s, dtype=float)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        base = (abs(erg_cx) * np.linalg.norm(np.atleast_2d(x), axis=-1)
-                + abs(erg_cy) * np.linalg.norm(np.atleast_2d(y), axis=-1)
-                + np.linalg.norm(e0))
-        return np.exp(-erg_decay * np.clip(s, 0.0, None)) * base.reshape(s.shape)
-
+    # the vanishing factor is at most 1, so the ergodic part adds its affine
+    # bound on the ball to the recurrent amplitude, at the same rate
+    erg_amp = (abs(erg_cx) + abs(erg_cy)) * state_bound + float(np.linalg.norm(e0))
+    envelope = DecayEnvelope("exponential", aa.envelope.amplitude + erg_amp, rate)
     theta = DecayEnvelope("exponential", 1.0, rate)
+    mu3_amp = max(abs(erg_cx), abs(erg_cy))
     mu3 = (DecayEnvelope("exponential", mu3_amp, rate)
            if mu3_amp else zero_envelope())
     # |aa(t,s,0,0)| = exp(-rate|t-s|)*|aa_const|
     aa_zero_amp = float(np.linalg.norm(_as_const_vec(aa_const, dim)))
     zb = (DecayEnvelope("exponential", aa_zero_amp, rate)
           if aa_zero_amp else zero_envelope())
-    return SplitKernelSpec(aa, erg_ev, theta, erg_hat, mu3, zero_bound=zb,
-                           orientation=orientation,
-                           convolution=(theta_u, fhat), label=label)
+    return SplitKernelSpec(aa, form_evaluator(theta_u, fhat), envelope, theta,
+                           mu3, zero_bound=zb, convolution=(theta_u, fhat),
+                           label=label)
 
 
 SPLIT_KERNEL_FAMILIES = {
@@ -424,9 +394,8 @@ def check_convolution_form(k, plan: SamplePlan) -> KernelCheckReport:
     """If a convolution form Theta(t-s)*fhat(s,x,y) is declared, it must agree
     with the evaluator to machine precision on samples.
 
-    k is any kernel with dim, convolution and evaluator(t, s, x, y): a
-    KernelSpec, a SplitKernelSpec or an evolution.CausalKernel.  The solver's
-    lattice rule integrates the declared form, not the evaluator.
+    k is a KernelSpec or a SplitKernelSpec.  The solver's lattice rule
+    integrates the declared form, not the evaluator.
     """
     if k.convolution is None:
         rep = KernelCheckReport("convolution_form", 0.0, {}, 0, True)

@@ -176,7 +176,7 @@ class ProblemSpec:
     warps: dict = field(default_factory=dict)      # keys a0, a1, a2
     evolution: object = None                       # EvolutionFamily
     resolvent: object = None                       # ResolventOperator
-    memory_kernel: object = None                   # causal-history kernel
+    memory_kernel: Optional[KernelSpec] = None     # history kernel B(t, s) x
     nonlocal_map: Optional[NonlocalMap] = None
     u0: Optional[np.ndarray] = None
     delay: Optional[float] = None
@@ -184,7 +184,6 @@ class ProblemSpec:
     grid_step: float = 0.05
     quad_tol: float = 1e-8
     const_tol: float = 1e-10
-    state_bound: Optional[float] = None
     label: str = ""
 
     def __post_init__(self):

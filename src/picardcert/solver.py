@@ -6,17 +6,22 @@ tolerance; the window is recorded in the report.  Warped state arguments that
 reach outside the window are served by the constant-tail policy of the
 current iterate, and the induced error is bounded by the envelope tail.
 
-Every integral against the iterate (kernel terms, causal history) whose
-kernel declares a convolution form theta(t - s) * fhat(s, y(s), y(a(s))) is
-one `_lattice` product: the `_CELL_ORDER` Gauss nodes of every grid cell,
-the same nodes the evolution recurrence uses, carry fhat once, and the
-integral at every node is a sum over node offsets of Toeplitz products in the
-cell index, taken with one batched real FFT (the discrete convolution of
-Hairer, Lubich and Schlichte, "Fast numerical solution of nonlinear Volterra
-convolution equations", 1985).  The lattice is padded by whole cells on the
-integral's side, so it never truncates short of the envelope's span, and
-needs a uniform grid.  On the sinusoid-oracle config at step 0.02 it reads
-30k points per application where per-node panels read 1.4M.
+Every integral against the iterate (the delayed and advanced kernel terms,
+both split kernels of a half-line problem, the causal history) is one call of
+`_term`, which reads nothing but the kernel record.  Each kernel integral is
+truncated at `kernel_span`, where the tail of the kernel's own envelope, which
+dominates the whole kernel, falls below half the quadrature tolerance; the
+history integral runs over all of [0, t].  A kernel that declares a
+convolution form theta(t - s) * fhat(s, y(s), y(a(s))), as every built-in
+family does, is one `_lattice` product: the `_CELL_ORDER` Gauss nodes of
+every grid cell, the same nodes the evolution recurrence uses, carry fhat
+once, and the integral at every node is a sum over node offsets of Toeplitz
+products in the cell index, taken with one batched real FFT (the discrete
+convolution of Hairer, Lubich and Schlichte, "Fast numerical solution of
+nonlinear Volterra convolution equations", 1985).  The lattice is padded by
+whole cells on the integral's side, so it never truncates short of the
+span, and needs a uniform grid.  On the sinusoid-oracle config at step 0.02
+it reads 30k points per application where per-node panels read 1.4M.
 
 A kernel without a declared form is integrated by `_sweep`: Gauss-Legendre
 panels over [lo_i, hi_i] at every node t_i, read in blocks of at most
@@ -157,24 +162,32 @@ def _delay_margin(spec) -> float:
     return tau + np.log(scale / spec.quad_tol) / omega
 
 
+def kernel_terms(spec: pb.ProblemSpec) -> tuple:
+    """The (delayed, advanced) kernels of an integral variant, the split ones
+    for half-line problems; each is None where absent or zero."""
+    if spec.variant == pb.HALF_LINE:
+        pair = (spec.split_delayed, spec.split_advanced)
+    else:
+        pair = (spec.kernel_delayed, spec.kernel_advanced)
+    return tuple(None if k is None or k.is_zero else k for k in pair)
+
+
+def kernel_span(spec: pb.ProblemSpec, kernel) -> float:
+    """Separation beyond which the kernel's envelope tail is below half the
+    quadrature tolerance, where its integral is truncated; 0 for no kernel."""
+    if kernel is None:
+        return 0.0
+    return kernel.envelope.truncation_span(spec.quad_tol / 2.0)
+
+
 def work_window(spec: pb.ProblemSpec) -> tuple:
     lo, hi = spec.report_window
-    tol = spec.quad_tol
-    if spec.variant in (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY):
-        m_del = (spec.kernel_delayed.envelope.truncation_span(tol / 2.0)
-                 if spec.kernel_delayed is not None and not spec.kernel_delayed.is_zero
-                 else 0.0)
-        k2 = spec.kernel_advanced
-        m_adv = (k2.envelope.truncation_span(tol / 2.0)
-                 if k2 is not None and not k2.is_zero else 0.0)
+    if spec.variant in (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY, pb.HALF_LINE):
+        delayed, advanced = kernel_terms(spec)
         extra = _warp_margin(spec)
-        return (lo - m_del - extra, hi + m_adv + extra)
-    if spec.variant == pb.HALF_LINE:
-        b2 = spec.split_advanced
-        m_adv = (b2.aa_part.envelope.truncation_span(tol / 2.0)
-                 if b2 is not None else 0.0)
-        extra = _warp_margin(spec)
-        return (lo, hi + m_adv + extra)
+        if spec.variant != pb.HALF_LINE:
+            lo = lo - kernel_span(spec, delayed) - extra
+        return (lo, hi + kernel_span(spec, advanced) + extra)
     if spec.variant == pb.DELAY_PARABOLIC:
         return (lo - _delay_margin(spec), hi)
     return (lo, hi)
@@ -193,8 +206,6 @@ def work_grid(spec: pb.ProblemSpec) -> np.ndarray:
 def zero_start(spec: pb.ProblemSpec, grid=None) -> SampledPath:
     g = work_grid(spec) if grid is None else np.asarray(grid, dtype=float)
     kind = HALF_LINE if spec.variant not in pb.FULL_LINE_VARIANTS else "full_line"
-    if spec.variant == pb.DELAY_PARABOLIC:
-        kind = "full_line"
     return zero_path(g, spec.dim, domain_kind=kind, tail_policy=TAIL_CONSTANT)
 
 
@@ -287,28 +298,37 @@ def _lattice(t, span, delayed, theta, phi, start=-np.inf) -> np.ndarray:
     return full[out0:out0 + n]
 
 
+def _term(t, kernel, span, delayed, start, states) -> np.ndarray:
+    """int kernel(t_i, s, *states(s)) ds at every node t_i of t, over span on
+    the delayed (no earlier than start) or advanced side of t_i.
+
+    A kernel that declares a convolution form is integrated by the lattice
+    rule, any other by _sweep.
+    """
+    if kernel.convolution is not None:
+        theta, fhat = kernel.convolution
+        return _lattice(t, span, delayed, theta,
+                        lambda S: fhat(S, *states(S)), start)
+    lo, hi = (np.maximum(start, t - span), t) if delayed else (t, t + span)
+    return _sweep(t, lo, hi, lambda T, S: kernel.evaluator(T, S, *states(S)))
+
+
 def _history(spec, y) -> np.ndarray:
-    """History integral int_0^t B(t, s) y(s) ds on y's grid."""
-    mk = spec.memory_kernel
+    """History integral int_0^t B(t, s) y(s) ds on y's grid, untruncated."""
     t = y.grid
-    if mk.convolution is not None:
-        theta, fhat = mk.convolution
-        return _lattice(t, t[-1] - t[0], True, theta,
-                        lambda S: fhat(S, y.evaluate(S), None), start=0.0)
-    return _sweep(t, 0.0, t, lambda T, S: mk.evaluator(T, S, y.evaluate(S), None))
+    return _term(t, spec.memory_kernel, t[-1] - t[0], True, 0.0,
+                 lambda S: (y.evaluate(S), None))
 
 
 # ---------------------------------------------------------------------------
 # operator application: full-line and half-line integral equations
 
 
-def _integral_image(spec, y, start, delayed, advanced) -> SampledPath:
+def _integral_image(spec, y, start) -> SampledPath:
     """Pointwise term of y plus its delayed and advanced kernel terms.
 
-    Each kernel is (envelope, kernel) or None; its integral is truncated
-    where the envelope's tail falls below half the quadrature tolerance, and
-    the delayed one starts no earlier than start.  A kernel that declares a
-    convolution form is integrated by the lattice rule, any other by _sweep.
+    Each kernel integral is truncated at kernel_span, and the delayed one
+    starts no earlier than start.
     """
     t = y.grid
     out = np.zeros((t.size, spec.dim))
@@ -316,46 +336,30 @@ def _integral_image(spec, y, start, delayed, advanced) -> SampledPath:
         a0 = spec.warp("a0")
         ya0 = y.values if a0.is_identity else y.evaluate(a0(t))
         out += np.asarray(spec.f(t, y.values, ya0))
-    for term, key, is_delayed in ((delayed, "a1", True),
-                                  (advanced, "a2", False)):
-        if term is None:
+    for kernel, key, delayed in zip(kernel_terms(spec), ("a1", "a2"),
+                                    (True, False)):
+        if kernel is None:
             continue
-        envelope, kernel = term
         warp = spec.warp(key)
 
         def states(S):
             ys = y.evaluate(S)
             return ys, (ys if warp.is_identity else y.evaluate(warp(S)))
 
-        span = envelope.truncation_span(spec.quad_tol / 2.0)
-        if kernel.convolution is not None:
-            theta, fhat = kernel.convolution
-            out += _lattice(t, span, is_delayed, theta,
-                            lambda S: fhat(S, *states(S)), start)
-            continue
-        lo, hi = ((np.maximum(start, t - span), t) if is_delayed
-                  else (t, t + span))
-        out += _sweep(t, lo, hi, lambda T, S: kernel.evaluator(T, S, *states(S)))
+        out += _term(t, kernel, kernel_span(spec, kernel), delayed, start,
+                     states)
     return _iterate_like(y, out)
 
 
 def apply_gamma(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
     """Image of y under the advanced/delayed integral operator on y's grid."""
-    k1, k2 = spec.kernel_delayed, spec.kernel_advanced
-    return _integral_image(
-        spec, y, -np.inf,
-        None if k1 is None or k1.is_zero else (k1.envelope, k1),
-        None if k2 is None or k2.is_zero else (k2.envelope, k2))
+    return _integral_image(spec, y, -np.inf)
 
 
 def apply_pi(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
     """Image of y under the half-line operator: pointwise term, history
     integral from zero, and forward integral to +infinity."""
-    b1, b2 = spec.split_delayed, spec.split_advanced
-    return _integral_image(
-        spec, y, 0.0,
-        None if b1 is None else (b1.aa_part.envelope, b1),
-        None if b2 is None else (b2.aa_part.envelope, b2))
+    return _integral_image(spec, y, 0.0)
 
 
 # ---------------------------------------------------------------------------

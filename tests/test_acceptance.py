@@ -113,8 +113,7 @@ def test_criterion_05_advanced_mirror():
         variant="advanced_delayed", dim=1,
         f=pc.sinusoid_affine(cos_amp=1.0),
         kernel_delayed=pc.zero_kernel(),
-        kernel_advanced=pc.exponential_kernel(2.0, cx=0.25, state_bound=3.0,
-                                              orientation="advanced"),
+        kernel_advanced=pc.exponential_kernel(2.0, cx=0.25, state_bound=3.0),
         report_window=(-20.0, 20.0), grid_step=0.05, quad_tol=1e-9)
     cert = pc.certify_ball_zero(spec, rho=1.0)
     rep = picard_solve(spec, cert, tol=5e-8)

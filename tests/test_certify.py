@@ -31,8 +31,7 @@ def two_sided_spec(f, cx1=0.25, cx2=0.0, rate=2.0, window=(-10.0, 10.0)):
     return ProblemSpec(
         variant="advanced_delayed", dim=1, f=f,
         kernel_delayed=pc.exponential_kernel(rate, cx=cx1, state_bound=3.0),
-        kernel_advanced=pc.exponential_kernel(rate, cx=cx2, state_bound=3.0,
-                                              orientation="advanced"),
+        kernel_advanced=pc.exponential_kernel(rate, cx=cx2, state_bound=3.0),
         report_window=window, grid_step=0.05, quad_tol=1e-9)
 
 
@@ -51,8 +50,7 @@ def half_line_spec():
         variant="half_line", dim=1, f=sinusoid_affine(sin_amp=0.2, state_coeff=0.05),
         split_delayed=pc.split_exponential_kernel(2.0, aa_const=0.1, erg_cx=0.1,
                                                   state_bound=3.0),
-        split_advanced=pc.split_exponential_kernel(
-            2.0, orientation="advanced", state_bound=3.0),
+        split_advanced=pc.split_exponential_kernel(2.0, state_bound=3.0),
         report_window=(0.0, 10.0), grid_step=0.05)
 
 
@@ -74,6 +72,22 @@ def test_constants_audit_names_provenance():
         "  gamma1, gamma2 sampled on a t-grid of 129 points on [0, 10]")
 
 
+def test_gamma1_integrates_the_whole_split_kernel():
+    # zero recurrent part: gamma1 is the sup of
+    # int_0^t e^{-2(t-s)} 0.3 e^{-0.05 s} ds = 0.3 (e^{-0.05t} - e^{-2t}) / 1.95,
+    # whose integral reaches past the span of the recurrent part's envelope
+    spec = ProblemSpec(
+        variant="half_line", dim=1, f=pc.zero_nonlinearity(),
+        split_delayed=pc.split_exponential_kernel(2.0, erg_const=0.3,
+                                                  erg_decay=0.05),
+        split_advanced=pc.split_exponential_kernel(2.0),
+        report_window=(0.0, 12.0), grid_step=0.05, quad_tol=1e-9)
+    c = compute_envelope_constants(spec)
+    t = spec.constants_grid()
+    expect = np.max(0.3 * (np.exp(-0.05 * t) - np.exp(-2.0 * t)) / 1.95)
+    assert abs(c.gamma1 - expect) < 1e-12
+
+
 def test_half_line_constant_reads_the_recurrent_moduli():
     # the recurrent part's Lipschitz modulus 0.4 e^{-0.5|t-s|} has mass 0.8:
     # without beta1 the constant read 2 (0.05 + Q1) = 0.1 and thAAA24 passed,
@@ -82,8 +96,7 @@ def test_half_line_constant_reads_the_recurrent_moduli():
     spec = ProblemSpec(
         variant="half_line", dim=1, f=sinusoid_affine(sin_amp=1.0, state_coeff=0.05),
         split_delayed=pc.split_exponential_kernel(0.5, aa_cx=0.4, state_bound=3.0),
-        split_advanced=pc.split_exponential_kernel(0.5, orientation="advanced",
-                                                   state_bound=3.0),
+        split_advanced=pc.split_exponential_kernel(0.5, state_bound=3.0),
         report_window=(0.0, 12.0), grid_step=0.05, quad_tol=1e-9)
     cert = certify_ball_zero(spec, rho=1.0)
     c = cert.constants
@@ -396,8 +409,7 @@ def _dispatch_specs():
             variant="half_line", dim=1, f=f,
             split_delayed=pc.split_exponential_kernel(2.0, erg_cx=0.1,
                                                       state_bound=3.0),
-            split_advanced=pc.split_exponential_kernel(
-                2.0, orientation="advanced", state_bound=3.0),
+            split_advanced=pc.split_exponential_kernel(2.0, state_bound=3.0),
             report_window=(0.0, 10.0), grid_step=0.05),
         "evolution_nonlocal": ProblemSpec(
             variant="evolution_nonlocal", dim=1, f=f, evolution=fam,

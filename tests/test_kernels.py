@@ -120,15 +120,13 @@ def _built_in_kernels():
     G = np.array([[0.3, -0.1], [0.2, 0.5]])
     return {
         "exponential": (exponential_kernel(2.0, **affine), "delayed"),
-        "exponential_advanced": (exponential_kernel(
-            2.0, orientation="advanced", **affine), "advanced"),
+        "exponential_advanced": (exponential_kernel(2.0, **affine), "advanced"),
         "gaussian": (gaussian_kernel(0.7, **affine), "delayed"),
         "convolution_sinusoid": (convolution_sinusoid_kernel(
             1.5, mod_amp=0.4, mod_omega=1.3, **affine), "delayed"),
         "split_delayed": (split_exponential_kernel(2.0, **split),
                           "half_line_delayed"),
-        "split_advanced": (split_exponential_kernel(
-            2.0, orientation="advanced", **split), "advanced"),
+        "split_advanced": (split_exponential_kernel(2.0, **split), "advanced"),
         "exponential_causal": (exponential_causal(G, 1.2, 2),
                                "half_line_delayed"),
     }
@@ -146,16 +144,50 @@ def test_every_built_in_declares_its_convolution_form(name):
 
 
 def test_convolution_form_refutes_an_unsigned_ergodic_factor():
-    # ergodic_hat is a norm bound: declared in place of the signed factor it
-    # is refuted on samples
+    # a norm bound of the ergodic factor, declared in place of the signed
+    # factor, is refuted on samples
     from dataclasses import replace
     from picardcert.kernels import split_exponential_kernel
     k = split_exponential_kernel(2.0, erg_cx=-0.3, state_bound=2.0)
-    theta, _ = k.convolution
-    wrong = replace(k, convolution=(theta, lambda s, x, y: k.ergodic_hat(
-        s, x, y)[..., None]))
+    theta, fhat = k.convolution
+    wrong = replace(k, convolution=(theta, lambda s, x, y: np.abs(fhat(s, x, y))))
     rep = check_convolution_form(wrong, plan("half_line_delayed", bound=2.0))
     assert not rep.passed
+
+
+@pytest.mark.parametrize("name", list(_built_in_kernels()))
+def test_every_built_in_envelope_dominates_its_kernel(name):
+    # the envelope bounds the whole kernel on its state ball: for a split
+    # kernel the ergodic part as well, for the history kernel the unit ball
+    k, orientation = _built_in_kernels()[name]
+    bound = getattr(k, "aa_part", k).state_bound
+    rep = check_lambda_bound(k, plan(orientation, dim=2, bound=bound))
+    assert rep.passed and rep.n_samples > 0, rep.witness
+
+
+def test_split_envelope_covers_the_ergodic_part():
+    # the recurrent part's envelope alone is refuted by the whole kernel
+    from dataclasses import replace
+    k, orientation = _built_in_kernels()["split_delayed"]
+    rep = check_lambda_bound(replace(k, envelope=k.aa_part.envelope),
+                             plan(orientation, dim=2, bound=2.0))
+    assert not rep.passed and rep.max_violation > 0.4
+
+
+def test_zero_kernel_needs_a_zero_modulus_too():
+    # on a state ball of radius 0 the envelope vanishes, yet the kernel
+    # depends on the state: dropping it as zero would delete a term
+    from picardcert.kernels import split_exponential_kernel
+    assert zero_kernel().is_zero
+    assert not exponential_kernel(2.0, cx=0.25, state_bound=0.0).is_zero
+    assert not split_exponential_kernel(2.0, erg_cx=0.1, state_bound=0.0).is_zero
+    assert split_exponential_kernel(2.0, state_bound=3.0).is_zero
+
+
+def test_split_kernel_refuses_a_growing_ergodic_factor():
+    from picardcert.kernels import split_exponential_kernel
+    with pytest.raises(ValueError, match="erg_decay"):
+        split_exponential_kernel(2.0, erg_const=0.3, erg_decay=-0.1)
 
 
 def test_gaussian_kernel_bound():

@@ -30,8 +30,7 @@ def mirror_spec(window=(-20.0, 20.0), step=0.05):
         variant="advanced_delayed", dim=1,
         f=pc.sinusoid_affine(cos_amp=1.0),
         kernel_delayed=pc.zero_kernel(),
-        kernel_advanced=pc.exponential_kernel(2.0, cx=0.25, state_bound=3.0,
-                                              orientation="advanced"),
+        kernel_advanced=pc.exponential_kernel(2.0, cx=0.25, state_bound=3.0),
         report_window=window, grid_step=step, quad_tol=1e-9,
         label="cos_conv_mirror")
 
@@ -70,8 +69,7 @@ def test_pi_zero_and_forcing():
     spec = pb.ProblemSpec(
         variant="half_line", dim=1, f=pc.sinusoid_affine(sin_amp=1.0),
         split_delayed=pc.split_exponential_kernel(2.0, state_bound=3.0),
-        split_advanced=pc.split_exponential_kernel(2.0, orientation="advanced",
-                                                   state_bound=3.0),
+        split_advanced=pc.split_exponential_kernel(2.0, state_bound=3.0),
         report_window=(0.0, 12.0), grid_step=0.05, quad_tol=1e-9)
     out = apply_pi(spec, zero_start(spec))
     assert np.max(np.abs(out.values[:, 0] - np.sin(out.grid))) < 1e-12
@@ -83,8 +81,7 @@ def test_pi_history_integral_closed_form():
         variant="half_line", dim=1, f=pc.zero_nonlinearity(),
         split_delayed=pc.split_exponential_kernel(2.0, aa_cx=0.25,
                                                   state_bound=3.0),
-        split_advanced=pc.split_exponential_kernel(2.0, orientation="advanced",
-                                                   state_bound=3.0),
+        split_advanced=pc.split_exponential_kernel(2.0, state_bound=3.0),
         report_window=(0.0, 12.0), grid_step=0.05, quad_tol=1e-9)
     y = zero_start(spec)
     y = _iterate_like(y, np.sin(y.grid)[:, None])
@@ -102,8 +99,7 @@ def test_gamma_pi_consistency_on_shared_history():
         variant="half_line", dim=1, f=pc.zero_nonlinearity(),
         split_delayed=pc.split_exponential_kernel(2.0, aa_cx=0.25,
                                                   state_bound=3.0),
-        split_advanced=pc.split_exponential_kernel(2.0, orientation="advanced",
-                                                   state_bound=3.0),
+        split_advanced=pc.split_exponential_kernel(2.0, state_bound=3.0),
         report_window=(0.0, 12.0), grid_step=0.05, quad_tol=1e-9)
     yh = zero_start(half)
     yh = _iterate_like(yh, np.sin(yh.grid)[:, None])
@@ -122,6 +118,29 @@ def test_gamma_pi_consistency_on_shared_history():
     assert np.max(np.abs(via_pi.values[sel, 0] - expect[sel])) < 1e-7
     gam = via_gamma.evaluate(via_pi.grid[sel])[:, 0]
     assert np.max(np.abs(gam - expect[sel])) < 1e-7
+
+
+def _slow_ergodic_spec():
+    # a split kernel whose recurrent part is zero: only the envelope of the
+    # whole kernel sees how far its ergodic part 0.3 e^{-0.05 s} reaches
+    return pb.ProblemSpec(
+        variant="half_line", dim=1, f=pc.zero_nonlinearity(),
+        split_delayed=pc.split_exponential_kernel(2.0, erg_const=0.3,
+                                                  erg_decay=0.05),
+        split_advanced=pc.split_exponential_kernel(2.0),
+        report_window=(0.0, 12.0), grid_step=0.05, quad_tol=1e-9)
+
+
+def test_pi_truncates_a_split_kernel_at_its_whole_envelope():
+    from picardcert.solver import _lattice
+    spec = _slow_ergodic_spec()
+    y = zero_start(spec)
+    out = apply_pi(spec, y)
+    theta, fhat = spec.split_delayed.convolution
+    zero = np.zeros((1, 1))
+    full = _lattice(y.grid, 40.0, True, theta,
+                    lambda S: fhat(S, zero, zero), start=0.0)
+    assert np.max(np.abs(out.values - full)) < 1e-8
 
 
 # -- the quadrature sweep --------------------------------------------------------------
@@ -240,7 +259,7 @@ _LATTICE_CASES = {
         kernel_delayed=pc.gaussian_kernel(1.5, cx=0.2, const=0.1,
                                           state_bound=3.0),
         kernel_advanced=pc.convolution_sinusoid_kernel(
-            2.0, cx=0.1, orientation="advanced", state_bound=3.0),
+            2.0, cx=0.1, state_bound=3.0),
         report_window=(-10.0, 10.0), grid_step=0.02, quad_tol=1e-9),
     "half_line": lambda: pb.ProblemSpec(
         variant="half_line", dim=1,
@@ -249,7 +268,7 @@ _LATTICE_CASES = {
             2.0, aa_cx=0.1, erg_cx=0.05, erg_const=0.3, state_bound=3.0),
         split_advanced=pc.split_exponential_kernel(
             2.0, aa_cx=0.05, erg_cy=-0.1, erg_decay=0.5,
-            orientation="advanced", state_bound=3.0),
+            state_bound=3.0),
         report_window=(0.0, 12.0), grid_step=0.02, quad_tol=1e-9),
     "causal": lambda: _causal_spec(coeff=0.5),
 }
@@ -576,15 +595,6 @@ def test_constants_need_no_quadrature(monkeypatch):
     rep = certify_module.certify_bohr_neugebauer_hypotheses(full)
     assert rep.rho == 0.125
     assert certify_module.compute_envelope_constants(_causal_spec()).C_B == 0.2
-
-
-def test_causal_kernel_without_envelope_raises():
-    from dataclasses import replace
-    from picardcert.certify import CertificationError, compute_envelope_constants
-    from picardcert.evolution import CausalKernel
-    bare = CausalKernel(lambda t, s: np.exp(-np.abs(t - s))[..., None, None], 1)
-    with pytest.raises(CertificationError):
-        compute_envelope_constants(replace(_causal_spec(), memory_kernel=bare))
 
 
 def test_causal_evolution_fixed_point_vs_augmented_ode():
