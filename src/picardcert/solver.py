@@ -35,7 +35,11 @@ integrated once per evolution family and grid and reused by every sweep.
 The resolvent variant is the same recurrence for the augmented system of its
 exponential-sum memory, z = (v, w_1, ..., w_K) with z' = A_hat z + (g, 0):
 its propagators are matrix exponentials of the constant generator A_hat,
-the same for every cell, and v is the image.
+one matrix shared by every cell, and v is the image.  Either recurrence is
+solved by `_scan`, a blocked associative scan: blocks of about sqrt(n) of
+the n cells advance side by side, so a sweep takes about 2 sqrt(n) Python
+steps instead of n.  The resolvent table of `evolution.build_resolvent` is
+the same scan, unforced, from [I; 0].
 
 The stopping rule converts the contraction certificate into a computable
 error guarantee: iteration stops when the increment falls below
@@ -378,8 +382,8 @@ class _CellTable:
     """
 
     nodes: np.ndarray    # (n, K)
-    Phi: np.ndarray      # (n, d, d)
-    VW: np.ndarray       # (n, K, d, d)
+    Phi: np.ndarray      # (n, d, d), or (d, d) shared by every cell
+    VW: np.ndarray       # (n, K, d, d), or (K, d, d) shared by every cell
 
     def __len__(self):
         return self.nodes.shape[0]
@@ -472,20 +476,76 @@ def _resolvent_cells(R, grid) -> _CellTable:
     Phi = expm((grid[1] - grid[0]) * gen)
     VW = np.array([w * expm((grid[1] - s) * gen)
                    for s, w in zip(nodes[0], weights[0])])
-    n = nodes.shape[0]
-    return _CellTable(nodes, np.broadcast_to(Phi, (n,) + Phi.shape),
-                      np.broadcast_to(VW, (n,) + VW.shape))
+    return _CellTable(nodes, Phi, VW)
+
+
+def _scan(Phi, b, z0) -> np.ndarray:
+    """Every z_j of z_{j+1} = Phi_j z_j + b_j from z_0 = z0, j < n = len(b).
+
+    Phi is one (D, D) matrix for every cell or one per cell, (n, D, D); the
+    state z0 is (D,) or (D, c), and b is (n,) + z0.shape.  The recurrence is
+    an associative scan (Kogge and Stone 1973; Blelloch 1990), taken in
+    blocks of m = ceil(sqrt n) cells in about 2m Python steps: m steps
+    advance every block's solution from zero and its transfer product at
+    once, one step per block carries the state across the block edges, and
+    one batched product writes z at every edge.
+    """
+    n, D = b.shape[0], z0.shape[0]
+    c, shared = z0.size // D, Phi.ndim == 2
+    m = max(1, int(np.ceil(np.sqrt(n))))
+    blocks = -(-n // m)
+    pad = blocks * m - n
+    # padded cells carry b = 0 (and, one per cell, Phi = I); what they write
+    # lies past z_n and is dropped
+    b = np.concatenate([b.reshape(n, D, c), np.zeros((pad, D, c))]
+                       ).reshape(blocks, m, D, c)
+    if shared:
+        # the transfer products are the powers of Phi, shared by every
+        # block, and the blocks' solutions are the columns of one matrix
+        P = np.empty((m + 1, D, D))
+        P[0] = np.eye(D)
+        Y = np.zeros((m + 1, D, blocks, c))
+        for i in range(m):
+            P[i + 1] = Phi @ P[i]
+            Y[i + 1] = (Phi @ Y[i].reshape(D, -1)).reshape(D, blocks, c)
+            Y[i + 1] += b[:, i].swapaxes(0, 1)
+        ends, last = np.broadcast_to(P[m], (blocks, D, D)), Y[m].swapaxes(0, 1)
+    else:
+        Phi = np.concatenate([Phi, np.broadcast_to(np.eye(D), (pad, D, D))]
+                             ).reshape(blocks, m, D, D)
+        P = np.empty((blocks, m + 1, D, D))
+        P[:, 0] = np.eye(D)
+        Y = np.zeros((blocks, m + 1, D, c))
+        for i in range(m):
+            P[:, i + 1] = Phi[:, i] @ P[:, i]
+            Y[:, i + 1] = Phi[:, i] @ Y[:, i] + b[:, i]
+        ends, last = P[:, m], Y[:, m]
+    del b
+    S = np.empty((blocks + 1, D, c))
+    S[0] = z0.reshape(D, c)
+    for k in range(blocks):
+        S[k + 1] = ends[k] @ S[k] + last[k]
+    z = np.empty((blocks * m + 1, D, c))
+    z[-1] = S[-1]
+    if shared:
+        edges = np.tensordot(P[:m], S[:-1], axes=(2, 1))
+        edges += Y[:m]
+        z[:-1].reshape(blocks, m, D, c)[...] = edges.transpose(2, 0, 1, 3)
+    else:
+        z[:-1] = (P[:, :m] @ S[:-1, None] + Y[:, :m]).reshape(-1, D, c)
+    return z[:n + 1].reshape((n + 1,) + z0.shape)
 
 
 def _cell_recurrence(table: _CellTable, z0, g) -> np.ndarray:
     """z at every cell edge of z' = A z + g from z0 at the first edge, with g
     given at the table's Gauss nodes, shape (n, K, d)."""
-    b = np.einsum("jkab,jkb->ja", table.VW, g)
-    z = np.empty((len(table) + 1, z0.size))
-    z[0] = z0
-    for j, (phi, bj) in enumerate(zip(table.Phi, b)):
-        z[j + 1] = phi @ z[j] + bj
-    return z
+    if table.Phi.ndim == 2:
+        K, d = table.VW.shape[:2]
+        b = g.reshape(len(table), K * d) @ table.VW.swapaxes(1, 2).reshape(
+            K * d, d)
+    else:
+        b = np.einsum("jkab,jkb->ja", table.VW, g)
+    return _scan(table.Phi, b, z0)
 
 
 def apply_mild_evolution(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:

@@ -787,3 +787,56 @@ def test_longer_run_in_extends_the_cell_table():
                                  big)
     assert np.max(np.abs(image.values - fresh.values)) \
         < 1e-9 * np.max(np.abs(fresh.values))
+
+
+# -- the blocked scan of the cell recurrence ------------------------------------------
+
+def _sequential_scan(Phi, b, z0):
+    """The oracle: z_{j+1} = Phi_j z_j + b_j, one cell at a time."""
+    z = np.empty((len(b) + 1,) + z0.shape)
+    z[0] = z0
+    for j, bj in enumerate(b):
+        z[j + 1] = (Phi if Phi.ndim == 2 else Phi[j]) @ z[j] + bj
+    return z
+
+
+def _scan_case(case):
+    rng = np.random.default_rng(7)
+    if case == "d2":
+        # the skew part does not commute with the diagonal one
+        n = 777
+        skew = 0.3 * rng.standard_normal(n)
+        rot = np.stack([np.stack([np.cos(skew), np.sin(skew)], -1),
+                        np.stack([-np.sin(skew), np.cos(skew)], -1)], -2)
+        Phi = rot * np.array([0.99, 0.97])[:, None]
+        return Phi, rng.standard_normal((n, 2)), rng.standard_normal(2)
+    if case == "constant_24":
+        from scipy.linalg import expm
+        gen = 0.5 * rng.standard_normal((24, 24)) - 3.0 * np.eye(24)
+        n = 2000
+        return (expm(0.005 * gen), rng.standard_normal((n, 24, 8)),
+                np.eye(24, 8))
+    n = case
+    return (rng.uniform(0.95, 1.0, (n, 1, 1)), rng.standard_normal((n, 1)),
+            rng.standard_normal(1))
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, 49, 50, 5048, "d2", "constant_24"])
+def test_scan_matches_the_sequential_recurrence(case):
+    from picardcert.solver import _scan
+    Phi, b, z0 = _scan_case(case)
+    got, expect = _scan(Phi, b, z0), _sequential_scan(Phi, b, z0)
+    assert got.shape == expect.shape
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def test_resolvent_table_is_a_block_of_the_augmented_exponential():
+    from scipy.linalg import expm
+    from picardcert.evolution import build_resolvent, exponential_memory
+    memory = exponential_memory(_MEMORY_TERMS, dim=2)
+    grid = np.arange(0.0, 20.0 + 0.005, 0.01)
+    R = build_resolvent(np.array([[-2.0, 1.0], [-1.0, -3.0]]), memory, grid,
+                        tol=1e-8)
+    for j in (1, 17, grid.size - 1):
+        exact = expm(grid[j] * R.generator)[:2, :2]
+        assert np.max(np.abs(R.values[j] - exact)) < 1e-12
