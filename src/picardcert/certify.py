@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import problem as pb
 from .paths import SampledPath, sup_norm, sup_distance
@@ -191,8 +190,20 @@ def _stability_constants(q):
     return M, delta
 
 
+def _state_bound(q):
+    """Smallest state_bound among the problem's kernels, inf without any:
+    a kernel's envelope, and every truncation that reads it, holds only for
+    states inside its ball."""
+    from . import solver  # deferred: solver imports this module
+
+    return min((k.state_bound for k in solver.kernel_terms(q.spec)
+                if k is not None), default=np.inf)
+
+
 def _radius_scan(objective, lo=1e-3, hi=1e6, n=1000):
     """Deterministic log-grid scan with golden refinement around the best point."""
+    from scipy.optimize import minimize_scalar  # first use: a slow import
+
     rs = np.logspace(np.log10(lo), np.log10(hi), n)
     vals = objective(rs)
     i = int(np.argmax(vals))
@@ -251,6 +262,7 @@ class _Inputs:
     g0 = property(lambda q: 0.0 if q.spec.nonlocal_map is None
                   else np.linalg.norm(q.spec.nonlocal_map.at_zero))
     C_B = property(lambda q: q.consts.C_B or 0.0)
+    state_bound = cached_property(_state_bound)
 
 
 class Inequality(NamedTuple):
@@ -293,6 +305,13 @@ def _contraction(text, rhs=lambda q: 1.0):
     return Inequality(text, lambda q: q.L, rhs)
 
 
+def _within_states(radius_text, radius):
+    """The ball's states, up to radius, lie where every kernel's envelope
+    holds."""
+    return Inequality(f"state radius {radius_text} <= kernel state_bound",
+                      radius, lambda q: q.state_bound, strict=False)
+
+
 def _th33_notes(q):
     lines = ["note: |y0| in the growth condition is read as the uniform norm "
              "of the computed base point"]
@@ -309,15 +328,16 @@ _SAMPLED_F0 = f"[sup|f(.,0,0)| is a max over {pb.SUP_F0_SAMPLES} sampled points]
 _CONTAINED = Inequality("|y0| <= rho", lambda q: q.b, lambda q: q.rho, strict=False)
 _THETA_WITHIN = Inequality("theta <= rho", lambda q: q.theta, lambda q: q.rho,
                            strict=False)
-_BALL_24 = (_CONTAINED, _contraction("contraction < rho/(rho+|y0|)",
-                                      lambda q: q.ball_ratio))
+_BALL_24 = (_within_states("rho", lambda q: q.rho), _CONTAINED,
+            _contraction("contraction < rho/(rho+|y0|)", lambda q: q.ball_ratio))
 
 THEOREMS = (
     Theorem("th24", (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY), "ball",
             _integral_constant, _BALL_24),
     Theorem("thAAA24", (pb.HALF_LINE,), "ball", _integral_constant, _BALL_24),
     Theorem("teos2-ball", _INTEGRAL, "shifted", _integral_constant,
-            (_contraction("contraction constant < 1"),), theta="decides"),
+            (_within_states("|y0| + rho", lambda q: q.b + q.rho),
+             _contraction("contraction constant < 1")), theta="decides"),
     Theorem("K-conditions", _INTEGRAL, "radius",
             lambda q: 2.0 * (q.L_f_at_R + q.moduli),
             (Inequality("sup_r objective > {q.forcing_text} " + _SAMPLED_F0,

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .paths import (AAADecomposition, FULL_LINE, HALF_LINE, SampledPath,
                     TAIL_CONSTANT, TAIL_DECAY, range_epsilon_net)
@@ -323,6 +322,8 @@ def aaa_split_estimate(p: SampledPath, split_time: float, max_freqs: int = 3,
     component is the pointwise remainder on the half line.  Returns
     (decomposition, residual beyond split_time, fit report).
     """
+    from scipy.optimize import minimize_scalar  # first use: a slow import
+
     if p.domain_kind != HALF_LINE:
         raise ValueError("split estimation expects a half-line path")
     mask = p.grid >= split_time

@@ -22,14 +22,12 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
 from .kernels import KernelSpec, form_evaluator
-from .paths import SampledPath
+from .paths import TAIL_CONSTANT, SampledPath
 from .quadrature import DecayEnvelope, panel_nodes
-from .solver import _scan
+from .solver import _scan, solve_ivp
 
 _ODE_RTOL = 1e-12
 _ODE_ATOL = 1e-14
@@ -247,6 +245,9 @@ class ResolventOperator:
     decay: Optional[tuple] = None    # (M, gamma, q)
     residual_report: Optional[dict] = None
     label: str = ""
+    # cell propagators of the solver's recurrence, keyed by grid
+    cell_tables: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -279,23 +280,18 @@ class ResolventOperator:
         return gen
 
     @cached_property
-    def _spline(self):
-        n = self.grid.size
-        return CubicSpline(self.grid, self.values.reshape(n, -1), axis=0)
+    def _path(self) -> SampledPath:
+        """The table as a path of flattened d x d matrices, read by its
+        cubic spline; reads up to 1e-12 past either end are clamped."""
+        return SampledPath(self.grid, self.values.reshape(self.grid.size, -1),
+                           tail_policy=TAIL_CONSTANT)
 
     def eval(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
         tt = np.atleast_1d(t)
         if np.any(tt < self.grid[0] - 1e-12) or np.any(tt > self.grid[-1] + 1e-12):
             raise PropagationError("resolvent evaluated outside its grid")
-        tc = np.clip(tt, self.grid[0], self.grid[-1])
-        out = self._spline(tc).reshape(tt.size, self.dim, self.dim)
-        pos = np.clip(np.searchsorted(self.grid, tc), 0, self.grid.size - 1)
-        exact = self.grid[pos] == tc
-        if exact.any():
-            out[exact] = self.values[pos[exact]]
-        return out[0] if scalar else out
+        return self._path.evaluate(t).reshape(t.shape + (self.dim, self.dim))
 
     __call__ = eval
 
@@ -340,8 +336,7 @@ def build_resolvent(A, memory: MemoryKernel, grid, tol: float = 1e-10,
                            label=memory.label)
     Phi = expm(h * op.generator)
     lift = np.eye(Phi.shape[0], op.dim)
-    op.values[1:] = _scan(Phi, np.zeros((grid.size - 1,) + lift.shape),
-                          lift)[1:, :op.dim]
+    op.values[1:] = _scan(Phi, None, lift, n=grid.size - 1)[1:, :op.dim]
 
     op.residual_report = resolvent_residual(op, n_vectors=check_vectors)
     if op.residual_report["max_residual"] > max(tol, 1e3 * _ODE_RTOL):

@@ -203,6 +203,10 @@ class SplitKernelSpec:
         return self.aa_part.dim
 
     @property
+    def state_bound(self) -> float:
+        return self.aa_part.state_bound
+
+    @property
     def is_zero(self) -> bool:
         return (self.envelope.amplitude == 0.0 and self.aa_part.is_zero
                 and self.ergodic_lipschitz.amplitude == 0.0)

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 FULL_LINE = "full_line"
 HALF_LINE = "half_line"
@@ -35,6 +35,40 @@ _TAIL_DECAY_RATE = 1.0
 
 class DomainEscapeError(ValueError):
     """Evaluation was requested outside the evaluable domain of a path."""
+
+
+def _cubic_coefficients(x, y) -> np.ndarray:
+    """Horner coefficients of the not-a-knot cubic spline through (x, y).
+
+    x is strictly increasing with n >= 4 nodes and y is (n, d).  The slopes
+    at the nodes solve one tridiagonal system (C. de Boor, *A Practical
+    Guide to Splines*, ch. IV), the one scipy's not-a-knot spline solves.
+    Returns c of shape (n - 1, 4, d): the spline is
+    ((c0 u + c1) u + c2) u + c3 at u = t - x[i] in cell i.
+    """
+    n = x.size
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    A = np.zeros((3, n))
+    b = np.empty_like(y)
+    A[1, 1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b[1:-1] = 3.0 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    # not-a-knot: the third derivative is continuous at x[1] and x[n-2]
+    d = x[2] - x[0]
+    A[1, 0], A[0, 1] = dx[1], d
+    b[0] = ((dxr[0] + 2.0 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    A[1, -1], A[-1, -2] = dx[-2], d
+    b[-1] = (dxr[-1] ** 2 * slope[-2]
+             + (2.0 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dxr
+    return np.stack([t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]],
+                    axis=1)
 
 
 @dataclass(frozen=True)
@@ -104,11 +138,11 @@ class SampledPath:
 
     @cached_property
     def _spline(self):
-        if self.n_nodes == 1:
-            return None
+        """Per-cell cubic coefficients, or None for linear interpolation
+        (declared, or fewer than 4 nodes)."""
         if self.interpolation == "cubic" and self.n_nodes >= 4:
-            return CubicSpline(self.grid, self.values, axis=0)
-        return None  # linear fallback handled in evaluate
+            return _cubic_coefficients(self.grid, self.values)
+        return None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -131,18 +165,24 @@ class SampledPath:
                     f"by more than one grid step")
 
         tc = np.clip(tt, lo, hi)
+        # one search serves the cell index and the exact-node test
+        pos = np.minimum(np.searchsorted(self.grid, tc), self.n_nodes - 1)
         if self.n_nodes == 1:
             out = np.broadcast_to(self.values[0], (tt.size, self.dim)).copy()
         elif self._spline is not None:
-            out = self._spline(tc)
+            # Horner's rule in place, one gathered coefficient at a time
+            cell = np.maximum(pos - 1, 0)
+            u = (tc - self.grid[cell])[:, None]
+            out = self._spline[cell, 0]
+            for k in (1, 2, 3):
+                out *= u
+                out += self._spline[cell, k]
         else:
             out = np.empty((tt.size, self.dim))
             for j in range(self.dim):
                 out[:, j] = np.interp(tc, self.grid, self.values[:, j])
 
         # bit-exact reproduction of stored values at grid nodes
-        pos = np.searchsorted(self.grid, tc)
-        pos = np.clip(pos, 0, self.n_nodes - 1)
         exact = self.grid[pos] == tc
         if exact.any():
             out[exact] = self.values[pos[exact]]

@@ -53,8 +53,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 from scipy.linalg import expm
 
 from . import problem as pb
@@ -69,6 +67,14 @@ _SWEEP_BLOCK = 1 << 13  # most points one integrand call of _sweep receives
 _CELL_ORDER = 6        # Gauss-Legendre nodes per cell: recurrence and lattice
 _CHUNK_CELLS = 50      # cells between restarts of the fundamental matrix at I
 _CHUNK_FLOOR = 1e-3    # least singular value a chunk's fundamental matrix may reach
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call, so that
+    importing the package loads neither scipy.integrate nor the
+    scipy.optimize it brings; only evolution-family propagators need it."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 class CertificationRequired(RuntimeError):
@@ -470,69 +476,91 @@ def _cell_table(fam, grid, run_in: int = 0) -> _CellTable:
 def _resolvent_cells(R, grid) -> _CellTable:
     """Propagators of the resolvent's augmented generator over the cells of
     a uniform grid: the same expm(h A_hat) and w_k expm((h - o_k) A_hat) at
-    the Gauss offsets o_k of every cell."""
-    gen = R.generator
-    nodes, weights = _cell_nodes(grid)
-    Phi = expm((grid[1] - grid[0]) * gen)
-    VW = np.array([w * expm((grid[1] - s) * gen)
-                   for s, w in zip(nodes[0], weights[0])])
-    return _CellTable(nodes, Phi, VW)
+    the Gauss offsets o_k of every cell.  Built once per grid and kept on the
+    resolvent."""
+    key = grid.tobytes()
+    table = R.cell_tables.get(key)
+    if table is None:
+        gen = R.generator
+        nodes, weights = _cell_nodes(grid)
+        Phi = expm((grid[1] - grid[0]) * gen)
+        VW = np.array([w * expm((grid[1] - s) * gen)
+                       for s, w in zip(nodes[0], weights[0])])
+        table = R.cell_tables[key] = _CellTable(nodes, Phi, VW)
+    return table
 
 
-def _scan(Phi, b, z0) -> np.ndarray:
+def _scan(Phi, b, z0, n: int = None) -> np.ndarray:
     """Every z_j of z_{j+1} = Phi_j z_j + b_j from z_0 = z0, j < n = len(b).
 
     Phi is one (D, D) matrix for every cell or one per cell, (n, D, D); the
-    state z0 is (D,) or (D, c), and b is (n,) + z0.shape.  The recurrence is
-    an associative scan (Kogge and Stone 1973; Blelloch 1990), taken in
-    blocks of m = ceil(sqrt n) cells in about 2m Python steps: m steps
-    advance every block's solution from zero and its transfer product at
-    once, one step per block carries the state across the block edges, and
-    one batched product writes z at every edge.
+    state z0 is (D,) or (D, c), and b is (n,) + z0.shape, or None for the
+    unforced recurrence of n cells.  The recurrence is an associative scan
+    (Kogge and Stone 1973; Blelloch 1990), taken in blocks of m = ceil(sqrt n)
+    cells in about 2m Python steps: m steps advance every block's solution
+    from zero and its transfer product at once, one step per block carries
+    the state across the block edges, and one batched product writes z at
+    every edge.  Unforced, the blocks' solutions from zero vanish and are
+    not formed.
     """
-    n, D = b.shape[0], z0.shape[0]
+    n = n if b is None else b.shape[0]
+    D = z0.shape[0]
     c, shared = z0.size // D, Phi.ndim == 2
     m = max(1, int(np.ceil(np.sqrt(n))))
     blocks = -(-n // m)
     pad = blocks * m - n
     # padded cells carry b = 0 (and, one per cell, Phi = I); what they write
     # lies past z_n and is dropped
-    b = np.concatenate([b.reshape(n, D, c), np.zeros((pad, D, c))]
-                       ).reshape(blocks, m, D, c)
+    if b is not None:
+        b = np.concatenate([b.reshape(n, D, c), np.zeros((pad, D, c))]
+                           ).reshape(blocks, m, D, c)
+    Y = last = None
     if shared:
         # the transfer products are the powers of Phi, shared by every
         # block, and the blocks' solutions are the columns of one matrix
         P = np.empty((m + 1, D, D))
         P[0] = np.eye(D)
-        Y = np.zeros((m + 1, D, blocks, c))
         for i in range(m):
             P[i + 1] = Phi @ P[i]
-            Y[i + 1] = (Phi @ Y[i].reshape(D, -1)).reshape(D, blocks, c)
-            Y[i + 1] += b[:, i].swapaxes(0, 1)
-        ends, last = np.broadcast_to(P[m], (blocks, D, D)), Y[m].swapaxes(0, 1)
+        if b is not None:
+            Y = np.zeros((m + 1, D, blocks, c))
+            for i in range(m):
+                Y[i + 1] = (Phi @ Y[i].reshape(D, -1)).reshape(D, blocks, c)
+                Y[i + 1] += b[:, i].swapaxes(0, 1)
+            last = Y[m].swapaxes(0, 1)
+        ends = np.broadcast_to(P[m], (blocks, D, D))
     else:
         Phi = np.concatenate([Phi, np.broadcast_to(np.eye(D), (pad, D, D))]
                              ).reshape(blocks, m, D, D)
         P = np.empty((blocks, m + 1, D, D))
         P[:, 0] = np.eye(D)
-        Y = np.zeros((blocks, m + 1, D, c))
         for i in range(m):
             P[:, i + 1] = Phi[:, i] @ P[:, i]
-            Y[:, i + 1] = Phi[:, i] @ Y[:, i] + b[:, i]
-        ends, last = P[:, m], Y[:, m]
+        if b is not None:
+            Y = np.zeros((blocks, m + 1, D, c))
+            for i in range(m):
+                Y[:, i + 1] = Phi[:, i] @ Y[:, i] + b[:, i]
+            last = Y[:, m]
+        ends = P[:, m]
     del b
     S = np.empty((blocks + 1, D, c))
     S[0] = z0.reshape(D, c)
     for k in range(blocks):
-        S[k + 1] = ends[k] @ S[k] + last[k]
+        S[k + 1] = ends[k] @ S[k]
+        if last is not None:
+            S[k + 1] += last[k]
     z = np.empty((blocks * m + 1, D, c))
     z[-1] = S[-1]
     if shared:
         edges = np.tensordot(P[:m], S[:-1], axes=(2, 1))
-        edges += Y[:m]
+        if Y is not None:
+            edges += Y[:m]
         z[:-1].reshape(blocks, m, D, c)[...] = edges.transpose(2, 0, 1, 3)
     else:
-        z[:-1] = (P[:, :m] @ S[:-1, None] + Y[:, :m]).reshape(-1, D, c)
+        edges = P[:, :m] @ S[:-1, None]
+        if Y is not None:
+            edges += Y[:, :m]
+        z[:-1] = edges.reshape(-1, D, c)
     return z[:n + 1].reshape((n + 1,) + z0.shape)
 
 
@@ -562,7 +590,7 @@ def apply_mild_evolution(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
             table = _cell_table(spec.evolution, t)
         else:
             table = _resolvent_cells(spec.resolvent, t)
-        g = CubicSpline(t, forcing, axis=0)(table.nodes)
+        g = SampledPath(t, forcing).evaluate(table.nodes)
         # [I; 0]: the resolvent's auxiliary states start at zero, unforced
         lift = np.eye(table.Phi.shape[-1], spec.dim)
         z = _cell_recurrence(table, lift @ z0, g @ lift.T)

@@ -18,12 +18,12 @@ from picardcert.problem import (Nonlinearity, ProblemSpec, saturating_lipschitz,
 
 
 def delayed_spec(f=None, cx=0.25, rate=2.0, const=0.0, window=(-10.0, 10.0),
-                 step=0.05, **kw):
+                 step=0.05, state_bound=3.0, **kw):
     return ProblemSpec(
         variant="delayed_only", dim=1,
         f=f if f is not None else zero_nonlinearity(),
         kernel_delayed=pc.exponential_kernel(rate, cx=cx, const=const,
-                                             state_bound=3.0),
+                                             state_bound=state_bound),
         report_window=window, grid_step=step, quad_tol=1e-9, **kw)
 
 
@@ -177,7 +177,8 @@ def test_ball_zero_base_point_containment():
 
 def test_ball_zero_monotone_in_rho():
     f = sinusoid_affine(sin_amp=0.4, state_coeff=0.05)
-    spec = delayed_spec(f=f, cx=0.2)
+    # the kernel's declared state ball covers every radius tried
+    spec = delayed_spec(f=f, cx=0.2, state_bound=20.0)
     verdicts = []
     for rho in (0.5, 1.0, 2.0, 5.0, 20.0):
         cert = certify_ball_zero(spec, rho=rho)
@@ -185,6 +186,24 @@ def test_ball_zero_monotone_in_rho():
     # enlarging rho never flips pass -> fail once the base point fits
     first_pass = verdicts.index(True)
     assert all(verdicts[first_pass:])
+
+
+def test_ball_past_kernel_state_bound_refused():
+    # on a zero state ball the kernel's envelope is zero and its integral is
+    # truncated at the minimum span: a ball of radius 1 holds states where
+    # neither the envelope nor the truncation is valid
+    spec = delayed_spec(f=sinusoid_affine(sin_amp=1.0), cx=0.25,
+                        window=(-5.0, 5.0), state_bound=0.0)
+    cert = certify_ball_zero(spec, rho=1.0)
+    assert cert.verdict == "fail"
+    assert cert.violated == "state radius rho <= kernel state_bound"
+    # the shifted ball holds states up to |y0| + rho
+    spec = delayed_spec(f=sinusoid_affine(sin_amp=1.0), cx=0.25,
+                        window=(-5.0, 5.0), state_bound=1.5)
+    assert certify_ball_zero(spec, rho=1.5).passed
+    cert = certify_shifted_ball(spec, rho=1.0)
+    assert cert.verdict == "fail"
+    assert cert.violated == "state radius |y0| + rho <= kernel state_bound"
 
 
 def test_empirical_lipschitz_downgrade():

@@ -101,6 +101,18 @@ def test_certify_fail_exit_two(tmp_path):
     assert "verdict: fail" in (tmp_path / "certificate.txt").read_text()
 
 
+def test_certify_ball_past_state_bound_exit_two(tmp_path):
+    text = (ORACLE_CONFIG.replace("variant = advanced_delayed",
+                                  "variant = delayed_only")
+            .replace("window = -40 40", "window = -5 5")
+            .replace("state_bound = 3.0", "state_bound = 0.0"))
+    cfg = write_config(tmp_path, text)
+    code = main(["certify", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    assert "violated: state radius rho <= kernel state_bound" \
+        in (tmp_path / "certificate.txt").read_text()
+
+
 def test_malformed_config_exit_one(tmp_path):
     cfg = tmp_path / "broken.ini"
     cfg.write_text("[problem]\nvariant = advanced_delayed\nwindow = banana\n")

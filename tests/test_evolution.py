@@ -194,6 +194,44 @@ def test_resolvent_residual_matches_the_per_time_loop():
     assert abs(rep["max_residual"] - worst) < 1e-12
 
 
+def test_heat_forced_reads_keep_their_values():
+    # reference values were computed when the resolvent table and the
+    # forcing were read through scipy's CubicSpline
+    from picardcert.solver import apply_mild_evolution, zero_start
+    grid = np.arange(0.0, 10.0 + 0.0025, 0.005)
+    a = pc.SampledPath(grid, 0.5 * np.sin(grid) + 0.2 * np.exp(-grid),
+                       domain_kind="half_line", tail_policy="constant")
+    spec, _, _ = heat_demo_assemble(
+        n=4, a_path=a, b_func=lambda th: 0.05 * np.tanh(th), b_lipschitz=0.05,
+        horizon=10.0, grid_step=0.005)
+    R = spec.resolvent
+    ev = R.eval(np.array([0.0, 0.0021, 1.2345, 7.7771, 9.9987, 10.0]))
+    np.testing.assert_allclose(ev[:, 0, 4], [
+        0.0, 2.0955216074345856e-03, -1.7736757824196420e-03,
+        -3.6514681712856648e-06, -7.8378875002209144e-07,
+        -7.7192244252308526e-07], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(ev[:, 4, 0], [
+        0.0, -1.0479607698109007e-01, 2.8032527677401764e-01,
+        3.4085574388072263e-04, 3.3475755900458804e-05,
+        3.2399489624834254e-05], rtol=1e-13, atol=0.0)
+    assert R.eval(1.2345).shape == (8, 8)
+
+    y = zero_start(spec)
+    y = y.with_values(0.3 * np.cos(y.grid)[:, None] * np.arange(1, 9))
+    img = apply_mild_evolution(spec, y).values[[1, 517, 1001, 1999, 2000]]
+    np.testing.assert_allclose(img[:, 0], [
+        5.8771534884971921e-01, 2.6496964340574507e-02,
+        -5.7851072885726758e-04, 3.4546710131924088e-04,
+        3.5222757214166433e-04], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(img[:, 4], [
+        -0.027914257408347864, -0.13872791816907917, -0.01284608246439723,
+        0.001355874888841559, 0.0013482952420850185], rtol=1e-13, atol=0.0)
+    # the cell table is built once per grid and kept on the resolvent
+    assert len(R.cell_tables) == 1
+    again = apply_mild_evolution(spec, y).values[[1, 517, 1001, 1999, 2000]]
+    assert np.array_equal(again, img) and len(R.cell_tables) == 1
+
+
 # -- heat demo ---------------------------------------------------------------------------
 
 def test_dirichlet_stencil_single_point():

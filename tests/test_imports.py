@@ -42,14 +42,26 @@ def test_guard_catches_an_unused_import():
     assert _unused_imports(source) == [(3, "adaptive_integral")]
 
 
-def test_import_does_not_load_scipy_signal():
-    # scipy.signal about doubles the import time of the package, which every
-    # command pays; the solver's FFTs come from scipy.fft
+def _loaded_after_import(module, prefixes):
+    """The modules under prefixes that a fresh `import module` loads."""
     src = str(Path(picardcert.__file__).parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, picardcert; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"],
+        [sys.executable, "-c", f"import sys, {module}; "
+         f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"],
         capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal about doubles the import time of the package, which every
+    # command pays; the solver's FFTs come from scipy.fft
+    assert _loaded_after_import("picardcert", ("scipy.signal",)) == "[]"
+
+
+def test_cli_import_loads_no_interpolate_integrate_or_optimize():
+    # the spline is in-house; solve_ivp and minimize_scalar are imported on
+    # first use, which a command that needs neither never reaches
+    assert _loaded_after_import("picardcert.cli", (
+        "scipy.interpolate", "scipy.integrate", "scipy.optimize")) == "[]"

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from picardcert.paths import (AAADecomposition, DomainEscapeError, SampledPath,
                               TimeWarp, aaa_norm, from_function, identity_warp,
@@ -46,6 +47,25 @@ def test_node_exactness_cubic_and_linear():
 
 
 # -- evaluation ---------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [4, 5, 17, 4513])
+@pytest.mark.parametrize("d", [1, 3, 64])
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+def test_cubic_matches_scipy_not_a_knot_spline(n, d, uniform):
+    # scipy's CubicSpline (not-a-knot) is the oracle of the in-house spline
+    rng = np.random.default_rng([n, d, uniform])
+    grid = (np.linspace(-2.0, 5.0, n) if uniform
+            else np.cumsum(rng.uniform(0.05, 1.0, n)) - 3.0)
+    values = np.cos(grid[:, None] * np.arange(1, d + 1) / d) \
+        + 0.1 * rng.standard_normal((n, d))
+    p = SampledPath(grid, values)
+    inside = grid[:-1] + np.diff(grid) * rng.uniform(0.0, 1.0, (3, n - 1))
+    t = np.concatenate([grid[[0, -1]], inside.ravel(), grid[1:-1]])
+    want = CubicSpline(grid, values, axis=0)(t)
+    scale = np.max(np.abs(want), axis=0)
+    assert np.max(np.abs(p.evaluate(t) - want) / scale) <= 1e-14
+    assert np.array_equal(p.evaluate(grid), values)
+
 
 def test_linear_midpoint():
     p = SampledPath(np.array([0.0, 1.0]), np.array([0.0, 2.0]),

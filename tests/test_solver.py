@@ -828,6 +828,11 @@ def test_scan_matches_the_sequential_recurrence(case):
     got, expect = _scan(Phi, b, z0), _sequential_scan(Phi, b, z0)
     assert got.shape == expect.shape
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+    # unforced: b = None with an explicit number of cells
+    got = _scan(Phi, None, z0, n=len(b))
+    expect = _sequential_scan(Phi, np.zeros_like(b), z0)
+    assert got.shape == expect.shape
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 def test_resolvent_table_is_a_block_of_the_augmented_exponential():
