@@ -200,7 +200,10 @@ def _state_bound(q):
                 if k is not None), default=np.inf)
 
 
-def _radius_scan(objective, lo=1e-3, hi=1e6, n=1000):
+_SCAN_LO, _SCAN_HI = 1e-3, 1e6  # the radius search's interval, capped at state_bound
+
+
+def _radius_scan(objective, lo, hi, n=1000):
     """Deterministic log-grid scan with golden refinement around the best point."""
     from scipy.optimize import minimize_scalar  # first use: a slow import
 
@@ -397,9 +400,16 @@ def _evaluate(row: Theorem, spec, rho, slack_margin) -> ContractionCertificate:
     if row.objective is not None:
         if spec.f.lipschitz is None and spec.f.lipschitz_curve is None:
             raise CertificationError("radius search needs Lipschitz data for f")
-        q.R, q.best = _radius_scan(lambda r: row.objective(q, r))
-        q.audit.append(f"objective sup over r in [1e-3, 1e6]: {q.best:.12g} "
-                       f"at R = {q.R:.6g}")
+        # the ball of radius R must lie where every kernel's envelope holds
+        hi = min(_SCAN_HI, q.state_bound)
+        if hi < _SCAN_LO:
+            raise CertificationError(
+                f"kernel state_bound {hi:g} is below the radius search's "
+                f"least radius {_SCAN_LO:g}")
+        q.R, q.best = _radius_scan(lambda r: row.objective(q, r),
+                                   _SCAN_LO, hi)
+        q.audit.append(f"objective sup over r in [{_SCAN_LO:g}, {hi:g}]: "
+                       f"{q.best:.12g} at R = {q.R:.6g}")
     q.L = row.constant(q)
     q.audit.append(f"contraction constant: {q.L:.12g}")
     checks = [check(ineq) for ineq in row.inequalities]
@@ -471,7 +481,8 @@ def certify_shifted_ball(spec: pb.ProblemSpec, rho: float,
 
 def certify_radius_search(spec: pb.ProblemSpec,
                           slack_margin: float = DEFAULT_SLACK) -> ContractionCertificate:
-    """Radius-search certificate (K-conditions) over r in [1e-3, 1e6]."""
+    """Radius-search certificate (K-conditions) over r in [1e-3, 1e6],
+    capped at the smallest kernel state_bound."""
     return certify(spec, None, "radius", slack_margin=slack_margin)
 
 

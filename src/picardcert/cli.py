@@ -21,9 +21,9 @@ from . import problem as pb
 from .certify import CertificationError, certify
 from .diagnostics import (aaa_split_estimate, bochner_test,
                           bohr_neugebauer_verdict, range_compactness_trend)
-from .evolution import (build_resolvent, certify_stability, decay_violations,
-                        delay_demo_solve, exponential_causal, exponential_memory,
-                        heat_demo_assemble, scalar_family,
+from .evolution import (PropagationError, build_resolvent, certify_stability,
+                        decay_violations, delay_demo_solve, exponential_causal,
+                        exponential_memory, heat_demo_assemble, scalar_family,
                         stability_sample_pairs)
 from .kernels import (KERNEL_FAMILIES, SPLIT_KERNEL_FAMILIES)
 from .paths import HALF_LINE, SampledPath, TimeWarp, read_csv, write_csv
@@ -132,6 +132,10 @@ def load_config(path) -> RunConfig:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:
                 out[key] = schema[key](raw)
+                # nan or inf (say, in a generator) hangs the ODE integrator
+                if schema[key] in (_FLOAT, _floats) \
+                        and not np.all(np.isfinite(out[key])):
+                    raise ValueError(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
         sections[section] = out
@@ -513,7 +517,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, ProblemError, CertificationError, ConvergenceError,
-            NonContractionError, ValueError, OSError) as exc:
+            NonContractionError, PropagationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -1,12 +1,14 @@
 """Evolution families, resolvent operators and the two application demos.
 
-An evolution family propagates x' = A(t) x between two times; its
-exponential-stability constants (M, delta) are certified by sampling and
-feed the evolution certificates.  A resolvent operator propagates a linear
-equation with memory, R'(t) = A R(t) + int_0^t B(t-s) R(s) ds.  Its memory
-kernel is an exponential sum B(t) = sum_k exp(-r_k t) G_k, so R is a block
-of the matrix exponential of a constant augmented generator; R is tabulated
-on a uniform grid by powers of one step of that exponential, and its
+An evolution family propagates x' = A(t) x between two times with one
+integrator, which also builds the cell propagators of the solver's
+recurrence; its exponential-stability constants (M, delta) are certified by
+sampling and feed the evolution certificates.  A resolvent operator
+propagates a linear equation with memory, R'(t) = A R(t) + int_0^t B(t-s)
+R(s) ds.  Its memory kernel is an exponential sum B(t) = sum_k exp(-r_k t)
+G_k, so R is a block of the matrix exponential of a constant augmented
+generator; R is tabulated on a uniform grid by powers of one step of that
+exponential, which also gives its cell propagators, and its
 defining-equation residual is checked on test vectors.
 
 The demos assemble the heat-conduction-with-memory problem (second-order
@@ -26,12 +28,19 @@ from scipy.linalg import expm
 
 from .kernels import KernelSpec, form_evaluator
 from .paths import TAIL_CONSTANT, SampledPath
-from .quadrature import DecayEnvelope, panel_nodes
-from .solver import _scan, solve_ivp
+from .quadrature import DecayEnvelope
+from .solver import (_CellTable, _cell_nodes, _scan, _sweep, _uniform_step,
+                     solve_ivp)
 
 _ODE_RTOL = 1e-12
 _ODE_ATOL = 1e-14
-_RESIDUAL_BLOCK = 1 << 11  # most panel nodes one read of the resolvent takes
+_CHUNK_CELLS = 50      # cells between restarts of the fundamental matrix at I
+_CHUNK_FLOOR = 1e-3    # least singular value a chunk's fundamental matrix may reach
+# least tolerance of the resolvent residual check: an exact table still shows
+# the check's own stencil and spline error (9e-12 to 5e-11 at step 0.01)
+_RESOLVENT_TOL_FLOOR = 1e-9
+_CHECK_VECTORS = 10    # test vectors of the resolvent residual check
+_CHECK_TIMES = 41      # interior grid times of the resolvent residual check
 
 
 class PropagationError(RuntimeError):
@@ -62,16 +71,15 @@ class StabilityCertificate:
 class EvolutionFamily:
     """Two-parameter propagator for x' = A(t) x, A(t) a d x d matrix.
 
-    propagate_matrix integrates the matrix equation from s to t with an
-    adaptive high-order stepper.  The sectorial-regularity hypothesis on
-    A(t) is not represented: its checkable content is the existence and
-    stability of the propagator, which is verified directly.
+    One routine, `_cells`, integrates the matrix equation with an adaptive
+    high-order stepper, for propagate_matrix and for cell_table alike.  The
+    sectorial-regularity hypothesis on A(t) is not represented: its
+    checkable content is the existence and stability of the propagator,
+    which is verified directly.
     """
 
     generator: Callable
     dim: int = 1
-    rtol: float = _ODE_RTOL
-    atol: float = _ODE_ATOL
     stability: Optional[StabilityCertificate] = None
     label: str = ""
     # cell propagators of the solver's recurrence, keyed by lattice
@@ -84,16 +92,70 @@ class EvolutionFamily:
             raise PropagationError(f"propagate needs t >= s (got t={t}, s={s})")
         if t == s:
             return np.eye(self.dim)
-        z0 = np.eye(self.dim).ravel()
+        return self._cells(np.array([s, t])).Phi[0]
+
+    def _cells(self, edges) -> _CellTable:
+        """Cell propagators between consecutive edges.
+
+        The fundamental matrix X(t) = U(t, t_c) restarts at I at the first
+        edge of every chunk of cells, and U(t, s) = X(t) X(s)^{-1} inside a
+        chunk.  A single pass loses all relative accuracy once X decays
+        below the integrator's atol, so a chunk over which X nears that
+        level is halved.
+        """
+        nodes, weights = _cell_nodes(edges)
+        (n, K), d = nodes.shape, self.dim
+        Phi, VW = np.empty((n, d, d)), np.empty((n, K, d, d))
 
         def rhs(r, z):
-            return (self.generator(r) @ z.reshape(self.dim, self.dim)).ravel()
+            return (self.generator(r) @ z.reshape(d, d)).ravel()
 
-        sol = solve_ivp(rhs, (s, t), z0, method="DOP853",
-                        rtol=self.rtol, atol=self.atol)
-        if not sol.success:
-            raise PropagationError(f"propagation failed: {sol.message}")
-        return sol.y[:, -1].reshape(self.dim, self.dim)
+        start, size = 0, _CHUNK_CELLS
+        while start < n:
+            stop = min(start + size, n)
+            # X at t_j, s_j1, ..., s_jK of every cell, then at the last right edge
+            times = np.append(np.column_stack([edges[start:stop],
+                                               nodes[start:stop]]).ravel(),
+                              edges[stop])
+            sol = solve_ivp(rhs, (times[0], times[-1]), np.eye(d).ravel(),
+                            method="DOP853", t_eval=times, rtol=_ODE_RTOL,
+                            atol=_ODE_ATOL)
+            if not sol.success:
+                raise PropagationError(f"propagation failed: {sol.message}")
+            X = sol.y.T.reshape(-1, d, d)
+            m = stop - start
+            if m > 1 and np.linalg.svd(X, compute_uv=False).min() < _CHUNK_FLOOR:
+                size = m // 2
+                continue
+            left = X[:-1].reshape(m, K + 1, d, d)
+            right = np.broadcast_to(X[K + 1::K + 1, None], left.shape)
+            # U(t_{j+1}, r) = X(t_{j+1}) X(r)^{-1}, solved as X(r)^T U^T = X(t_{j+1})^T
+            U = np.linalg.solve(left.swapaxes(-1, -2),
+                                right.swapaxes(-1, -2)).swapaxes(-1, -2)
+            Phi[start:stop] = U[:, 0]
+            VW[start:stop] = U[:, 1:] * weights[start:stop, :, None, None]
+            start = stop
+        return _CellTable(nodes, Phi, VW)
+
+    def cell_table(self, grid, run_in: int = 0) -> _CellTable:
+        """Propagators over grid's cells and run_in cells of its step left
+        of it, kept per lattice; a longer run-in extends the stored table to
+        the left."""
+        key = grid.tobytes()
+        table = self.cell_tables.get(key)
+        n = grid.size - 1 + run_in
+        h = grid[1] - grid[0]
+        if table is None:
+            table = self._cells(np.concatenate(
+                [grid[0] - h * np.arange(run_in, 0, -1), grid]))
+        elif len(table) < n:
+            have = len(table) - (grid.size - 1)
+            new = self._cells(grid[0] - h * np.arange(run_in, have - 1, -1))
+            table = _CellTable(np.concatenate([new.nodes, table.nodes]),
+                               np.concatenate([new.Phi, table.Phi]),
+                               np.concatenate([new.VW, table.VW]))
+        self.cell_tables[key] = table
+        return table.tail(n)
 
 
 def constant_family(A, label: str = "constant") -> EvolutionFamily:
@@ -279,6 +341,20 @@ class ResolventOperator:
             gen[block, block] = -rate * np.eye(d)
         return gen
 
+    def cell_table(self, grid) -> _CellTable:
+        """Propagators of the augmented generator over the cells of a
+        uniform grid, kept per grid: expm(h A_hat) and w_k expm((h - o_k)
+        A_hat) at the Gauss offsets o_k, shared by every cell."""
+        key = grid.tobytes()
+        table = self.cell_tables.get(key)
+        if table is None:
+            nodes, weights = _cell_nodes(grid)
+            steps = np.append(grid[1] - grid[0], grid[1] - nodes[0])
+            E = expm(steps[:, None, None] * self.generator)
+            table = self.cell_tables[key] = _CellTable(
+                nodes, E[0], weights[0][:, None, None] * E[1:])
+        return table
+
     @cached_property
     def _path(self) -> SampledPath:
         """The table as a path of flattened d x d matrices, read by its
@@ -314,8 +390,8 @@ def decay_violations(table: np.ndarray) -> np.ndarray:
     return table[table[:, 1] > table[:, 2] + 1e-12]
 
 
-def build_resolvent(A, memory: MemoryKernel, grid, tol: float = 1e-10,
-                    check_vectors: int = 10) -> ResolventOperator:
+def build_resolvent(A, memory: MemoryKernel, grid, tol: float = 1e-10
+                    ) -> ResolventOperator:
     """Tabulate R of R' = A R + int_0^t B(t-s) R(s) ds on a uniform grid
     from t = 0.
 
@@ -329,17 +405,16 @@ def build_resolvent(A, memory: MemoryKernel, grid, tol: float = 1e-10,
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0:
         raise ValueError("resolvent grid must start at t = 0")
-    h = float(grid[1] - grid[0])
-    if not h > 0.0 or not np.allclose(np.diff(grid), h, rtol=0.0, atol=1e-12):
-        raise ValueError("resolvent grid must be uniform and increasing")
+    h = _uniform_step(grid)
     op = ResolventOperator(A, memory, grid, np.empty((grid.size,) + A.shape),
                            label=memory.label)
     Phi = expm(h * op.generator)
     lift = np.eye(Phi.shape[0], op.dim)
     op.values[1:] = _scan(Phi, None, lift, n=grid.size - 1)[1:, :op.dim]
 
-    op.residual_report = resolvent_residual(op, n_vectors=check_vectors)
-    if op.residual_report["max_residual"] > max(tol, 1e3 * _ODE_RTOL):
+    op.residual_report = resolvent_residual(op)
+    tol = max(tol, _RESOLVENT_TOL_FLOOR)
+    if op.residual_report["max_residual"] > tol:
         raise PropagationError(
             f"resolvent residual {op.residual_report['max_residual']:.3g} "
             f"exceeds tolerance {tol:g}")
@@ -350,42 +425,27 @@ def build_resolvent(A, memory: MemoryKernel, grid, tol: float = 1e-10,
 _D6 = np.array([-1.0 / 60, 3.0 / 20, -3.0 / 4, 0.0, 3.0 / 4, -3.0 / 20, 1.0 / 60])
 
 
-def resolvent_residual(op: ResolventOperator, n_vectors: int = 10,
-                       n_check: int = 41) -> dict:
+def resolvent_residual(op: ResolventOperator) -> dict:
     """Max defining-equation residual |R'y - A R y - int B(t-s) R(s) y ds|
     over deterministic test vectors and interior check times.
 
     The derivative uses an order-6 central stencil and the history integral
-    Gauss panels on the interpolated table, so the check's own discretisation
-    floor sits well below the stepping accuracy it audits.  The panels of
-    the check times are read in blocks of about _RESIDUAL_BLOCK nodes, one
-    call of the table and one of the memory kernel per block.
+    the solver's panel sweep on the interpolated table, so the check's own
+    discretisation floor sits well below the stepping accuracy it audits.
     """
     d = op.dim
-    vecs = [np.eye(d)[k] for k in range(min(d, n_vectors))]
+    vecs = [np.eye(d)[k] for k in range(min(d, _CHECK_VECTORS))]
     k = 0
-    while len(vecs) < n_vectors:
+    while len(vecs) < _CHECK_VECTORS:
         v = np.cos(np.arange(d) + 0.7 * k + 0.3)
         vecs.append(v / np.linalg.norm(v))
         k += 1
     n = op.grid.size
     h = float(op.grid[1] - op.grid[0])
-    idx = np.unique(np.linspace(3, n - 4, n_check).astype(int))
+    idx = np.unique(np.linspace(3, n - 4, _CHECK_TIMES).astype(int))
     t = op.grid[idx]
-    panels = [panel_nodes(0.0, ti, max_width=0.25, order=12) for ti in t]
-    count = np.array([s.size for s, _ in panels])
-    conv_int = np.empty((t.size, d, d))
-    # whole check times in blocks of about _RESIDUAL_BLOCK panel nodes
-    block = (np.cumsum(count) - count) // _RESIDUAL_BLOCK
-    for b in np.unique(block):
-        sel = np.flatnonzero(block == b)
-        s = np.concatenate([panels[i][0] for i in sel])
-        w = np.concatenate([panels[i][1] for i in sel])
-        Rm = op.eval(s)
-        Bm = np.asarray(op.memory.matrix(np.repeat(t[sel], count[sel]) - s))
-        conv_int[sel] = np.add.reduceat(w[:, None, None] * (Bm @ Rm),
-                                        np.cumsum(count[sel]) - count[sel],
-                                        axis=0)
+    conv_int = _sweep(t, 0.0, t,
+                      lambda T, S: op.memory.matrix(T - S) @ op.eval(S))
     deriv = np.tensordot(op.values[idx[:, None] + np.arange(-3, 4)], _D6,
                          axes=(1, 0)) / h
     res = (deriv - op.A @ op.values[idx] - conv_int) @ np.array(vecs).T
@@ -523,7 +583,7 @@ def heat_demo_assemble(n: int = 4, alpha_eq: float = 1.0, alpha_amp: float = 2e-
     ]
 
     grid = np.arange(0.0, horizon + grid_step / 2.0, grid_step)
-    R = build_resolvent(A, memory, grid, tol=max(tol, 1e-9))
+    R = build_resolvent(A, memory, grid, tol=tol)
     R.decay = (M, gamma, q)
     table = R.norm_table()
     decay_ok = not decay_violations(table).size

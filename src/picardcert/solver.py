@@ -25,17 +25,17 @@ it reads 30k points per application where per-node panels read 1.4M.
 
 A kernel without a declared form is integrated by `_sweep`: Gauss-Legendre
 panels over [lo_i, hi_i] at every node t_i, read in blocks of at most
-`_SWEEP_BLOCK` points so that memory stays flat.  No built-in family takes
+`_SWEEP_BLOCK` points so that memory stays flat.  No built-in kernel takes
 this path.
 
 The forced evolution variants advance z' = A(t) z + g(t) one grid cell at a
 time, z_{j+1} = U(t_{j+1}, t_j) z_j + (Gauss quadrature of U(t_{j+1}, s) g(s)
-over the cell), as in Lubich's convolution quadrature; the propagators are
-integrated once per evolution family and grid and reused by every sweep.
-The resolvent variant is the same recurrence for the augmented system of its
-exponential-sum memory, z = (v, w_1, ..., w_K) with z' = A_hat z + (g, 0):
-its propagators are matrix exponentials of the constant generator A_hat,
-one matrix shared by every cell, and v is the image.  Either recurrence is
+over the cell), as in Lubich's convolution quadrature.  The resolvent
+variant is the same recurrence for the augmented system of its
+exponential-sum memory, z = (v, w_1, ..., w_K) with z' = A_hat z + (g, 0),
+and v is the image.  The tables come from `source.cell_table(grid,
+run_in)` of the evolution family or the resolvent operator, which builds
+them once per grid and keeps them for every sweep.  Either recurrence is
 solved by `_scan`, a blocked associative scan: blocks of about sqrt(n) of
 the n cells advance side by side, so a sweep takes about 2 sqrt(n) Python
 steps instead of n.  The resolvent table of `evolution.build_resolvent` is
@@ -53,7 +53,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import expm
 
 from . import problem as pb
 from .certify import ContractionCertificate
@@ -65,8 +64,6 @@ _PANEL_ORDER = 15
 _PANEL_WIDTH = 0.5
 _SWEEP_BLOCK = 1 << 13  # most points one integrand call of _sweep receives
 _CELL_ORDER = 6        # Gauss-Legendre nodes per cell: recurrence and lattice
-_CHUNK_CELLS = 50      # cells between restarts of the fundamental matrix at I
-_CHUNK_FLOOR = 1e-3    # least singular value a chunk's fundamental matrix may reach
 
 
 def solve_ivp(*args, **kwargs):
@@ -267,8 +264,8 @@ def _uniform_step(t) -> float:
     """The step of the uniform increasing grid t; any other grid is refused."""
     h = float(t[1] - t[0]) if t.size > 1 else 0.0
     if not h > 0.0 or not np.allclose(np.diff(t), h, rtol=0.0, atol=1e-9 * h):
-        raise ValueError("the convolution lattice needs a uniform increasing "
-                         "grid of at least two nodes")
+        raise ValueError("need a uniform increasing grid of at least two "
+                         "nodes")
     return h
 
 
@@ -379,7 +376,7 @@ def apply_pi(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
 @dataclass
 class _CellTable:
     """Propagators of one evolution family, or of a resolvent's augmented
-    generator, over the cells of one lattice.
+    system, over the cells of one lattice.
 
     For cell j = [t_j, t_{j+1}] with Gauss-Legendre nodes s_jk and weights
     w_jk: Phi[j] = U(t_{j+1}, t_j) and VW[j, k] = w_jk U(t_{j+1}, s_jk), so that
@@ -405,89 +402,6 @@ def _cell_nodes(edges):
     half = 0.5 * np.diff(edges)
     nodes = (0.5 * (edges[:-1] + edges[1:]) + half * x[:, None]).T
     return nodes, half[:, None] * w
-
-
-def _build_cells(fam, edges) -> _CellTable:
-    """Cell propagators between consecutive edges.
-
-    The fundamental matrix X(t) = U(t, t_c) restarts at I at the first edge of
-    every chunk of cells, and U(t, s) = X(t) X(s)^{-1} inside a chunk.  A
-    single pass loses all relative accuracy once X decays below the
-    integrator's atol, so a chunk over which X nears that level is halved.
-    """
-    nodes, weights = _cell_nodes(edges)
-    n, K, d = nodes.shape[0], _CELL_ORDER, fam.dim
-    Phi, VW = np.empty((n, d, d)), np.empty((n, K, d, d))
-
-    def rhs(r, z):
-        return (fam.generator(r) @ z.reshape(d, d)).ravel()
-
-    start, size = 0, _CHUNK_CELLS
-    while start < n:
-        stop = min(start + size, n)
-        # X at t_j, s_j1, ..., s_jK of every cell, then at the last right edge
-        times = np.append(np.column_stack([edges[start:stop],
-                                           nodes[start:stop]]).ravel(),
-                          edges[stop])
-        sol = solve_ivp(rhs, (times[0], times[-1]), np.eye(d).ravel(),
-                        method="DOP853", t_eval=times, rtol=fam.rtol,
-                        atol=fam.atol)
-        if not sol.success:
-            raise ConvergenceError(f"propagation failed: {sol.message}")
-        X = sol.y.T.reshape(-1, d, d)
-        m = stop - start
-        if m > 1 and np.linalg.svd(X, compute_uv=False).min() < _CHUNK_FLOOR:
-            size = m // 2
-            continue
-        left = X[:-1].reshape(m, K + 1, d, d)
-        right = np.broadcast_to(X[K + 1::K + 1, None], left.shape)
-        # U(t_{j+1}, r) = X(t_{j+1}) X(r)^{-1}, solved as X(r)^T U^T = X(t_{j+1})^T
-        U = np.linalg.solve(left.swapaxes(-1, -2),
-                            right.swapaxes(-1, -2)).swapaxes(-1, -2)
-        Phi[start:stop] = U[:, 0]
-        VW[start:stop] = U[:, 1:] * weights[start:stop, :, None, None]
-        start = stop
-    return _CellTable(nodes, Phi, VW)
-
-
-def _cell_table(fam, grid, run_in: int = 0) -> _CellTable:
-    """Propagators over grid's cells and run_in cells of its step left of it.
-
-    Built once per (family, lattice) and kept on the family; a request for a
-    longer run-in extends the stored table to the left.
-    """
-    key = (grid.tobytes(), fam.rtol, fam.atol)
-    table = fam.cell_tables.get(key)
-    n = grid.size - 1 + run_in
-    h = grid[1] - grid[0]
-    if table is None:
-        table = _build_cells(fam, np.concatenate(
-            [grid[0] - h * np.arange(run_in, 0, -1), grid]))
-    elif len(table) < n:
-        have = len(table) - (grid.size - 1)
-        new = _build_cells(fam, grid[0] - h * np.arange(run_in, have - 1, -1))
-        table = _CellTable(np.concatenate([new.nodes, table.nodes]),
-                           np.concatenate([new.Phi, table.Phi]),
-                           np.concatenate([new.VW, table.VW]))
-    fam.cell_tables[key] = table
-    return table.tail(n)
-
-
-def _resolvent_cells(R, grid) -> _CellTable:
-    """Propagators of the resolvent's augmented generator over the cells of
-    a uniform grid: the same expm(h A_hat) and w_k expm((h - o_k) A_hat) at
-    the Gauss offsets o_k of every cell.  Built once per grid and kept on the
-    resolvent."""
-    key = grid.tobytes()
-    table = R.cell_tables.get(key)
-    if table is None:
-        gen = R.generator
-        nodes, weights = _cell_nodes(grid)
-        Phi = expm((grid[1] - grid[0]) * gen)
-        VW = np.array([w * expm((grid[1] - s) * gen)
-                       for s, w in zip(nodes[0], weights[0])])
-        table = R.cell_tables[key] = _CellTable(nodes, Phi, VW)
-    return table
 
 
 def _scan(Phi, b, z0, n: int = None) -> np.ndarray:
@@ -587,9 +501,9 @@ def apply_mild_evolution(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
         if spec.variant == pb.EVOLUTION_NONLOCAL:
             if spec.memory_kernel is not None:
                 forcing = _history(spec, y) + forcing
-            table = _cell_table(spec.evolution, t)
+            table = spec.evolution.cell_table(t)
         else:
-            table = _resolvent_cells(spec.resolvent, t)
+            table = spec.resolvent.cell_table(t)
         g = SampledPath(t, forcing).evaluate(table.nodes)
         # [I; 0]: the resolvent's auxiliary states start at zero, unforced
         lift = np.eye(table.Phi.shape[-1], spec.dim)
@@ -612,7 +526,7 @@ def apply_mild_evolution(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
             / stab.delta
         # snapped up to the lattice: starting earlier only shrinks the history
         run_in = int(np.ceil(span / (t[1] - t[0])))
-        table = _cell_table(spec.evolution, t, run_in)
+        table = spec.evolution.cell_table(t, run_in)
         s = table.nodes.ravel()
         x_del = y.evaluate(s - tau)
         g = np.asarray(spec.f(s, x_del, np.zeros_like(x_del)))

@@ -264,7 +264,16 @@ def test_radius_search_linear_objective_passes():
     cert = certify_radius_search(spec)
     assert cert.verdict == "pass"
     assert cert.theorem_id == "K-conditions"
-    assert cert.witness_radius > 1e4  # unbounded objective favours large radii
+    # the objective grows without bound, but the ball must lie inside the
+    # kernels' declared state ball |x| <= 3
+    assert cert.witness_radius <= 3.0
+
+
+def test_radius_search_refuses_state_bound_below_its_least_radius():
+    spec = delayed_spec(f=sinusoid_affine(sin_amp=0.5, state_coeff=0.1),
+                        state_bound=1e-4)
+    with pytest.raises(CertificationError, match="state_bound"):
+        certify_radius_search(spec)
 
 
 def test_radius_search_flat_objective_fails():
@@ -281,8 +290,9 @@ def test_radius_search_curve_matches_dense_scan():
     spec = two_sided_spec(f, cx1=0.2, cx2=0.1)
     c = compute_envelope_constants(spec)
     cert = certify_radius_search(spec)
-    # independent dense 1-D scan over the same log range
-    rs = np.logspace(-3, 6, 400001)
+    # independent dense 1-D scan over the same log range, which ends at the
+    # kernels' state_bound 3
+    rs = np.logspace(-3, np.log10(3.0), 400001)
     obj = rs * (1 - 2 * curve(rs) - 2 * (c.N1 + c.N2))
     best = float(np.max(obj))
     got = cert.witness_radius * (1 - 2 * curve(cert.witness_radius)

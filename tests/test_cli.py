@@ -205,6 +205,20 @@ def test_evolution_window_after_zero_exit_one(tmp_path):
     assert main(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
 
+def test_non_finite_config_number_exit_one(tmp_path):
+    # a nan generator value sent the propagators' integrator into an endless
+    # step loop: every float and float-list value must be finite
+    text = EVOLUTION_CONFIG.replace("window = 2 10", "window = 0 10")
+    for name, old, new, key in (
+            ("nan.ini", "value = -1.0", "value = nan", "evolution.value"),
+            ("inf.ini", "window = 0 10", "window = 0 inf", "problem.window")):
+        cfg = write_config(tmp_path, text.replace(old, new), name=name)
+        with pytest.raises(ConfigError, match=key):
+            load_config(cfg)
+        assert main(["certify", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 1
+
+
 HALF_LINE_CONFIG = """
 [problem]
 variant = half_line
@@ -361,6 +375,19 @@ def test_demo_delay_sides_disagree_indeterminate(tmp_path, monkeypatch):
     text = (tmp_path / "delay_diagnostic.txt").read_text()
     assert text.splitlines()[1].startswith("verdict: indeterminate")
     assert "compact-range side: inconsistent" in text
+
+
+def test_failed_integration_exit_one(tmp_path, monkeypatch, capsys):
+    # the first stability sample fails to integrate: a named error, no
+    # traceback
+    from types import SimpleNamespace
+
+    from picardcert import evolution
+    monkeypatch.setattr(evolution, "solve_ivp", lambda *a, **kw: SimpleNamespace(
+        success=False, message="Required step size is less than spacing "
+                               "between numbers."))
+    assert main(["demo", "delay", "--out", str(tmp_path)]) == 1
+    assert "propagation failed" in capsys.readouterr().err
 
 
 @pytest.mark.slow

@@ -168,28 +168,31 @@ def test_resolvent_residual_on_test_vectors():
 
 
 def test_resolvent_residual_matches_the_per_time_loop():
-    # the oracle reads each check time's panels on its own, one test vector
-    # at a time
-    from picardcert.evolution import _D6, resolvent_residual
+    # the oracle reads each check time's panels, the rule of the solver's
+    # sweep, on its own, one test vector at a time
+    from picardcert.evolution import (_CHECK_TIMES, _CHECK_VECTORS, _D6,
+                                      resolvent_residual)
     from picardcert.quadrature import panel_nodes
+    from picardcert.solver import _PANEL_ORDER, _PANEL_WIDTH
     spec, _, _ = heat_demo_assemble(n=3, horizon=4.0, grid_step=0.01)
     op = spec.resolvent
-    rep = resolvent_residual(op, n_vectors=8, n_check=17)
+    rep = resolvent_residual(op)
     vecs = [np.eye(op.dim)[k] for k in range(op.dim)]
     vecs += [v / np.linalg.norm(v) for v in
-             (np.cos(np.arange(op.dim) + 0.7 * k + 0.3) for k in range(2))]
+             (np.cos(np.arange(op.dim) + 0.7 * k + 0.3)
+              for k in range(_CHECK_VECTORS - op.dim))]
     h = op.grid[1] - op.grid[0]
-    idx = np.unique(np.linspace(3, op.grid.size - 4, 17).astype(int))
+    idx = np.unique(np.linspace(3, op.grid.size - 4, _CHECK_TIMES).astype(int))
     worst = 0.0
     for i in idx:
         t = op.grid[i]
         deriv = np.tensordot(_D6, op.values[i - 3:i + 4], axes=(0, 0)) / h
-        s, w = panel_nodes(0.0, t, max_width=0.25, order=12)
+        s, w = panel_nodes(0.0, t, _PANEL_WIDTH, _PANEL_ORDER)
         conv = np.einsum("k,kij,kjl->il", w, op.memory.matrix(t - s), op.eval(s))
         for v in vecs:
             res = deriv @ v - op.A @ (op.values[i] @ v) - conv @ v
             worst = max(worst, float(np.linalg.norm(res)))
-    assert rep["n_vectors"] == len(vecs) == 8
+    assert rep["n_vectors"] == len(vecs) == 10
     assert rep["n_check_times"] == idx.size
     assert abs(rep["max_residual"] - worst) < 1e-12
 

@@ -745,7 +745,7 @@ def test_cell_recurrence_matches_forced_ode(variant, case):
 def test_second_solve_reuses_cell_propagators(monkeypatch):
     # the delay demo's problem: the propagators are built once, so solving
     # again makes no ODE call at all
-    from picardcert import solver
+    from picardcert import evolution
     from picardcert.evolution import (certify_stability, scalar_family,
                                       stability_sample_pairs)
     fam = scalar_family(lambda t: -(2.0 + np.sin(t)))
@@ -757,8 +757,8 @@ def test_second_solve_reuses_cell_propagators(monkeypatch):
                           delay=1.0, report_window=(-10.0, 45.0),
                           grid_step=0.02, quad_tol=1e-8)
     calls = []
-    ode = solver.solve_ivp
-    monkeypatch.setattr(solver, "solve_ivp",
+    ode = evolution.solve_ivp
+    monkeypatch.setattr(evolution, "solve_ivp",
                         lambda *a, **kw: calls.append(1) or ode(*a, **kw))
     cert = pc.certify_evolution(spec, rho=2.0, theorem="delay-final")
     first = picard_solve(spec, cert, tol=1e-8)
@@ -767,6 +767,18 @@ def test_second_solve_reuses_cell_propagators(monkeypatch):
     second = picard_solve(spec, cert, tol=1e-8)
     assert len(calls) == built
     assert np.array_equal(first.solution.values, second.solution.values)
+
+
+def test_cell_table_product_matches_the_propagator():
+    # the chunked table of 150 cells (restarts every 50 or fewer) multiplies
+    # out to the single-pair propagator of the same family
+    from picardcert.solver import _scan
+    fam = _recurrence_family("rotating")
+    grid = np.linspace(0.5, 3.5, 151)
+    table = fam.cell_table(grid)
+    product = _scan(table.Phi, None, np.eye(fam.dim), n=len(table))[-1]
+    expect = fam.propagate_matrix(grid[-1], grid[0])
+    assert np.max(np.abs(product - expect)) < 1e-10 * np.max(np.abs(expect))
 
 
 def test_longer_run_in_extends_the_cell_table():
