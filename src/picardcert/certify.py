@@ -25,9 +25,7 @@ import numpy as np
 
 from . import problem as pb
 from .paths import SampledPath, sup_norm, sup_distance
-from .quadrature import (ADVANCED, DELAYED, HALF_LINE_DELAYED,
-                         EnvelopeConstants, adaptive_integral,
-                         envelope_constant, oriented_bounds)
+from .quadrature import EnvelopeConstants, adaptive_integral, envelope_constant
 
 DEFAULT_SLACK = 1e-9
 
@@ -93,12 +91,13 @@ class ContractionCertificate:
 # envelope constants per variant
 
 
-def _grid_sup(t_grid, g, orientation, span, tol):
+def _grid_sup(t_grid, g, delayed, span, tol):
     """Max over t in t_grid of the norm of the integral of s -> g(t, s) over
-    oriented_bounds(orientation, t, span), to tolerance tol."""
+    span on the delayed (no earlier than 0) or advanced side of t, to
+    tolerance tol."""
     best = 0.0
     for t in map(float, t_grid):
-        lo, hi = oriented_bounds(orientation, t, span)
+        lo, hi = (max(0.0, t - span), t) if delayed else (t, t + span)
         if hi > lo:
             val = adaptive_integral(lambda s: g(t, s), lo, hi, tol)[0]
             best = max(best, float(np.linalg.norm(val)))
@@ -112,39 +111,39 @@ def compute_envelope_constants(spec: pb.ProblemSpec) -> EnvelopeConstants:
 
     if spec.variant in (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY):
         k1 = spec.kernel_delayed
-        out.alpha1 = envelope_constant(k1.envelope, DELAYED)
-        out.N1 = envelope_constant(k1.lipschitz, DELAYED)
+        out.alpha1 = envelope_constant(k1.envelope)
+        out.N1 = envelope_constant(k1.lipschitz)
         k2 = spec.kernel_advanced
         if k2 is not None and not k2.is_zero:
-            out.alpha2 = envelope_constant(k2.envelope, ADVANCED)
-            out.N2 = envelope_constant(k2.lipschitz, ADVANCED)
+            out.alpha2 = envelope_constant(k2.envelope)
+            out.N2 = envelope_constant(k2.lipschitz)
         else:
             out.alpha2, out.N2 = 0.0, 0.0
 
     elif spec.variant == pb.HALF_LINE:
         b1, b2 = spec.split_delayed, spec.split_advanced
-        out.P1 = envelope_constant(b1.theta, HALF_LINE_DELAYED)
-        out.P2 = envelope_constant(b2.theta, ADVANCED)
-        out.beta1_h5 = envelope_constant(b1.aa_part.lipschitz, DELAYED)
-        out.beta2_h5 = envelope_constant(b2.aa_part.lipschitz, ADVANCED)
+        out.P1 = envelope_constant(b1.theta)
+        out.P2 = envelope_constant(b2.theta)
+        out.beta1_h5 = envelope_constant(b1.aa_part.lipschitz)
+        out.beta2_h5 = envelope_constant(b2.aa_part.lipschitz)
         # sup_t of int_0^t mu3_1 + int_t^inf mu3_2, approached as t -> inf
-        out.Q1 = (envelope_constant(b1.ergodic_lipschitz, HALF_LINE_DELAYED)
-                  + envelope_constant(b2.ergodic_lipschitz, ADVANCED))
-        # gamma_i: sup_t |oriented integral of B_i(t, s, 0, 0) ds|
+        out.Q1 = (envelope_constant(b1.ergodic_lipschitz)
+                  + envelope_constant(b2.ergodic_lipschitz))
+        # gamma_i: sup_t |int_0^t B_1(t, s, 0, 0) ds|, |int_t^inf B_2 ...|
         tol = spec.const_tol
         out.t_grid = spec.constants_grid()
-        for name, part, orient in (("gamma1", b1, HALF_LINE_DELAYED),
-                                   ("gamma2", b2, ADVANCED)):
+        for name, part, delayed in (("gamma1", b1, True), ("gamma2", b2, False)):
             def at_zero(t, s, part=part):
                 z = np.zeros((s.size, part.dim))
                 return np.asarray(part.evaluator(np.full(s.size, t), s, z, z))
             span = part.envelope.truncation_span(tol / 2.0)
-            setattr(out, name, _grid_sup(out.t_grid, at_zero, orient, span, tol / 2.0))
+            setattr(out, name, _grid_sup(out.t_grid, at_zero, delayed, span,
+                                         tol / 2.0))
 
     elif spec.memory_kernel is not None:
         # C_B: sup over s >= 0 of the integral over [0, s] of |B(s, tau)|,
         # bounded by the mass of the kernel's envelope
-        out.C_B = envelope_constant(spec.memory_kernel.envelope, HALF_LINE_DELAYED)
+        out.C_B = envelope_constant(spec.memory_kernel.envelope)
     else:
         out.C_B = 0.0
     return out
@@ -182,11 +181,14 @@ def _stability_constants(q):
             raise CertificationError("resolvent handle has no certified decay "
                                      "constants (M, gamma, q)")
         M, delta = float(R.decay[0]), float(R.decay[1]) / float(R.decay[2])
+        source = "declared resolvent decay"
     elif fam is None or getattr(fam, "stability", None) is None:
         raise CertificationError("evolution family has no stability certificate")
     else:
         M, delta = float(fam.stability.M), float(fam.stability.delta)
-    q.audit.append(f"stability constants: M = {M:.12g}, delta = {delta:.12g}")
+        source = f"sampled: checked on {fam.stability.n_samples} pairs"
+    q.audit.append(f"stability constants: M = {M:.12g}, delta = {delta:.12g} "
+                   f"({source})")
     return M, delta
 
 
@@ -511,15 +513,15 @@ class HypothesisReport:
 def certify_bohr_neugebauer_hypotheses(spec: pb.ProblemSpec) -> HypothesisReport:
     """Smallness condition under which bounded solutions with relatively
     compact range inherit the recurrence of the data: the nonlinearity
-    constant plus the supremum of the oriented Lipschitz-modulus integrals
+    constant plus the supremum of the one-sided Lipschitz-modulus integrals
     must stay below one, and the time warps must be declared recurrent."""
     if spec.variant not in (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY):
         raise CertificationError("the recurrence-transfer condition applies to "
                                  "the full-line integral-equation variants")
     L_f = spec.effective_lipschitz()
-    sup_mu = envelope_constant(spec.kernel_delayed.lipschitz, DELAYED)
+    sup_mu = envelope_constant(spec.kernel_delayed.lipschitz)
     if spec.variant == pb.ADVANCED_DELAYED and spec.kernel_advanced is not None:
-        sup_mu += envelope_constant(spec.kernel_advanced.lipschitz, ADVANCED)
+        sup_mu += envelope_constant(spec.kernel_advanced.lipschitz)
     rho = L_f + sup_mu
     warps_ok = all(spec.warp(k).declared_aa for k in ("a0", "a1", "a2"))
     lines = [

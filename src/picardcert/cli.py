@@ -330,13 +330,24 @@ def _write(path: Path, text: str):
     path.write_text(text, encoding="utf-8")
 
 
+def _tol_option(args, default):
+    """--tol, or default without it.  A value that is not finite and positive
+    is refused here, not by an argparse type, whose exit 2 would read as a
+    certified fail."""
+    if args.tol is None:
+        return default
+    if not (np.isfinite(args.tol) and args.tol > 0.0):
+        raise ConfigError(f"--tol must be finite and positive (got {args.tol!r})")
+    return args.tol
+
+
 def cmd_certify(args) -> int:
+    slack = _tol_option(args, 1e-9)
     cfg = load_config(args.config)
     spec = build_problem(cfg)
     rho = cfg.get("numeric", "rho", 1.0)
     mode = cfg.get("certify", "mode", "ball")
     theorem = cfg.get("certify", "theorem")
-    slack = args.tol if args.tol is not None else 1e-9
     cert = certify(spec, rho=rho, mode=mode, theorem=theorem,
                    slack_margin=slack)
     out = _out_dir(args)
@@ -348,8 +359,9 @@ def cmd_certify(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    spec = build_problem(cfg)
     num = cfg.section("numeric")
+    tol = _tol_option(args, num.get("solver_tol", 1e-7))
+    spec = build_problem(cfg)
     rho = num.get("rho", 1.0)
     cert = certify(spec, rho=rho, mode=cfg.get("certify", "mode", "ball"),
                    theorem=cfg.get("certify", "theorem"))
@@ -360,7 +372,6 @@ def cmd_solve(args) -> int:
         print(f"certificate failed ({cert.violated}); pass --allow-uncertified "
               "to iterate anyway", file=sys.stderr)
         return EXIT_CERTIFIED_FAIL
-    tol = args.tol if args.tol is not None else num.get("solver_tol", 1e-7)
     report = picard_solve(spec, cert, tol=tol,
                           max_iter=num.get("max_iter", 200),
                           allow_uncertified=args.allow_uncertified)
@@ -404,6 +415,7 @@ def _merge_sides(recur, compact):
 
 
 def cmd_diagnose(args) -> int:
+    tol = _tol_option(args, None)
     cfg = load_config(args.config)
     path = read_csv(args.path_csv,
                     tail_policy="constant",
@@ -413,7 +425,7 @@ def cmd_diagnose(args) -> int:
     spec = None
     if cfg.get("problem", "variant") in (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY):
         spec = build_problem(cfg)
-    report = _diagnose_path(cfg, spec, path, tol_override=args.tol)
+    report = _diagnose_path(cfg, spec, path, tol_override=tol)
     out = _out_dir(args)
     _write(out / cfg.get("output", "diagnostic", "diagnostic.txt"),
            report.to_text())

@@ -2,19 +2,19 @@
 
 An evolution family propagates x' = A(t) x between two times with one
 integrator, which also builds the cell propagators of the solver's
-recurrence; its exponential-stability constants (M, delta) are certified by
-sampling and feed the evolution certificates.  A resolvent operator
-propagates a linear equation with memory, R'(t) = A R(t) + int_0^t B(t-s)
-R(s) ds.  Its memory kernel is an exponential sum B(t) = sum_k exp(-r_k t)
-G_k, so R is a block of the matrix exponential of a constant augmented
-generator; R is tabulated on a uniform grid by powers of one step of that
-exponential, which also gives its cell propagators, and its
+recurrence; its exponential-stability constants (M, delta) are declared,
+checked on sampled pairs, and feed the evolution certificates.  A resolvent
+operator propagates a linear equation with memory, R'(t) = A R(t) +
+int_0^t B(t-s) R(s) ds.  Its memory kernel is an exponential sum B(t) =
+sum_k exp(-r_k t) G_k, so R is a block of the matrix exponential of a
+constant augmented generator; R is tabulated on a uniform grid by powers of
+one step of that exponential, which also gives its cell propagators, and its
 defining-equation residual is checked on test vectors.
 
 The demos assemble the heat-conduction-with-memory problem (second-order
-equation reduced to a first-order block system with an exponential-relaxation
-memory factor) and the delayed parabolic problem, wired into the certify and
-solve pipeline.
+equation reduced to a first-order block system with a fixed
+exponential-relaxation memory factor) and the delayed parabolic problem,
+wired into the certify and solve pipeline.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ _CHUNK_FLOOR = 1e-3    # least singular value a chunk's fundamental matrix may r
 _RESOLVENT_TOL_FLOOR = 1e-9
 _CHECK_VECTORS = 10    # test vectors of the resolvent residual check
 _CHECK_TIMES = 41      # interior grid times of the resolvent residual check
+# a sampled stability slack this far below zero still passes: equality cases
+# sit at zero up to the propagation accuracy
+_STABILITY_MARGIN = 1e-10
 
 
 class PropagationError(RuntimeError):
@@ -53,15 +56,11 @@ class StabilityCertificate:
     delta: float
     worst_slack: float
     n_samples: int
-    empirical: bool = False
-    numerical_margin: float = 1e-10
     lines: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        # raw slack is reported; equality cases sit at zero up to the
-        # propagation accuracy, which the margin absorbs
-        return self.worst_slack >= -self.numerical_margin
+        return self.worst_slack >= -_STABILITY_MARGIN
 
     def to_text(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -188,47 +187,25 @@ def stability_sample_pairs(window, n: int = 60, max_sep: float = 6.0):
     return pairs
 
 
-def certify_stability(fam: EvolutionFamily, pairs, M: float = None,
-                      delta: float = None, search: bool = False
+def certify_stability(fam: EvolutionFamily, pairs, M: float, delta: float
                       ) -> StabilityCertificate:
-    """Check |U(t,s)| <= M exp(-delta (t-s)) on sampled pairs.
-
-    With a declared candidate (M, delta) the certificate is exact-on-samples;
-    with search=True the smallest exponent supported by the samples is fitted
-    and the certificate is labelled empirical.  The certificate is attached
-    to the family for downstream use.
+    """Check a declared bound |U(t,s)| <= M exp(-delta (t-s)) on sampled
+    pairs.  The certificate holds on the samples only; it is attached to the
+    family for downstream use.
     """
-    norms, seps = [], []
-    for t, s in pairs:
-        U = fam.propagate_matrix(t, s)
-        norms.append(float(np.linalg.norm(U, ord=2)))
-        seps.append(t - s)
-    norms = np.array(norms)
-    seps = np.array(seps)
+    norms = np.array([np.linalg.norm(fam.propagate_matrix(t, s), ord=2)
+                      for t, s in pairs])
+    seps = np.array([t - s for t, s in pairs])
+    worst = float(np.min(M * np.exp(-delta * seps) - norms))
     lines = []
-    empirical = False
-    if search or M is None or delta is None:
-        empirical = True
-        mask = seps > 0.5
-        if mask.sum() >= 2:
-            slope, _ = np.polyfit(seps[mask], np.log(np.maximum(norms[mask], 1e-300)), 1)
-            delta = max(-float(slope) * 0.95, 1e-6)
-        else:
-            delta = 1e-6
-        M = float(np.max(norms * np.exp(delta * seps))) * 1.000001
-        lines.append(f"fitted empirically from {len(pairs)} samples")
-    slack = M * np.exp(-delta * seps) - norms
-    worst = float(np.min(slack))
-    margin = 1e-10
-    verdict = "pass" if worst >= -margin else "FAIL: growth detected"
-    if -margin <= worst < 0.0:
+    verdict = "pass" if worst >= -_STABILITY_MARGIN else "FAIL: growth detected"
+    if -_STABILITY_MARGIN <= worst < 0.0:
         lines.append("worst slack within propagation accuracy of zero "
                      "(tight bound)")
     lines.append(f"stability bound M = {M:.12g}, delta = {delta:.12g}; "
                  f"worst slack {worst:.6g} over {len(pairs)} samples ({verdict})")
     cert = StabilityCertificate(M=float(M), delta=float(delta),
                                 worst_slack=worst, n_samples=len(pairs),
-                                empirical=empirical, numerical_margin=margin,
                                 lines=lines)
     fam.stability = cert
     return cert
@@ -492,31 +469,37 @@ def dirichlet_laplacian(n: int) -> np.ndarray:
     return (np.diag(main) + np.diag(off, 1) + np.diag(off, -1)) / h ** 2
 
 
-def heat_demo_assemble(n: int = 4, alpha_eq: float = 1.0, alpha_amp: float = 2e-4,
-                       alpha_rate: float = 2.0, beta_eq: float = 2.0,
-                       beta_amp: float = 5e-4, beta_rate: float = 2.0,
-                       a_path: SampledPath = None, a_norm: float = None,
+# the demo's thermal relaxation functions alpha(t) = alpha_eq + alpha_amp
+# exp(-alpha_rate t) and beta(t) likewise, its decay exponents p and q, and the
+# tolerance of its resolvent residual check
+_HEAT_ALPHA_EQ, _HEAT_ALPHA_AMP, _HEAT_ALPHA_RATE = 1.0, 2e-4, 2.0
+_HEAT_BETA_EQ, _HEAT_BETA_AMP, _HEAT_BETA_RATE = 2.0, 5e-4, 2.0
+_HEAT_P, _HEAT_Q = 2.0, 2.0
+_HEAT_RESOLVENT_TOL = 1e-7
+
+
+def heat_demo_assemble(n: int = 4, a_path: SampledPath = None,
                        b_func: Callable = None, b_lipschitz: float = 0.0,
-                       nonlocal_map=None, rho: float = None,
-                       p: float = 2.0, q: float = 2.0,
-                       horizon: float = 10.0, grid_step: float = 0.005,
-                       u0: np.ndarray = None, tol: float = 1e-7):
+                       horizon: float = 10.0, grid_step: float = 0.005):
     """Assemble the heat-conduction-with-memory problem on the unit interval.
 
-    Thermal relaxation functions are the exponential family
-    alpha(t) = alpha_eq + alpha_amp exp(-alpha_rate t) (likewise beta); the
+    The thermal relaxation functions are fixed: alpha(t) = 1 + 2e-4 exp(-2t)
+    and beta(t) = 2 + 5e-4 exp(-2t), with decay exponents p = q = 2.  The
     second-order equation in (temperature, velocity) becomes a first-order
-    2n x 2n block system with memory factor B(t) = F(t) A.  Returns the wired
-    problem spec and a report auditing the decay/regularity conditions and
-    the ball inequality for rho.
+    2n x 2n block system with memory factor B(t) = F(t) A.  The forcing
+    a(t) b(theta) acts on the velocity block when both a_path and b_func are
+    given; the initial temperature is sin(pi x) and the nonlocal map is zero.
+    Returns the wired problem spec, the ball radius rho, and a report auditing
+    the decay/regularity conditions and the ball inequality for rho.
     """
     from . import problem as pb
     from .certify import compute_base_point
 
-    alpha0 = alpha_eq + alpha_amp
-    beta0 = beta_eq + beta_amp
-    if alpha0 <= 0.0 or beta0 <= 0.0:
-        raise ValueError("alpha(0) and beta(0) must be positive")
+    alpha_amp, alpha_rate = _HEAT_ALPHA_AMP, _HEAT_ALPHA_RATE
+    beta_amp, beta_rate = _HEAT_BETA_AMP, _HEAT_BETA_RATE
+    p, q = _HEAT_P, _HEAT_Q
+    alpha0 = _HEAT_ALPHA_EQ + alpha_amp
+    beta0 = _HEAT_BETA_EQ + beta_amp
     lap = dirichlet_laplacian(n)
     d = 2 * n
     A = np.zeros((d, d))
@@ -532,13 +515,10 @@ def heat_demo_assemble(n: int = 4, alpha_eq: float = 1.0, alpha_amp: float = 2e-
     E21[n:, :n] = np.eye(n)
     E22 = np.zeros((d, d))
     E22[n:, n:] = np.eye(n)
-    terms = []
-    if c_b != 0.0:
-        terms.append((c_b * E21 @ A, beta_rate))
-    if c_a != 0.0:
-        terms.append(((-beta0 * c_a * E21 - c_a * E22) @ A, alpha_rate))
-    memory = exponential_memory(terms, d, label="heat_memory") if terms \
-        else exponential_memory(((np.zeros((d, d)), 1.0),), d, label="heat_memory")
+    memory = exponential_memory(
+        [(c_b * E21 @ A, beta_rate),
+         ((-beta0 * c_a * E21 - c_a * E22) @ A, alpha_rate)], d,
+        label="heat_memory")
 
     # semigroup decay of the memoryless block system, certified by sampling
     eigs = np.linalg.eigvals(A)
@@ -583,25 +563,21 @@ def heat_demo_assemble(n: int = 4, alpha_eq: float = 1.0, alpha_amp: float = 2e-
     ]
 
     grid = np.arange(0.0, horizon + grid_step / 2.0, grid_step)
-    R = build_resolvent(A, memory, grid, tol=tol)
+    R = build_resolvent(A, memory, grid, tol=_HEAT_RESOLVENT_TOL)
     R.decay = (M, gamma, q)
     table = R.norm_table()
     decay_ok = not decay_violations(table).size
 
     # forcing f(t, u) = (0, a(t) b(theta)) on the velocity block
-    if u0 is None:
-        x_nodes = np.arange(1, n + 1) / (n + 1)
-        u0 = np.concatenate([np.sin(np.pi * x_nodes), np.zeros(n)])
-    u0 = np.asarray(u0, dtype=float)
-    if nonlocal_map is None:
-        nonlocal_map = pb.zero_nonlocal(d)
+    x_nodes = np.arange(1, n + 1) / (n + 1)
+    u0 = np.concatenate([np.sin(np.pi * x_nodes), np.zeros(n)])
+    nonlocal_map = pb.zero_nonlocal(d)
     if b_func is None or a_path is None:
         f = pb.zero_nonlinearity(d)
         b_at_zero = 0.0
-        a_norm_val = 0.0 if a_norm is None else a_norm
+        a_norm_val = 0.0
     else:
-        a_norm_val = a_norm if a_norm is not None else float(
-            np.max(np.abs(a_path.values)))
+        a_norm_val = float(np.max(np.abs(a_path.values)))
 
         def f_eval(t, x, y):
             t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -615,11 +591,9 @@ def heat_demo_assemble(n: int = 4, alpha_eq: float = 1.0, alpha_amp: float = 2e-
                             label="heat_forcing")
         b_at_zero = float(np.linalg.norm(np.atleast_1d(b_func(np.zeros((1, n)))[0])))
 
-    if rho is None:
-        rho = 1.2 * M * (np.linalg.norm(u0)
-                         + np.linalg.norm(nonlocal_map.at_zero)
-                         + (q / gamma) * a_norm_val * b_at_zero)
-        rho = float(max(rho, 1.0))
+    data_size = (np.linalg.norm(u0) + np.linalg.norm(nonlocal_map.at_zero)
+                 + (q / gamma) * a_norm_val * b_at_zero)
+    rho = float(max(1.2 * M * data_size, 1.0))
 
     spec = pb.ProblemSpec(
         variant=pb.RESOLVENT_NONLOCAL, dim=d, f=f, resolvent=R,
@@ -628,8 +602,7 @@ def heat_demo_assemble(n: int = 4, alpha_eq: float = 1.0, alpha_amp: float = 2e-
 
     y0 = compute_base_point(spec)
     base_sup = float(np.max(np.linalg.norm(y0.values, axis=1)))
-    ball_rhs = M * (np.linalg.norm(u0) + np.linalg.norm(nonlocal_map.at_zero)
-                    + (q / gamma) * a_norm_val * b_at_zero)
+    ball_rhs = M * data_size
     ball_ok = rho >= ball_rhs
     ball_lines = [
         f"ball size audit: rho = {rho:.9g} >= "

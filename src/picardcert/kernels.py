@@ -22,8 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import (ADVANCED, HALF_LINE_DELAYED, DecayEnvelope,
-                         zero_envelope)
+from .quadrature import DecayEnvelope, zero_envelope
 
 _SQRT_PRIMES = np.sqrt(np.array([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0]))
 
@@ -278,9 +277,9 @@ class SamplePlan:
         pts = kronecker_points(n_ts, 2)
         t = lo + width * pts[:, 0]
         sep = 0.02 + 3.0 * pts[:, 1]
-        if orientation == ADVANCED:
+        if orientation == "advanced":
             s = t + sep
-        elif orientation == HALF_LINE_DELAYED:
+        elif orientation == "half_line_delayed":
             t = np.abs(t)
             s = np.clip(t - sep, 0.0, None)
         else:

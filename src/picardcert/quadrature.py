@@ -5,9 +5,9 @@ statement (an integrand dominated by a decaying profile in |t - s|), so
 envelopes are first-class here: their tail mass says where a semi-infinite
 integral may be truncated with the neglected tail provably below a tolerance.
 
-The envelope constants of the certificates, sups over all t of oriented
-envelope integrals, need no quadrature: each is the envelope's total mass in
-closed form.
+The envelope constants of the certificates, sups over all t of an
+envelope's integral over s on either side of t, need no quadrature: each is
+the envelope's total mass in closed form, whichever the side.
 """
 
 from __future__ import annotations
@@ -17,12 +17,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.special import erfc
-
-DELAYED = "delayed"                    # integral over s <= t
-ADVANCED = "advanced"                  # integral over s >= t
-HALF_LINE_DELAYED = "half_line_delayed"  # integral over 0 <= s <= t
-
-ORIENTATIONS = (DELAYED, ADVANCED, HALF_LINE_DELAYED)
 
 DEFAULT_CONST_TOL = 1e-10   # sampled certificate constants (gamma1/gamma2)
 
@@ -175,28 +169,16 @@ def adaptive_integral(g, a: float, b: float, tol: float,
     return total, err_total
 
 
-def oriented_bounds(orientation: str, t: float, span: float):
-    """Finite integration interval for one oriented semi-infinite integral."""
-    if orientation == DELAYED:
-        return t - span, t
-    if orientation == ADVANCED:
-        return t, t + span
-    if orientation == HALF_LINE_DELAYED:
-        return max(0.0, t - span), t
-    raise ValueError(f"unknown orientation {orientation!r}")
-
-
 # ---------------------------------------------------------------------------
-# envelope constants (suprema over t of oriented envelope integrals)
+# envelope constants (suprema over t of one-sided envelope integrals)
 
 
-def envelope_constant(env: DecayEnvelope, orientation: str) -> float:
-    """sup over all real t of the oriented integral of env(t, .), in closed
-    form: the envelope's total mass (1/rate, resp. sqrt(pi/rate)/2, times the
-    amplitude).  The sup is attained for the delayed and advanced
-    orientations; for half_line_delayed it is the limit as t -> infinity."""
-    if orientation not in ORIENTATIONS:
-        raise ValueError(f"unknown orientation {orientation!r}")
+def envelope_constant(env: DecayEnvelope) -> float:
+    """sup over all real t of the integral of env(t, .) over s <= t, over
+    s >= t or over 0 <= s <= t, in closed form: the envelope's total mass
+    (1/rate, resp. sqrt(pi/rate)/2, times the amplitude).  The sup is
+    attained on the two full sides; on [0, t] it is the limit as
+    t -> infinity."""
     return float(env.total_mass())
 
 

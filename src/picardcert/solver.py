@@ -62,7 +62,7 @@ from .quadrature import adaptive_integral, gauss_legendre
 
 _PANEL_ORDER = 15
 _PANEL_WIDTH = 0.5
-_SWEEP_BLOCK = 1 << 13  # most points one integrand call of _sweep receives
+_SWEEP_BLOCK = 1 << 11  # most points one integrand call of _sweep receives
 _CELL_ORDER = 6        # Gauss-Legendre nodes per cell: recurrence and lattice
 
 

@@ -362,6 +362,8 @@ def test_resolvent_ball_certificate():
     assert cert.verdict == "pass"
     cert2 = certify_evolution(spec, rho=2.0, theorem="th313")
     assert cert2.passed
+    assert "stability constants: M = 1, delta = 1.5 (declared resolvent " \
+        "decay)" in cert.audit
 
 
 def test_missing_stability_certificate_raises():

@@ -101,6 +101,22 @@ def test_certify_fail_exit_two(tmp_path):
     assert "verdict: fail" in (tmp_path / "certificate.txt").read_text()
 
 
+@pytest.mark.parametrize("argv", [["certify", "--tol", "-1"],
+                                  ["solve", "--tol", "nan"],
+                                  ["diagnose", "solution.csv", "--tol", "0"]],
+                         ids=["certify", "solve", "diagnose"])
+def test_bad_tol_exit_one(tmp_path, capsys, argv):
+    # the contraction inequality fails here by 0.35 (certify exits 2); a
+    # slack margin of -1 would let it hold
+    bad = ORACLE_CONFIG.replace("sin_amp = 1.0",
+                                "sin_amp = 1.0\nstate_coeff = 0.3")
+    cfg = write_config(tmp_path, bad)
+    code = main(argv + ["--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 1
+    assert "--tol" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.txt").exists()
+
+
 def test_certify_ball_past_state_bound_exit_two(tmp_path):
     text = (ORACLE_CONFIG.replace("variant = advanced_delayed",
                                   "variant = delayed_only")

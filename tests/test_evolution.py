@@ -94,15 +94,6 @@ def test_stability_growth_detected():
     assert cert.worst_slack < 0.0
 
 
-def test_stability_empirical_search():
-    fam = constant_family([[-2.0]])
-    cert = certify_stability(fam, stability_sample_pairs((0.0, 8.0), n=24),
-                             search=True)
-    assert cert.empirical
-    assert cert.passed
-    assert 1.5 <= cert.delta <= 2.0
-
-
 # -- resolvent construction ------------------------------------------------------------
 
 def laplace_partial_fraction_oracle(grid):
@@ -328,6 +319,19 @@ def _unit_decay_family():
                                                   max_sep=5.0),
                       M=1.0, delta=1.0)
     return fam
+
+
+def test_delay_certificate_labels_sampled_stability():
+    # the family's (M, delta) are declared and checked on 30 sampled pairs
+    # only, and the delay certificate says so
+    spec = pc.ProblemSpec(
+        variant="delay_parabolic", dim=1, f=pc.sinusoid_affine(sin_amp=0.5),
+        evolution=_unit_decay_family(), delay=1.0, report_window=(-5.0, 5.0),
+        grid_step=0.05)
+    cert = pc.certify_evolution(spec, 2.0, theorem="delay-final")
+    assert cert.passed
+    assert ("  stability constants: M = 1, delta = 1 (sampled: checked on 30 "
+            "pairs)") in cert.to_text().splitlines()
 
 
 def test_delay_demo_zero_forcing():

@@ -141,7 +141,7 @@ def test_envelope_constant_is_the_sup_over_t(kind, orientation):
     # quadrature tolerance 1e-12) and equals it at a far t: the sup is attained
     # for delayed/advanced and is the limit t -> inf for half-line
     env = DecayEnvelope(kind, 1.5, 2.0)
-    const = envelope_constant(env, orientation)
+    const = envelope_constant(env)
     span = 30.0
 
     def oriented(t):
@@ -157,7 +157,7 @@ def test_envelope_constant_is_the_sup_over_t(kind, orientation):
 
 
 def test_zero_envelope_constant():
-    assert envelope_constant(zero_envelope(), "delayed") == 0.0
+    assert envelope_constant(zero_envelope()) == 0.0
 
 
 # -- panel helpers ----------------------------------------------------------------
