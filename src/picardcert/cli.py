@@ -132,7 +132,7 @@ def load_config(path) -> RunConfig:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:
                 out[key] = schema[key](raw)
-                # nan or inf (say, in a generator) hangs the ODE integrator
+                # nan or inf is refused here, not deep in a propagator or sweep
                 if schema[key] in (_FLOAT, _floats) \
                         and not np.all(np.isfinite(out[key])):
                     raise ValueError(raw)

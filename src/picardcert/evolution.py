@@ -1,9 +1,11 @@
 """Evolution families, resolvent operators and the two application demos.
 
-An evolution family propagates x' = A(t) x between two times with one
-integrator, which also builds the cell propagators of the solver's
-recurrence; its exponential-stability constants (M, delta) are declared,
-checked on sampled pairs, and feed the evolution certificates.  A resolvent
+An evolution family propagates x' = A(t) x between two times, and builds the
+cell propagators of the solver's recurrence, by one routine per dimension: a
+scalar family in closed form, U(t, s) = exp(int_s^t a), from Gauss sums of
+a(t) over the cells; a family with d >= 2 by an adaptive ODE integrator.  Its
+exponential-stability constants (M, delta) are declared, checked on sampled
+pairs, and feed the evolution certificates.  A resolvent
 operator propagates a linear equation with memory, R'(t) = A R(t) +
 int_0^t B(t-s) R(s) ds.  Its memory kernel is an exponential sum B(t) =
 sum_k exp(-r_k t) G_k, so R is a block of the matrix exponential of a
@@ -24,18 +26,28 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import legendre
 from scipy.linalg import expm
 
 from .kernels import KernelSpec, form_evaluator
 from .paths import TAIL_CONSTANT, SampledPath
 from .quadrature import DecayEnvelope
-from .solver import (_CellTable, _cell_nodes, _scan, _sweep, _uniform_step,
-                     solve_ivp)
+from .solver import (_CELL_ORDER, _CellTable, _cell_nodes, _scan, _sweep,
+                     _uniform_step, solve_ivp)
 
 _ODE_RTOL = 1e-12
 _ODE_ATOL = 1e-14
 _CHUNK_CELLS = 50      # cells between restarts of the fundamental matrix at I
 _CHUNK_FLOOR = 1e-3    # least singular value a chunk's fundamental matrix may reach
+_SCALAR_PIECE = 0.025  # widest piece of [s, t] in a scalar propagate_matrix
+# a scalar cell passes when its quadrature estimate is at most this much times
+# 1 + |a| |t| over the cell (the rounding of t alone moves the exponent by
+# about eps |a| |t|); one over it is cut at its Gauss nodes, and a piece over
+# it in turn, at most _SPLIT_DEPTH times deep and _SPLIT_CUTS times per cell
+_SCALAR_TOL = 1e-14
+_SPLIT_DEPTH = 40
+_SPLIT_CUTS = 200
+_EXP_MAX = float(np.log(np.finfo(float).max))
 # least tolerance of the resolvent residual check: an exact table still shows
 # the check's own stencil and spline error (9e-12 to 5e-11 at step 0.01)
 _RESOLVENT_TOL_FLOOR = 1e-9
@@ -66,12 +78,57 @@ class StabilityCertificate:
         return "\n".join(self.lines) + "\n"
 
 
+def _scalar_rules():
+    """On [-1, 1] with the _CELL_ORDER Gauss nodes x_k, three maps of the
+    values at the nodes: to their interpolant's highest Legendre
+    coefficient, to the interpolant at -1 and 1, and by P[k, i] =
+    int_{x_k}^1 l_i of the Lagrange basis l_i to int_{x_k}^1 of the
+    interpolant."""
+    x, w = legendre.leggauss(_CELL_ORDER)
+    # Legendre coefficients of the interpolant, C[n, i] for node value i
+    C = (legendre.legvander(x, _CELL_ORDER - 1) * w[:, None]).T \
+        * (np.arange(_CELL_ORDER) + 0.5)[:, None]
+    F = legendre.legint(C)
+    return (C[-1], legendre.legvander(np.array([-1.0, 1.0]), _CELL_ORDER - 1) @ C,
+            legendre.legval(1.0, F) - legendre.legvander(x, _CELL_ORDER) @ F)
+
+
+_TOP_COEF, _ENDS, _PARTIAL = _scalar_rules()
+
+
+def _settled(nodes, weights, values, ends):
+    """Per cell, whether the quadrature estimate of the values at its Gauss
+    nodes and edges passes: the width times the larger of the interpolant's
+    highest Legendre coefficient and its misfit at the edges.  A jump
+    between an edge and the nearest node shows only in the misfit.  nan
+    fails."""
+    width = weights.sum(axis=1)
+    reach = np.abs(nodes).max(axis=1) + width
+    misfit = np.abs(np.column_stack([values @ _TOP_COEF, ends - values @ _ENDS.T]))
+    return misfit.max(axis=1) * width \
+        <= _SCALAR_TOL * (1.0 + reach * np.abs(values).max(axis=1))
+
+
+def _exp(x, times):
+    """exp(x), or PropagationError at the first time whose exponent
+    overflows."""
+    over = x > _EXP_MAX
+    if over.any():
+        raise PropagationError(
+            "propagation failed: exp(int a) overflows at t = "
+            f"{np.broadcast_to(times, x.shape)[over][0]:.17g}")
+    return np.exp(x)
+
+
 @dataclass
 class EvolutionFamily:
     """Two-parameter propagator for x' = A(t) x, A(t) a d x d matrix.
 
-    One routine, `_cells`, integrates the matrix equation with an adaptive
-    high-order stepper, for propagate_matrix and for cell_table alike.  The
+    One routine, `_cells`, builds the propagators for propagate_matrix and
+    for cell_table alike.  A scalar family (d = 1) is exact up to quadrature,
+    U(t, s) = exp(int_s^t a), read from a at the Gauss nodes of every cell;
+    a family with d >= 2 is integrated by an adaptive high-order stepper.
+    The generator takes one float time and returns a d x d array.  The
     sectorial-regularity hypothesis on A(t) is not represented: its
     checkable content is the existence and stability of the propagator,
     which is verified directly.
@@ -86,28 +143,99 @@ class EvolutionFamily:
                               compare=False)
 
     def propagate_matrix(self, t: float, s: float) -> np.ndarray:
-        """The full matrix U(t, s)."""
+        """The full matrix U(t, s); a scalar family sums its exponent over
+        pieces of [s, t] no wider than _SCALAR_PIECE."""
         if t < s:
             raise PropagationError(f"propagate needs t >= s (got t={t}, s={s})")
         if t == s:
             return np.eye(self.dim)
+        if self.dim == 1:
+            edges = np.linspace(s, t, int(np.ceil((t - s) / _SCALAR_PIECE)) + 1)
+            _, _, total, _ = self._exponents(edges)
+            return _exp(total.sum(), t).reshape(1, 1)
         return self._cells(np.array([s, t])).Phi[0]
+
+    def _read(self, times) -> np.ndarray:
+        """a(t) of a scalar family at every time, one generator call each."""
+        values = np.array([self.generator(r)[0, 0]
+                           for r in times.ravel().tolist()],
+                          dtype=float).reshape(times.shape)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise PropagationError("propagation failed: the generator is not "
+                                   f"finite at t = {times[bad][0]:.17g}")
+        return values
+
+    def _split(self, lo, hi, ends, nodes, values) -> np.ndarray:
+        """int a over each of the pieces of [lo, hi] between its edges and
+        its Gauss nodes, whose values are read; a piece whose estimate fails
+        is cut at its own nodes in turn."""
+        out = np.zeros(_CELL_ORDER + 1)
+        stack, cuts = [(None, lo, hi, ends, nodes, values, 0)], 0
+        while stack:
+            top, a, b, ends, nodes, values, depth = stack.pop()
+            if depth == _SPLIT_DEPTH or cuts == _SPLIT_CUTS:
+                raise PropagationError(
+                    "propagation failed: the integral of the generator does "
+                    f"not settle near t = {0.5 * (a + b):.17g}")
+            cuts += 1
+            edges = np.concatenate([[a], nodes, [b]])
+            known = np.concatenate([ends[:1], values, ends[1:]])
+            known = np.column_stack([known[:-1], known[1:]])
+            sub_nodes, sub_weights = _cell_nodes(edges)
+            sub_values = self._read(sub_nodes)
+            settled = _settled(sub_nodes, sub_weights, sub_values, known)
+            for k in range(_CELL_ORDER + 1):
+                piece = k if top is None else top
+                if settled[k]:
+                    out[piece] += sub_weights[k] @ sub_values[k]
+                else:
+                    stack.append((piece, edges[k], edges[k + 1], known[k],
+                                  sub_nodes[k], sub_values[k], depth + 1))
+        return out
+
+    def _exponents(self, edges):
+        """For a scalar family, the Gauss nodes and weights of every cell
+        between consecutive edges, int_{t_j}^{t_{j+1}} a and, per node s_jk,
+        int_{s_jk}^{t_{j+1}} a.  A cell whose estimate fails is split."""
+        nodes, weights = _cell_nodes(edges)
+        values, at_edges = self._read(nodes), self._read(edges)
+        ends = np.column_stack([at_edges[:-1], at_edges[1:]])
+        total = (weights * values).sum(axis=1)
+        partial = 0.5 * np.diff(edges)[:, None] * (values @ _PARTIAL.T)
+        for j in np.flatnonzero(~_settled(nodes, weights, values, ends)):
+            pieces = self._split(edges[j], edges[j + 1], ends[j], nodes[j],
+                                 values[j])
+            partial[j] = np.cumsum(pieces[:0:-1])[::-1]
+            total[j] = pieces.sum()
+        return nodes, weights, total, partial
 
     def _cells(self, edges) -> _CellTable:
         """Cell propagators between consecutive edges.
 
-        The fundamental matrix X(t) = U(t, t_c) restarts at I at the first
-        edge of every chunk of cells, and U(t, s) = X(t) X(s)^{-1} inside a
-        chunk.  A single pass loses all relative accuracy once X decays
-        below the integrator's atol, so a chunk over which X nears that
-        level is halved.
+        A scalar family takes them from its exponents: Phi[j] =
+        exp(int_{t_j}^{t_{j+1}} a) and VW[j, k] = w_jk exp(int_{s_jk}^{t_{j+1}}
+        a).  Otherwise the fundamental matrix X(t) = U(t, t_c) restarts at I
+        at the first edge of every chunk of cells, and U(t, s) = X(t)
+        X(s)^{-1} inside a chunk.  A single pass loses all relative accuracy
+        once X decays below the integrator's atol, so a chunk over which X
+        nears that level is halved.
         """
+        if self.dim == 1:
+            nodes, weights, total, partial = self._exponents(edges)
+            VW = weights * _exp(partial, edges[1:, None])
+            return _CellTable(nodes, _exp(total, edges[1:])[:, None, None],
+                              VW[..., None, None])
         nodes, weights = _cell_nodes(edges)
         (n, K), d = nodes.shape, self.dim
         Phi, VW = np.empty((n, d, d)), np.empty((n, K, d, d))
 
         def rhs(r, z):
-            return (self.generator(r) @ z.reshape(d, d)).ravel()
+            A = self.generator(r)
+            if not np.isfinite(A).all():  # nan would loop the stepper
+                raise PropagationError("propagation failed: the generator is "
+                                       f"not finite at t = {r:.17g}")
+            return (A @ z.reshape(d, d)).ravel()
 
         start, size = 0, _CHUNK_CELLS
         while start < n:

@@ -69,7 +69,8 @@ _CELL_ORDER = 6        # Gauss-Legendre nodes per cell: recurrence and lattice
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported on the first call, so that
     importing the package loads neither scipy.integrate nor the
-    scipy.optimize it brings; only evolution-family propagators need it."""
+    scipy.optimize it brings; only the propagators of evolution families
+    with d >= 2 need it (a scalar family's are in closed form)."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
     return scipy_solve_ivp(*args, **kwargs)
 

@@ -394,16 +394,15 @@ def test_demo_delay_sides_disagree_indeterminate(tmp_path, monkeypatch):
 
 
 def test_failed_integration_exit_one(tmp_path, monkeypatch, capsys):
-    # the first stability sample fails to integrate: a named error, no
-    # traceback
-    from types import SimpleNamespace
-
-    from picardcert import evolution
-    monkeypatch.setattr(evolution, "solve_ivp", lambda *a, **kw: SimpleNamespace(
-        success=False, message="Required step size is less than spacing "
-                               "between numbers."))
+    # the demo's family reads nan, so the first stability sample fails to
+    # propagate: a named error, no traceback
+    from picardcert import cli, evolution
+    monkeypatch.setattr(cli, "scalar_family", lambda a_of_t, label: (
+        evolution.scalar_family(lambda t: np.nan, label=label)))
     assert main(["demo", "delay", "--out", str(tmp_path)]) == 1
-    assert "propagation failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "propagation failed" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.slow

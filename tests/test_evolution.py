@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 import picardcert as pc
+from picardcert import problem as pb
 from picardcert.evolution import (PropagationError,
                                   build_resolvent, certify_stability,
                                   cocycle_residual,
@@ -10,6 +11,7 @@ from picardcert.evolution import (PropagationError,
                                   dirichlet_laplacian, exponential_memory,
                                   heat_demo_assemble, scalar_family,
                                   stability_sample_pairs)
+from picardcert.solver import work_grid
 
 from _oracles import delay_coupled_coeffs
 
@@ -52,6 +54,97 @@ def test_scalar_nonautonomous_closed_form():
     for t, s in ((1.0, 0.0), (4.0, 1.5), (0.5, -2.0)):
         expect = np.exp(-2.0 * (t - s) + np.cos(t) - np.cos(s))
         assert fam.propagate_matrix(t, s)[0, 0] == pytest.approx(expect, rel=1e-9)
+
+
+def _two_plus_sin_exact(t, s):
+    return np.exp(-2.0 * (t - s) + np.cos(t) - np.cos(s))
+
+
+def _table_edges(grid, table):
+    """The cell edges of a family's table over grid, its run-in included."""
+    h = grid[1] - grid[0]
+    run_in = len(table) - (grid.size - 1)
+    return np.concatenate([grid[0] - h * np.arange(run_in, 0, -1), grid])
+
+
+def test_scalar_table_is_the_closed_form():
+    # the delay demo's lattice, as its base point builds it: every cell
+    # propagator and Gauss-node weight within 1e-13 of exp(int a)
+    fam = two_plus_sin_family()
+    certify_stability(fam, stability_sample_pairs((-15.0, 15.0), n=30,
+                                                  max_sep=5.0),
+                      M=1.0, delta=1.0)
+    spec = pc.ProblemSpec(variant=pb.DELAY_PARABOLIC, dim=1, evolution=fam,
+                          f=pc.sinusoid_affine(sin_amp=0.5, state_coeff=0.1),
+                          delay=1.0, report_window=(-10.0, 45.0),
+                          grid_step=0.02, quad_tol=1e-8)
+    pc.certify_evolution(spec, rho=2.0, theorem="delay-final")
+    (table,) = fam.cell_tables.values()
+    grid = work_grid(spec)
+    edges = _table_edges(grid, table)
+    assert len(table) > grid.size - 1
+    Phi = _two_plus_sin_exact(edges[1:], edges[:-1])
+    VW = (np.diff(edges)[:, None] / 2 * np.polynomial.legendre.leggauss(6)[1]
+          * _two_plus_sin_exact(edges[1:, None], table.nodes))
+    assert np.max(np.abs(table.Phi[:, 0, 0] / Phi - 1.0)) < 1e-13
+    assert np.max(np.abs(table.VW[..., 0, 0] / VW - 1.0)) < 1e-13
+
+
+def test_scalar_stability_pairs_are_the_closed_form():
+    fam = two_plus_sin_family()
+    pairs = stability_sample_pairs((-15.0, 15.0), n=30, max_sep=5.0)
+    got = np.array([fam.propagate_matrix(t, s)[0, 0] for t, s in pairs])
+    expect = np.array([_two_plus_sin_exact(t, s) for t, s in pairs])
+    assert np.max(np.abs(got / expect - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("start, t0, rel", [
+    (0.0, 1.0123456789, 1e-13),   # inside the cell [1.0, 1.1]
+    (1e4, 1e4 + 1.0, 1e-10)],     # on a grid node, where ulp(t) is 1.8e-12
+    ids=["inside-a-cell", "on-a-node-far-out"])
+def test_scalar_jump_is_split(start, t0, rel):
+    # a(t) jumps from -1 to -3 at t0: the cells around it are split, and the
+    # result is the exact piecewise integral, to the resolution of t
+    calls = []
+    fam = scalar_family(lambda t: calls.append(1) or (-1.0 if t < t0 else -3.0))
+
+    def exponent(t, s):  # int_s^t a
+        return (-(np.minimum(t, t0) - np.minimum(s, t0))
+                - 3.0 * (np.maximum(t, t0) - np.maximum(s, t0)))
+
+    grid = start + np.linspace(0.0, 2.0, 21)
+    table = fam.cell_table(grid)
+    assert len(calls) > 7 * len(table) + 1
+    w = 0.05 * np.polynomial.legendre.leggauss(6)[1]
+    Phi = np.exp(exponent(grid[1:], grid[:-1]))
+    VW = w * np.exp(exponent(grid[1:, None], table.nodes))
+    assert np.max(np.abs(table.Phi[:, 0, 0] / Phi - 1.0)) < rel
+    assert np.max(np.abs(table.VW[..., 0, 0] / VW - 1.0)) < rel
+    assert fam.propagate_matrix(start + 1.5, start + 0.5)[0, 0] == \
+        pytest.approx(np.exp(exponent(start + 1.5, start + 0.5)), rel=rel)
+
+
+@pytest.mark.parametrize("a_of_t, reason", [
+    (lambda t: np.nan, "not finite"),
+    (lambda t: 400.0, "overflows"),
+    (lambda t: np.sin(1e9 * t), "does not settle")],
+    ids=["nan", "overflow", "noise"])
+def test_scalar_propagation_error(a_of_t, reason):
+    # a PropagationError naming the time, never a RuntimeWarning
+    fam = scalar_family(a_of_t)
+    with pytest.raises(PropagationError, match=f"propagation failed: .*{reason}"
+                       ".* t = "):
+        fam.propagate_matrix(3.0, 0.0)
+    with pytest.raises(PropagationError, match=reason):
+        fam.cell_table(np.linspace(0.0, 3.0, 2))
+
+
+def test_matrix_nan_generator_raises():
+    # DOP853 looped without end on a nan right-hand side
+    fam = pc.EvolutionFamily(lambda t: np.array([[np.nan, 0.0], [0.0, -1.0]]),
+                             dim=2)
+    with pytest.raises(PropagationError, match="not finite at t = "):
+        fam.propagate_matrix(1.0, 0.0)
 
 
 def test_cocycle_property():

@@ -42,16 +42,22 @@ def test_guard_catches_an_unused_import():
     assert _unused_imports(source) == [(3, "adaptive_integral")]
 
 
-def _loaded_after_import(module, prefixes):
-    """The modules under prefixes that a fresh `import module` loads."""
+def _loaded_after(statement, prefixes):
+    """The modules under prefixes that a fresh process has loaded after
+    running statement; its last line of output."""
     src = str(Path(picardcert.__file__).parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-c", f"import sys, {module}; "
+        [sys.executable, "-c", f"import sys; {statement}; "
          f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"],
         capture_output=True, text=True, env=env, check=True)
-    return out.stdout.strip()
+    return out.stdout.strip().splitlines()[-1]
+
+
+def _loaded_after_import(module, prefixes):
+    """The modules under prefixes that a fresh `import module` loads."""
+    return _loaded_after(f"import {module}", prefixes)
 
 
 def test_import_does_not_load_scipy_signal():
@@ -65,3 +71,12 @@ def test_cli_import_loads_no_interpolate_integrate_or_optimize():
     # first use, which a command that needs neither never reaches
     assert _loaded_after_import("picardcert.cli", (
         "scipy.interpolate", "scipy.integrate", "scipy.optimize")) == "[]"
+
+
+def test_demo_delay_loads_no_integrate_or_optimize(tmp_path):
+    # the demo's family is scalar, so its propagators are exp(int a) in
+    # closed form and no ODE solve imports scipy.integrate
+    assert _loaded_after(
+        "from picardcert.cli import main; "
+        f"assert main(['demo', 'delay', '--out', {str(tmp_path)!r}]) == 0",
+        ("scipy.integrate", "scipy.optimize")) == "[]"
