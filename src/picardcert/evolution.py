@@ -27,7 +27,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.linalg import expm
 
 from .kernels import KernelSpec, form_evaluator
 from .paths import TAIL_CONSTANT, SampledPath
@@ -56,6 +55,13 @@ _CHECK_TIMES = 41      # interior grid times of the resolvent residual check
 # a sampled stability slack this far below zero still passes: equality cases
 # sit at zero up to the propagation accuracy
 _STABILITY_MARGIN = 1e-10
+
+
+def expm(A):
+    """scipy.linalg.expm, imported on the first call, so that only the
+    resolvent and the heat demo load scipy.linalg (and scipy's base)."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(A)
 
 
 class PropagationError(RuntimeError):

@@ -13,11 +13,10 @@ can be shared freely across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 FULL_LINE = "full_line"
 HALF_LINE = "half_line"
@@ -37,35 +36,96 @@ class DomainEscapeError(ValueError):
     """Evaluation was requested outside the evaluable domain of a path."""
 
 
+@lru_cache(maxsize=8)
+def _not_a_knot_factor(grid: bytes):
+    """Odd-even cyclic reduction of the slope system of the not-a-knot
+    spline on a grid (its float64 bytes), with the two end rows folded in.
+
+    The unknowns are the slopes s_1 .. s_{n-2} at the interior nodes; row i
+    reads dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1}, padded
+    with identity rows to 2^k - 1 unknowns.  Each level keeps the
+    multipliers that eliminate the even unknowns from the odd rows, and the
+    even rows (sub, diag, super) that give the even unknowns back.  The
+    result does not depend on the values, so a grid is factored once for
+    every path on it.
+    """
+    x = np.frombuffer(grid)
+    dx = np.diff(x)
+    m = x.size - 2
+    size = (1 << m.bit_length()) - 1
+    sub, diag, sup = np.zeros((size, 1)), np.ones((size, 1)), np.zeros((size, 1))
+    sub[1:m, 0] = dx[2:]
+    diag[:m, 0] = 2.0 * (dx[:-1] + dx[1:])
+    sup[:m - 1, 0] = dx[:-2]
+    diag[0] -= x[2] - x[0]
+    diag[m - 1] -= x[-1] - x[-3]
+    levels = []
+    while diag.size > 1:
+        lower = -sub[1::2] / diag[:-1:2]
+        upper = -sup[1::2] / diag[2::2]
+        levels.append((lower, upper, sub[2::2], diag[::2], sup[:-1:2]))
+        sub, diag, sup = (lower * sub[:-1:2],
+                          diag[1::2] + lower * sup[:-1:2] + upper * sub[2::2],
+                          upper * sup[2::2])
+    return size, levels, diag[0]
+
+
+def _cyclic_solve(factor, r) -> np.ndarray:
+    """The solution of the factored system for the right-hand sides r, (m, d)."""
+    size, levels, last = factor
+    m = r.shape[0]
+    r = np.concatenate([r, np.zeros((size - m, r.shape[1]))])
+    kept = []
+    for lower, upper, *_ in levels:
+        kept.append(r)
+        r = r[1::2] + lower * r[:-1:2] + upper * r[2::2]
+    s = r / last
+    for (_, _, sub, diag, sup), r in zip(reversed(levels), reversed(kept)):
+        even = r[::2].copy()
+        even[1:] -= sub * s
+        even[:-1] -= sup * s
+        full = np.empty_like(r)
+        full[1::2] = s
+        full[::2] = even / diag
+        s = full
+    return s[:m]
+
+
 def _cubic_coefficients(x, y) -> np.ndarray:
     """Horner coefficients of the not-a-knot cubic spline through (x, y).
 
     x is strictly increasing with n >= 4 nodes and y is (n, d).  The slopes
     at the nodes solve one tridiagonal system (C. de Boor, *A Practical
     Guide to Splines*, ch. IV), the one scipy's not-a-knot spline solves.
-    Returns c of shape (n - 1, 4, d): the spline is
+    Its two end rows, dx_1 s_0 + (x_2 - x_0) s_1 and the mirror image, are
+    not diagonally dominant; but the next row's coefficient of the end
+    slope is the same dx, so subtracting each end row from its neighbour
+    removes the end slope and leaves a system on the interior slopes whose
+    every row is strictly diagonally dominant (the folded rows by dx_1 and
+    dx_{n-3}, the others by half their diagonal).  That system is solved by
+    odd-even cyclic reduction without pivoting, which is stable for such
+    systems (D. Heller, "Some aspects of the cyclic reduction algorithm for
+    block tridiagonal linear systems", SIAM J. Numer. Anal. 13, 1976);
+    `_not_a_knot_factor` reduces each grid once, and the end slopes follow
+    from the end rows.  Returns c of shape (n - 1, 4, d): the spline is
     ((c0 u + c1) u + c2) u + c3 at u = t - x[i] in cell i.
     """
-    n = x.size
     dx = np.diff(x)
     dxr = dx[:, None]
     slope = np.diff(y, axis=0) / dxr
-    A = np.zeros((3, n))
-    b = np.empty_like(y)
-    A[1, 1:-1] = 2.0 * (dx[:-1] + dx[1:])
-    A[0, 2:] = dx[:-1]
-    A[-1, :-2] = dx[1:]
-    b[1:-1] = 3.0 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    r = 3.0 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
     # not-a-knot: the third derivative is continuous at x[1] and x[n-2]
-    d = x[2] - x[0]
-    A[1, 0], A[0, 1] = dx[1], d
-    b[0] = ((dxr[0] + 2.0 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
-    d = x[-1] - x[-3]
-    A[1, -1], A[-1, -2] = dx[-2], d
-    b[-1] = (dxr[-1] ** 2 * slope[-2]
-             + (2.0 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
-                     check_finite=False)
+    d0 = x[2] - x[0]
+    r0 = ((dxr[0] + 2.0 * d0) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d0
+    d1 = x[-1] - x[-3]
+    r1 = (dxr[-1] ** 2 * slope[-2]
+          + (2.0 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+    r[0] -= r0
+    r[-1] -= r1
+    s = np.empty_like(y)
+    s[1:-1] = _cyclic_solve(_not_a_knot_factor(x.tobytes()), r)
+    s[0] = (r0 - d0 * s[1]) / dx[1]
+    s[-1] = (r1 - d1 * s[-2]) / dx[-2]
     t = (s[:-1] + s[1:] - 2.0 * slope) / dxr
     return np.stack([t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]],
                     axis=1)
@@ -147,10 +207,24 @@ class SampledPath:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, t) -> np.ndarray:
-        """Value of the path at time(s) t; shape (d,) for scalar t, (m, d) else."""
+        """Value of the path at time(s) t; shape (d,) for scalar t, t.shape +
+        (d,) else.
+
+        A 2-D t whose rows each lie strictly inside one grid cell, as the
+        Gauss nodes of the solver's cells do, is read by one search per row
+        and that cell's cubic; any other row is read point by point.  Both
+        give the same bits.
+        """
         t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        tt = np.atleast_1d(t_arr).ravel()
+        if t_arr.ndim == 2 and t_arr.size and self._spline is not None:
+            return self._read_rows(t_arr)
+        out = self._read(np.atleast_1d(t_arr).ravel())
+        if t_arr.ndim == 0:
+            return out[0]
+        return out.reshape(t_arr.shape + (self.dim,)) if t_arr.ndim > 1 else out
+
+    def _read(self, tt) -> np.ndarray:
+        """Values (m, d) at the flat array of times tt, point by point."""
         lo, hi = self.grid[0], self.grid[-1]
 
         below = tt < lo
@@ -192,10 +266,34 @@ class SampledPath:
                 out[above] *= np.exp(-_TAIL_DECAY_RATE * (tt[above] - hi))[:, None]
             if below.any():
                 out[below] *= np.exp(-_TAIL_DECAY_RATE * (lo - tt[below]))[:, None]
+        return out
 
-        if scalar:
-            return out[0]
-        return out.reshape(t_arr.shape + (self.dim,)) if t_arr.ndim > 1 else out
+    def _read_rows(self, t) -> np.ndarray:
+        """Spline values (R, K, d) at the times t, (R, K).  A row strictly
+        inside grid cell j gets j from one search of its least time and the
+        same Horner steps as _read; the other rows are read by _read."""
+        grid = self.grid
+        cell = np.searchsorted(grid, t.min(axis=1)) - 1
+        inside = (cell >= 0) & (
+            t.max(axis=1) < grid[np.minimum(cell + 1, grid.size - 1)])
+        if not inside.any():
+            return self._read(t.ravel()).reshape(t.shape + (self.dim,))
+        np.clip(cell, 0, grid.size - 2, out=cell)
+        u = t - grid[cell][:, None]
+        rest = np.flatnonzero(~inside)
+        # the rows read by _read take u = 0 here, so their cubic stays finite
+        u[rest] = 0.0
+        u = u[..., None]
+        c = self._spline[cell][:, None]
+        out = c[..., 0, :] * u
+        for k in (1, 2):
+            out += c[..., k, :]
+            out *= u
+        out += c[..., 3, :]
+        if rest.size:
+            out[rest] = self._read(t[rest].ravel()).reshape(
+                (rest.size,) + out.shape[1:])
+        return out
 
     __call__ = evaluate
 

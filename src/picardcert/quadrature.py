@@ -12,11 +12,11 @@ the envelope's total mass in closed form, whichever the side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import erfc
 
 DEFAULT_CONST_TOL = 1e-10   # sampled certificate constants (gamma1/gamma2)
 
@@ -66,7 +66,8 @@ class DecayEnvelope:
             return 0.0
         if self.kind == "exponential":
             return self.amplitude * np.exp(-self.rate * span) / self.rate
-        return self.amplitude * 0.5 * np.sqrt(np.pi / self.rate) * erfc(np.sqrt(self.rate) * span)
+        return (self.amplitude * 0.5 * np.sqrt(np.pi / self.rate)
+                * math.erfc(np.sqrt(self.rate) * span))
 
     def total_mass(self) -> float:
         return self.tail_mass(0.0)

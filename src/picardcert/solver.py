@@ -16,11 +16,11 @@ convolution form theta(t - s) * fhat(s, y(s), y(a(s))), as every built-in
 family does, is one `_lattice` product: the `_CELL_ORDER` Gauss nodes of
 every grid cell, the same nodes the evolution recurrence uses, carry fhat
 once, and the integral at every node is a sum over node offsets of Toeplitz
-products in the cell index, taken with one batched real FFT (the discrete
-convolution of Hairer, Lubich and Schlichte, "Fast numerical solution of
-nonlinear Volterra convolution equations", 1985).  The lattice is padded by
-whole cells on the integral's side, so it never truncates short of the
-span, and needs a uniform grid.  On the sinusoid-oracle config at step 0.02
+products in the cell index, taken with one batched real FFT of numpy's at a
+5-smooth length (the discrete convolution of Hairer, Lubich and Schlichte,
+"Fast numerical solution of nonlinear Volterra convolution equations",
+1985).  The lattice is padded by whole cells on the integral's side, so it
+never truncates short of the span, and needs a uniform grid.  On the sinusoid-oracle config at step 0.02
 it reads 30k points per application where per-node panels read 1.4M.
 
 A kernel without a declared form is integrated by `_sweep`: Gauss-Legendre
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from . import problem as pb
 from .certify import ContractionCertificate
@@ -68,9 +68,10 @@ _CELL_ORDER = 6        # Gauss-Legendre nodes per cell: recurrence and lattice
 
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported on the first call, so that
-    importing the package loads neither scipy.integrate nor the
-    scipy.optimize it brings; only the propagators of evolution families
-    with d >= 2 need it (a scalar family's are in closed form)."""
+    importing the package loads no scipy module at all; only the
+    propagators of evolution families with d >= 2 need it (a scalar
+    family's are in closed form), and their first call pays the import of
+    scipy's base and of scipy.integrate."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
     return scipy_solve_ivp(*args, **kwargs)
 
@@ -270,6 +271,29 @@ def _uniform_step(t) -> float:
     return h
 
 
+def next_fast_len(n: int) -> int:
+    """The least 5-smooth integer at least n: a length at which pocketfft's
+    real transforms are fast (scipy.fft.next_fast_len(n, real=True))."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two times p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _rfft(a, size):
+    """The real FFT of a along axis 0, zero-padded to size; numpy pads
+    through its n argument about 40 % slower than from a zeroed buffer."""
+    padded = np.zeros((size,) + a.shape[1:])
+    padded[:a.shape[0]] = a
+    return rfft(padded, axis=0)
+
+
 def _lattice(t, span, delayed, theta, phi, start=-np.inf) -> np.ndarray:
     """int theta(t_i - s) phi(s) ds at every node t_i of the uniform grid t.
 
@@ -298,9 +322,9 @@ def _lattice(t, span, delayed, theta, phi, start=-np.inf) -> np.ndarray:
     nodes, weights = _cell_nodes(first + h * np.arange(cells + 1))
     taps = weights[0] * theta(lag0 + h * np.arange(M)[:, None]
                               - (nodes[0] - first))
-    size = next_fast_len(cells + M - 1, real=True)
-    full = irfft(np.einsum("fk,fk...->f...", rfft(taps, size, axis=0),
-                           rfft(phi(nodes), size, axis=0)), size, axis=0)
+    size = next_fast_len(cells + M - 1)
+    full = irfft(np.einsum("fk,fk...->f...", _rfft(taps, size),
+                           _rfft(phi(nodes), size)), size, axis=0)
     # node i reads entry i + out0 - 1; a lattice from t_0 leaves t_0 empty
     full = np.concatenate([np.zeros((1,) + full.shape[1:]), full])
     return full[out0:out0 + n]
@@ -529,7 +553,7 @@ def apply_mild_evolution(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
         run_in = int(np.ceil(span / (t[1] - t[0])))
         table = spec.evolution.cell_table(t, run_in)
         s = table.nodes.ravel()
-        x_del = y.evaluate(s - tau)
+        x_del = y.evaluate(table.nodes - tau).reshape(s.size, spec.dim)
         g = np.asarray(spec.f(s, x_del, np.zeros_like(x_del)))
         vals = _cell_recurrence(table, np.zeros(spec.dim),
                                 g.reshape(table.nodes.shape + (spec.dim,)))

@@ -3,12 +3,16 @@ import io
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from picardcert.paths import (AAADecomposition, DomainEscapeError, SampledPath,
                               TimeWarp, aaa_norm, from_function, identity_warp,
                               range_epsilon_net, read_csv,
                               shift_warp, sup_norm, warp_compose, write_csv,
                               zero_path)
+
+from picardcert.paths import _cubic_coefficients
+from picardcert.solver import _cell_nodes
 
 from _oracles import psi
 
@@ -65,6 +69,84 @@ def test_cubic_matches_scipy_not_a_knot_spline(n, d, uniform):
     scale = np.max(np.abs(want), axis=0)
     assert np.max(np.abs(p.evaluate(t) - want) / scale) <= 1e-14
     assert np.array_equal(p.evaluate(grid), values)
+
+
+def _banded_slopes(x, y):
+    """The node slopes of the not-a-knot spline by scipy's banded solver,
+    on the system as it stands, end rows unfolded."""
+    n, dx = x.size, np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    A = np.zeros((3, n))
+    b = np.empty_like(y)
+    A[1, 1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b[1:-1] = 3.0 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    d = x[2] - x[0]
+    A[1, 0], A[0, 1] = dx[1], d
+    b[0] = ((dxr[0] + 2.0 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    A[1, -1], A[-1, -2] = dx[-2], d
+    b[-1] = (dxr[-1] ** 2 * slope[-2]
+             + (2.0 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    return solve_banded((1, 1), A, b)
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 64, 1001])
+@pytest.mark.parametrize("d", [1, 8, 64])
+@pytest.mark.parametrize("ratio", [1.0, 1e3])
+def test_cyclic_reduction_matches_banded_solve(n, d, ratio):
+    # the folded, pivot-free cyclic reduction against LAPACK's banded solve
+    # of the unfolded system, on grids whose steps vary by up to ratio
+    rng = np.random.default_rng([n, d, int(ratio)])
+    x = np.cumsum(np.exp(rng.uniform(0.0, np.log(ratio), n))) - 3.0
+    y = rng.standard_normal((n, d))
+    want = _banded_slopes(x, y)
+    got = _cubic_coefficients(x, y)[:, 2]
+    scale = np.max(np.abs(want), axis=0)
+    assert np.max(np.abs(got - want[:-1]) / scale) <= 1e-13
+
+
+def _row_cases():
+    grid = np.linspace(-2.0, 5.0, 71)
+    h = grid[1] - grid[0]
+    nodes = _cell_nodes(grid)[0]
+    straddle = nodes + 0.5 * h
+    past = np.array([[grid[0] - 0.7 * h] * 3 + [grid[0] - 0.2 * h] * 3,
+                     [grid[-1] + 0.2 * h] * 6, [grid[-1] + 0.9 * h] * 6])
+    on_node = np.tile(grid[[10]], (1, 6))
+    to_node = np.column_stack([nodes[:, :5], grid[1:]])
+    rng = np.random.default_rng(7)
+    bumpy = np.cumsum(rng.uniform(0.05, 1.0, 40)) - 3.0
+    yield "cells", grid, nodes
+    yield "straddle", grid, straddle
+    yield "to-node", grid, to_node
+    yield "mixed", grid, np.vstack([nodes, straddle[::3], past, on_node])
+    cells = _cell_nodes(bumpy)[0]
+    yield "nonuniform", bumpy, np.vstack(
+        [cells, cells + 0.5 * np.diff(bumpy)[:, None]])
+
+
+@pytest.mark.parametrize("tail", ["constant", "decay_to_anchor", "error"])
+@pytest.mark.parametrize("case", list(_row_cases()), ids=lambda c: c[0])
+def test_row_read_matches_pointwise_read(tail, case):
+    # a row inside one cell takes one search and that cell's cubic; the
+    # bits must be those of the point-by-point read of the same times
+    _, grid, t = case
+    values = np.column_stack([np.sin(grid), np.cos(3.0 * grid)])
+    p = SampledPath(grid, values, tail_policy=tail)
+    rows = p.evaluate(t)
+    assert rows.shape == t.shape + (2,)
+    assert np.array_equal(rows, p.evaluate(t.ravel()).reshape(rows.shape))
+
+
+def test_row_read_escapes_as_the_pointwise_read_does():
+    grid = np.linspace(0.0, 1.0, 11)
+    p = SampledPath(grid, np.sin(grid))
+    t = np.vstack([_cell_nodes(grid)[0], np.full((1, 6), 1.5)])
+    with pytest.raises(DomainEscapeError, match="time 1.5 escapes"):
+        p.evaluate(t)
 
 
 def test_linear_midpoint():
