@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import problem as pb
+from .minimize import bounded_minimum
 from .paths import SampledPath, sup_norm, sup_distance
 from .quadrature import EnvelopeConstants, adaptive_integral, envelope_constant
 
@@ -207,8 +208,6 @@ _SCAN_LO, _SCAN_HI = 1e-3, 1e6  # the radius search's interval, capped at state_
 
 def _radius_scan(objective, lo, hi, n=1000):
     """Deterministic log-grid scan with golden refinement around the best point."""
-    from scipy.optimize import minimize_scalar  # first use: a slow import
-
     rs = np.logspace(np.log10(lo), np.log10(hi), n)
     vals = objective(rs)
     i = int(np.argmax(vals))
@@ -216,11 +215,10 @@ def _radius_scan(objective, lo, hi, n=1000):
     a = rs[max(i - 1, 0)]
     b = rs[min(i + 1, n - 1)]
     if a < b:
-        res = minimize_scalar(lambda r: -float(objective(np.array([r]))[0]),
-                              bounds=(float(a), float(b)), method="bounded",
-                              options={"xatol": 1e-12})
-        if -res.fun > v_best:
-            r_best, v_best = float(res.x), float(-res.fun)
+        r_min, f_min = bounded_minimum(
+            lambda r: -float(objective(np.array([r]))[0]), float(a), float(b))
+        if -f_min > v_best:
+            r_best, v_best = float(r_min), float(-f_min)
     return r_best, v_best
 
 

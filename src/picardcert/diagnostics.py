@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .minimize import bounded_minimum
 from .paths import (AAADecomposition, FULL_LINE, HALF_LINE, SampledPath,
                     TAIL_CONSTANT, TAIL_DECAY, range_epsilon_net)
 
@@ -322,8 +323,6 @@ def aaa_split_estimate(p: SampledPath, split_time: float, max_freqs: int = 3,
     component is the pointwise remainder on the half line.  Returns
     (decomposition, residual beyond split_time, fit report).
     """
-    from scipy.optimize import minimize_scalar  # first use: a slow import
-
     if p.domain_kind != HALF_LINE:
         raise ValueError("split estimation expects a half-line path")
     mask = p.grid >= split_time
@@ -347,10 +346,9 @@ def aaa_split_estimate(p: SampledPath, split_time: float, max_freqs: int = 3,
             _, sse = _fit_model(t_tail, v_tail, held + [float(w)])
             return sse
 
-        res = minimize_scalar(sse_of, bounds=(max(w0 - bin_width, w_min),
-                                              w0 + bin_width),
-                              method="bounded", options={"xatol": 1e-12})
-        refined.append(float(res.x))
+        w_fit, _ = bounded_minimum(sse_of, max(w0 - bin_width, w_min),
+                                   w0 + bin_width)
+        refined.append(float(w_fit))
     coef, sse = _fit_model(t_tail, v_tail, refined)
 
     steps = np.diff(p.grid)

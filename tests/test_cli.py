@@ -185,6 +185,21 @@ def test_resolvent_window_outside_its_grid_exit_one(tmp_path):
                      "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("edits, reason", [
+    # h A_hat is finite, but its exponential overflows
+    ({"a_value = -2.0": "a_value = 1e308"}, "matrix exponential overflows"),
+    # every entry of h A_hat is finite, but its first column sums to inf
+    ({"a_value = -2.0": "a_value = 1.7e308\ngrid_step = 1",
+      "coeff = -0.25": "coeff = 1.7e308"}, "infinite 1-norm")])
+def test_resolvent_expm_failure_exit_one(tmp_path, capsys, edits, reason):
+    text = RESOLVENT_CONFIG
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    cfg = write_config(tmp_path, text)
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert reason in capsys.readouterr().err
+
+
 def test_resolvent_declared_decay_audited(tmp_path):
     # R(t) = (1 - t/2) e^{-1.5 t} for this memory: e^{-5t} fails the sampled
     # audit of the declared bound, and the config is refused

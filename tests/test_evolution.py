@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm as scipy_expm
 
 import picardcert as pc
+from picardcert import evolution
 from picardcert import problem as pb
 from picardcert.evolution import (PropagationError,
                                   build_resolvent, certify_stability,
@@ -45,7 +46,7 @@ def test_matrix_exponential_oracle():
     fam = constant_family(A)
     for t in (0.5, 1.7, 3.0):
         U = fam.propagate_matrix(t, 0.0)
-        assert np.linalg.norm(U - expm(t * A), ord=2) < 1e-9
+        assert np.linalg.norm(U - scipy_expm(t * A), ord=2) < 1e-9
 
 
 def test_scalar_nonautonomous_closed_form():
@@ -217,7 +218,7 @@ def test_resolvent_without_memory_is_matrix_exponential():
     grid = np.arange(0.0, 5.0 + 0.005, 0.01)
     R = build_resolvent(A, mem, grid, tol=1e-8)
     for t in (0.5, 2.0, 4.5):
-        assert np.linalg.norm(R.eval(t) - expm(t * A), ord=2) < 1e-9
+        assert np.linalg.norm(R.eval(t) - scipy_expm(t * A), ord=2) < 1e-9
 
 
 def test_resolvent_starts_at_identity_exactly():
@@ -317,6 +318,124 @@ def test_heat_forced_reads_keep_their_values():
     assert len(R.cell_tables) == 1
     again = apply_mild_evolution(spec, y).values[[1, 517, 1001, 1999, 2000]]
     assert np.array_equal(again, img) and len(R.cell_tables) == 1
+
+
+# -- matrix exponential -------------------------------------------------------------------
+
+def _mpmath_expm(A, dps=40):
+    """mpmath's expm of A at dps digits, each entry rounded to the nearest
+    double, and each entry's distance in ulps from the nearest midpoint
+    between two doubles (0.5 when it is a double)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        exact = mpmath.expm(mpmath.matrix(A.tolist()))
+        rounded = np.empty(A.shape)
+        gap = np.empty(A.shape)
+        for i, j in np.ndindex(A.shape):
+            t = exact[i, j]
+            r = rounded[i, j] = float(t)
+            other = float(np.nextafter(r, np.inf if t >= r else -np.inf))
+            gap[i, j] = float(abs(t - (mpmath.mpf(r) + other) / 2)
+                              / abs(other - r))
+    return rounded, gap
+
+
+def test_expm_rounds_the_heat_tables_correctly():
+    # h A_hat, build_resolvent's step, and the 7 matrices of the heat demo's
+    # cell table.  Every entry of h A_hat is the correctly rounded double.
+    # An entry whose exact value lies within 1/256 ulp of a midpoint between
+    # two doubles is beyond longdouble's 1/2048 ulp to round by anything but
+    # chance (20 of the 4032 here, the closest 1.2e-6 ulp from one, and 9
+    # round the other way): it is one of the two doubles next to it, and
+    # every other entry is exact
+    from picardcert.solver import _cell_nodes, _uniform_step
+    spec, _, _ = heat_demo_assemble()
+    R = spec.resolvent
+    nodes, weights = _cell_nodes(R.grid)
+    steps = np.append(_uniform_step(R.grid), R.grid[1] - nodes[0])
+    E = evolution.expm(steps[:, None, None] * R.generator)
+    table = R.cell_table(R.grid)
+    assert np.array_equal(table.Phi, E[0])
+    assert np.array_equal(table.VW, weights[0][:, None, None] * E[1:])
+    for k, step in enumerate(steps):
+        rounded, gap = _mpmath_expm(step * R.generator)
+        if k == 0:
+            assert np.array_equal(E[k], rounded)
+        tie = gap < 1.0 / 256
+        assert np.array_equal(E[k][~tie], rounded[~tie])
+        assert np.all(np.abs(E[k] - rounded)[tie] <= np.spacing(np.abs(rounded[tie])))
+
+
+def _expm_cases(d):
+    """(kind, A) pairs of dimension d with 1-norms from 1e-3 to 1e4."""
+    rng = np.random.default_rng(d)
+
+    def scaled(M, norm):
+        return norm * M / np.abs(M).sum(axis=0).max()
+
+    cases = [("zero", np.zeros((d, d)))]
+    for norm in (1e-3, 1e-1, 1.0, 10.0, 100.0):
+        cases += [("random", scaled(rng.standard_normal((d, d)), norm)),
+                  ("shifted", scaled(rng.standard_normal((d, d)), norm)
+                   - norm * np.eye(d))]
+        if d > 1:
+            cases.append(("nilpotent",
+                          scaled(np.triu(rng.standard_normal((d, d)), 1), norm)))
+    for norm in (1e-3, 1.0, 1e2, 1e3, 1e4):
+        cases.append(("diagonal", np.diag(np.linspace(-norm, min(norm, 50.0), d))))
+        if d > 1:
+            G = rng.standard_normal((d, d))
+            cases.append(("rotation", scaled(G - G.T, norm)))
+    return cases
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 24])
+def test_expm_agrees_with_scipy(d):
+    # to 64 ulp times the 1-norms of A and exp(A): the slack is scipy's, whose
+    # Pade in double is up to 67 such ulp from 50-digit mpmath on the 2 x 2
+    # random and shifted matrices at norm 10 and the rotation at 1e3, where
+    # this expm is exact (test_expm_matches_mpmath_on_small_matrices)
+    eps = np.finfo(float).eps
+    cases = _expm_cases(d)
+    for kind, A in cases:
+        E, S = evolution.expm(A), scipy_expm(A)
+        size = max(1.0, np.abs(A).sum(axis=0).max()) * np.abs(S).sum(axis=0).max()
+        assert np.abs(E - S).max() <= 64 * eps * size, kind
+        if kind == "zero":
+            assert np.array_equal(E, np.eye(d))
+    # a stack, whose matrices take different numbers of squarings, is the
+    # matrices one at a time, bit for bit
+    stack = np.array([A for _, A in cases])
+    assert np.array_equal(evolution.expm(stack),
+                          np.array([evolution.expm(A) for A in stack]))
+
+
+def test_expm_matches_mpmath_on_small_matrices():
+    eps = np.finfo(float).eps
+    for kind, A in _expm_cases(2):
+        rounded, _ = _mpmath_expm(A, dps=50)
+        size = max(1.0, np.abs(A).sum(axis=0).max()) * np.abs(rounded).sum(axis=0).max()
+        assert np.abs(evolution.expm(A) - rounded).max() <= eps * size, kind
+
+
+@pytest.mark.parametrize("A, reason", [
+    (np.array([[0.0, np.nan], [0.0, 0.0]]), "nan or inf entry"),
+    (np.array([[-np.inf]]), "nan or inf entry"),
+    # finite entries whose column sum overflows
+    (np.array([[1e308, 0.0], [1e308, 0.0]]), "infinite 1-norm"),
+    (np.array([[800.0]]), "overflows"),
+])
+def test_expm_refuses_a_nonfinite_matrix(A, reason):
+    with pytest.raises(PropagationError, match=reason):
+        evolution.expm(A)
+    with pytest.raises(PropagationError, match=reason):
+        evolution.expm(np.stack([np.zeros_like(A), A]))
+
+
+def test_resolvent_of_a_nan_generator_raises():
+    mem = exponential_memory([(np.array([[-0.25]]), 1.0)], dim=1)
+    with pytest.raises(PropagationError, match="nan or inf entry"):
+        build_resolvent(np.array([[np.nan]]), mem, np.arange(0.0, 1.0, 0.01))
 
 
 # -- heat demo ---------------------------------------------------------------------------

@@ -70,29 +70,31 @@ def test_import_does_not_load_scipy_signal():
 
 
 def test_cli_import_loads_no_scipy():
-    # the FFTs are numpy's, erfc is math's, the spline's tridiagonal solve
-    # is in-house, and expm, solve_ivp and minimize_scalar are imported on
-    # first use
+    # the FFTs are numpy's, erfc is math's, the spline's tridiagonal solve,
+    # expm and the bounded minimiser are in-house, and solve_ivp is imported
+    # on first use
     assert _loaded_after_import("picardcert.cli", ("scipy",)) == "[]"
 
 
 def _commands(out):
     return {"certify": ["certify", "--config", str(CONFIG), "--out", str(out)],
             "solve": ["solve", "--config", str(CONFIG), "--out", str(out)],
-            "demo-delay": ["demo", "delay", "--out", str(out)]}
+            "demo-delay": ["demo", "delay", "--out", str(out)],
+            "demo-heat": ["demo", "heat", "--out", str(out)]}
 
 
-@pytest.mark.parametrize("name", ["certify", "solve", "demo-delay"])
+@pytest.mark.parametrize("name", ["certify", "solve", "demo-delay", "demo-heat"])
 def test_command_loads_no_scipy(name, tmp_path):
-    # the sinusoid-oracle config and the delay demo are scalar and have no
-    # resolvent, so nothing they run reaches a first-use scipy import
+    # the sinusoid-oracle config and the delay demo are scalar, and the heat
+    # demo's resolvent is a matrix exponential, so nothing they run reaches
+    # solve_ivp, the one first-use scipy import
     argv = _commands(tmp_path)[name]
     assert _loaded_after(
         f"from picardcert.cli import main; assert main({argv!r}) == 0",
         ("scipy",)) == "[]"
 
 
-@pytest.mark.parametrize("name", ["solve", "demo-delay"])
+@pytest.mark.parametrize("name", ["solve", "demo-delay", "demo-heat"])
 def test_command_runs_with_scipy_blocked(name, tmp_path):
     # with scipy unimportable, as on an install of numpy alone
     argv = _commands(tmp_path)[name]
