@@ -3,8 +3,8 @@ delayed type, with contraction certificates, a-priori error control and
 recurrence diagnostics."""
 
 from .paths import (AAADecomposition, DomainEscapeError, SampledPath,
-                    TimeWarp, aaa_norm, identity_warp, range_epsilon_net,
-                    read_csv, shift_warp, sup_norm, warp_compose, write_csv)
+                    TimeWarp, identity_warp, range_epsilon_net, read_csv,
+                    sup_norm, write_csv)
 from .quadrature import (DecayEnvelope, EnvelopeConstants, QuadratureError,
                          envelope_constant)
 from .kernels import (KernelSpec, SamplePlan, SplitKernelSpec,
@@ -20,12 +20,11 @@ from .certify import (CertificationError, ContractionCertificate,
                       certify_radius_search, certify_shifted_ball,
                       compute_base_point, compute_envelope_constants)
 from .solver import (CertificationRequired, NonContractionError, SolverReport,
-                     apply_gamma, apply_mild_evolution, apply_operator,
-                     apply_pi, check_integral_inequality, picard_solve,
-                     residual)
+                     apply_mild_evolution, apply_operator,
+                     check_integral_inequality, picard_solve)
 from .evolution import (EvolutionFamily, MemoryKernel, ResolventOperator,
                         exponential_causal, StabilityCertificate, build_resolvent,
-                        certify_stability, cocycle_residual, constant_family,
+                        certify_stability, constant_family,
                         delay_demo_solve, exponential_memory,
                         heat_demo_assemble, scalar_family)
 from .diagnostics import (DiagnosticReport, aaa_split_estimate, bochner_test,

@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import problem as pb
+from . import solver
 from .minimize import bounded_minimum
 from .paths import SampledPath, sup_norm, sup_distance
 from .quadrature import EnvelopeConstants, adaptive_integral, envelope_constant
@@ -156,8 +157,6 @@ def compute_envelope_constants(spec: pb.ProblemSpec) -> EnvelopeConstants:
 
 def compute_base_point(spec: pb.ProblemSpec, grid=None) -> SampledPath:
     """Image of the zero function under the variant's integral operator."""
-    from . import solver  # deferred: solver owns the operator sweeps
-
     zero = solver.zero_start(spec, grid)
     return solver.apply_operator(spec, zero)
 
@@ -197,8 +196,6 @@ def _state_bound(q):
     """Smallest state_bound among the problem's kernels, inf without any:
     a kernel's envelope, and every truncation that reads it, holds only for
     states inside its ball."""
-    from . import solver  # deferred: solver imports this module
-
     return min((k.state_bound for k in solver.kernel_terms(q.spec)
                 if k is not None), default=np.inf)
 
@@ -383,8 +380,6 @@ THEOREMS = (
 
 def _evaluate(row: Theorem, spec, rho, slack_margin) -> ContractionCertificate:
     """Check one row's hypotheses on spec and record the certificate."""
-    from . import solver  # deferred: solver imports this module
-
     def check(ineq):
         lhs, rhs = float(ineq.lhs(q)), float(ineq.rhs(q))
         holds = rhs - lhs > slack_margin if ineq.strict else lhs <= rhs

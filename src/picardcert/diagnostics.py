@@ -210,7 +210,7 @@ def interior_residual(spec, p: SampledPath) -> float:
     from . import solver
 
     y = SampledPath(p.grid, p.values, domain_kind=p.domain_kind,
-                    interpolation=p.interpolation, tail_policy=TAIL_CONSTANT)
+                    tail_policy=TAIL_CONSTANT)
     image = solver.apply_operator(spec, y)
     margin = max(solver.kernel_span(spec, k) for k in solver.kernel_terms(spec))
     mask = (y.grid >= y.grid[0] + margin) & (y.grid <= y.grid[-1] - margin)
@@ -359,11 +359,9 @@ def aaa_split_estimate(p: SampledPath, split_time: float, max_freqs: int = 3,
         full_grid = np.linspace(-p.t_max, p.t_max, 2 * p.n_nodes - 1)
     principal_vals = _trig_design(full_grid, refined) @ coef
     principal = SampledPath(full_grid, principal_vals, domain_kind=FULL_LINE,
-                            interpolation=p.interpolation,
                             tail_policy=TAIL_CONSTANT)
     ergodic_vals = p.values - (_trig_design(p.grid, refined) @ coef)
     ergodic = SampledPath(p.grid, ergodic_vals, domain_kind=HALF_LINE,
-                          interpolation=p.interpolation,
                           tail_policy=TAIL_DECAY)
     dec = AAADecomposition(principal, ergodic)
     residual = float(np.max(np.linalg.norm(ergodic_vals[mask], axis=1)))

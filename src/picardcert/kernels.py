@@ -311,11 +311,6 @@ class KernelCheckReport:
     passed: bool
     notes: list = field(default_factory=list)
 
-    def summary(self) -> str:
-        state = "pass" if self.passed else "FAIL"
-        return (f"{self.check}: {state}  max_violation={self.max_violation:.6g} "
-                f"over {self.n_samples} samples")
-
 
 def check_lambda_bound(k: KernelSpec, plan: SamplePlan) -> KernelCheckReport:
     """Largest value of |C(t+tau, s+tau, x, y)| - lambda(t, s) over the plan.

@@ -1,8 +1,9 @@
 """Sampled vector-valued paths on time grids.
 
 A path is a function of time with values in R^d, stored on a finite strictly
-increasing grid together with an interpolation rule and a policy for
-evaluation beyond the grid.  Paths carry solutions, base points, forcing data
+increasing grid and read between nodes by the not-a-knot cubic spline
+(linearly on grids of fewer than 4 nodes), with a policy for evaluation
+beyond the grid.  Paths carry solutions, base points, forcing data
 and envelope profiles; everything downstream (quadrature sweeps, certificate
 audits, diagnostics) consumes them through ``evaluate``.
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +27,6 @@ TAIL_DECAY = "decay_to_anchor"
 TAIL_ERROR = "error"
 
 _TAIL_POLICIES = (TAIL_CONSTANT, TAIL_DECAY, TAIL_ERROR)
-_INTERPOLATIONS = ("linear", "cubic")
 
 # decay rate used by the decay_to_anchor tail (anchor is zero)
 _TAIL_DECAY_RATE = 1.0
@@ -136,8 +136,9 @@ class SampledPath:
     """A function R -> R^d (or R+ -> R^d) sampled on a strictly increasing grid.
 
     values has shape (n, d).  Evaluation at a grid node reproduces the stored
-    value bit-exactly; between nodes the declared interpolation rule is used;
-    beyond the grid the tail policy decides:
+    value bit-exactly; between nodes the not-a-knot cubic spline is read
+    (linear interpolation on grids of fewer than 4 nodes); beyond the grid
+    the tail policy decides:
 
     * ``constant``        clamp to the nearest edge value,
     * ``decay_to_anchor`` edge value times exp(-|t - edge|), decaying to zero,
@@ -148,7 +149,6 @@ class SampledPath:
     grid: np.ndarray
     values: np.ndarray
     domain_kind: str = FULL_LINE
-    interpolation: str = "cubic"
     tail_policy: str = TAIL_ERROR
 
     def __post_init__(self):
@@ -169,8 +169,6 @@ class SampledPath:
             raise ValueError("path values contain non-finite entries")
         if self.domain_kind not in (FULL_LINE, HALF_LINE):
             raise ValueError(f"unknown domain_kind {self.domain_kind!r}")
-        if self.interpolation not in _INTERPOLATIONS:
-            raise ValueError(f"unknown interpolation {self.interpolation!r}")
         if self.tail_policy not in _TAIL_POLICIES:
             raise ValueError(f"unknown tail_policy {self.tail_policy!r}")
         grid.setflags(write=False)
@@ -199,8 +197,8 @@ class SampledPath:
     @cached_property
     def _spline(self):
         """Per-cell cubic coefficients, or None for linear interpolation
-        (declared, or fewer than 4 nodes)."""
-        if self.interpolation == "cubic" and self.n_nodes >= 4:
+        on fewer than 4 nodes."""
+        if self.n_nodes >= 4:
             return _cubic_coefficients(self.grid, self.values)
         return None
 
@@ -297,28 +295,12 @@ class SampledPath:
 
     __call__ = evaluate
 
-    # -- simple algebra on a shared grid -------------------------------------
-
-    def with_values(self, values: np.ndarray) -> "SampledPath":
-        return replace(self, values=np.asarray(values, dtype=float))
-
     def restrict(self, t_lo: float, t_hi: float) -> "SampledPath":
         """Sub-path on the grid nodes inside [t_lo, t_hi]."""
         mask = (self.grid >= t_lo) & (self.grid <= t_hi)
         if not mask.any():
             raise ValueError("restriction window contains no grid nodes")
         return replace(self, grid=self.grid[mask], values=self.values[mask])
-
-
-def from_function(func: Callable, grid, **kwargs) -> SampledPath:
-    """Sample a vectorized callable on a grid.  func(t_array) -> (n,) or (n, d)."""
-    grid = np.asarray(grid, dtype=float)
-    vals = np.asarray(func(grid), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    if vals.shape[0] != grid.size:
-        raise ValueError("sampled values have unexpected shape")
-    return SampledPath(grid, vals, **kwargs)
 
 
 def zero_path(grid, dim: int = 1, **kwargs) -> SampledPath:
@@ -400,20 +382,6 @@ class TimeWarp:
 identity_warp = TimeWarp("identity")
 
 
-def shift_warp(tau: float) -> TimeWarp:
-    return TimeWarp("shift", tau=tau)
-
-
-def warp_compose(p: SampledPath, warp: TimeWarp, out_grid=None) -> SampledPath:
-    """Path q with q(t) = p(a(t)) sampled on out_grid (default: p's grid)."""
-    if warp.is_identity and out_grid is None:
-        return p
-    grid = p.grid if out_grid is None else np.asarray(out_grid, dtype=float)
-    vals = p.evaluate(warp(grid))
-    return SampledPath(grid, vals, domain_kind=p.domain_kind,
-                       interpolation=p.interpolation, tail_policy=p.tail_policy)
-
-
 # ---------------------------------------------------------------------------
 # epsilon nets over the sampled range
 
@@ -466,19 +434,6 @@ class AAADecomposition:
             raise ValueError("ergodic component must live on the half line")
         if self.principal.dim != self.ergodic.dim:
             raise ValueError("components must share the state dimension")
-
-    def recombined(self) -> SampledPath:
-        """principal + ergodic sampled on the ergodic grid."""
-        grid = self.ergodic.grid
-        vals = self.principal.evaluate(grid) + self.ergodic.values
-        return SampledPath(grid, vals, domain_kind=HALF_LINE,
-                           interpolation=self.ergodic.interpolation,
-                           tail_policy=self.ergodic.tail_policy)
-
-
-def aaa_norm(g: AAADecomposition) -> float:
-    """Sum of the uniform norms of the two components."""
-    return sup_norm(g.principal) + sup_norm(g.ergodic)
 
 
 # ---------------------------------------------------------------------------

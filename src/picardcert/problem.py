@@ -199,6 +199,14 @@ class ProblemSpec:
     def validate(self):
         v = self.variant
         need = lambda cond, msg: (_ for _ in ()).throw(ProblemError(msg)) if not cond else None
+        for name in ("quad_tol", "const_tol", "grid_step"):
+            value = getattr(self, name)
+            need(np.isfinite(value) and value > 0,
+                 f"{name} must be finite and positive, got {value:g}")
+        lo, hi = self.report_window
+        need(np.isfinite(lo) and np.isfinite(hi),
+             f"report window ends must be finite, got [{lo:g}, {hi:g}]")
+        need(hi > lo, "report window is empty")
         if v in (ADVANCED_DELAYED, DELAYED_ONLY, HALF_LINE):
             need(self.f is not None, f"{v} problems need a nonlinearity f")
         if v == ADVANCED_DELAYED:
@@ -232,11 +240,6 @@ class ProblemSpec:
             need(self.evolution is not None, "delay problems need the evolution family")
             need(self.f is not None and self.delay is not None,
                  "delay problems need the forcing and the delay")
-        if self.quad_tol <= 0 or self.const_tol <= 0 or self.grid_step <= 0:
-            raise ProblemError("tolerances and grid step must be positive")
-        lo, hi = self.report_window
-        if not hi > lo:
-            raise ProblemError("report window is empty")
 
     # -- grids ---------------------------------------------------------------
 

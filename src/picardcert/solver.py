@@ -49,16 +49,18 @@ tol*(1-L)/L, which bounds the distance to the fixed point by tol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 from numpy.fft import irfft, rfft
 
 from . import problem as pb
-from .certify import ContractionCertificate
 from .paths import (HALF_LINE, SampledPath, TAIL_CONSTANT, sup_distance,
                     sup_norm, zero_path)
 from .quadrature import adaptive_integral, gauss_legendre
+
+if TYPE_CHECKING:
+    from .certify import ContractionCertificate
 
 _PANEL_ORDER = 15
 _PANEL_WIDTH = 0.5
@@ -220,7 +222,7 @@ def zero_start(spec: pb.ProblemSpec, grid=None) -> SampledPath:
 
 def _iterate_like(y: SampledPath, values: np.ndarray) -> SampledPath:
     return SampledPath(y.grid, values, domain_kind=y.domain_kind,
-                       interpolation=y.interpolation, tail_policy=TAIL_CONSTANT)
+                       tail_policy=TAIL_CONSTANT)
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +383,6 @@ def _integral_image(spec, y, start) -> SampledPath:
         out += _term(t, kernel, kernel_span(spec, kernel), delayed, start,
                      states)
     return _iterate_like(y, out)
-
-
-def apply_gamma(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
-    """Image of y under the advanced/delayed integral operator on y's grid."""
-    return _integral_image(spec, y, -np.inf)
-
-
-def apply_pi(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
-    """Image of y under the half-line operator: pointwise term, history
-    integral from zero, and forward integral to +infinity."""
-    return _integral_image(spec, y, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -563,16 +554,14 @@ def apply_mild_evolution(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
 
 
 def apply_operator(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
+    """Image of y under the problem's fixed-point operator on y's grid: the
+    advanced/delayed operator, the half-line operator (history integral from
+    zero, forward integral to +infinity), or a mild-evolution operator."""
     if spec.variant in (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY):
-        return apply_gamma(spec, y)
+        return _integral_image(spec, y, -np.inf)
     if spec.variant == pb.HALF_LINE:
-        return apply_pi(spec, y)
+        return _integral_image(spec, y, 0.0)
     return apply_mild_evolution(spec, y)
-
-
-def residual(spec: pb.ProblemSpec, y: SampledPath) -> float:
-    """Uniform norm of y - (operator image of y) over y's grid."""
-    return sup_distance(y, apply_operator(spec, y))
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +572,7 @@ def _restrict_to_report(spec, y: SampledPath) -> SampledPath:
     lo, hi = spec.report_window
     sub = y.restrict(lo - 1e-12, hi + 1e-12)
     return SampledPath(sub.grid, sub.values, domain_kind=y.domain_kind,
-                       interpolation=y.interpolation, tail_policy="error")
+                       tail_policy="error")
 
 
 def picard_solve(spec: pb.ProblemSpec, cert: ContractionCertificate,

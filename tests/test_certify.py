@@ -13,8 +13,9 @@ from picardcert.certify import (CertificationError, certify,
 from picardcert.evolution import (certify_stability, constant_family,
                                   scalar_family, stability_sample_pairs)
 from picardcert.paths import sup_norm
-from picardcert.problem import (Nonlinearity, ProblemSpec, saturating_lipschitz,
-                                sinusoid_affine, zero_nonlinearity)
+from picardcert.problem import (Nonlinearity, ProblemError, ProblemSpec,
+                                saturating_lipschitz, sinusoid_affine,
+                                zero_nonlinearity)
 
 
 def delayed_spec(f=None, cx=0.25, rate=2.0, const=0.0, window=(-10.0, 10.0),
@@ -25,6 +26,16 @@ def delayed_spec(f=None, cx=0.25, rate=2.0, const=0.0, window=(-10.0, 10.0),
         kernel_delayed=pc.exponential_kernel(rate, cx=cx, const=const,
                                              state_bound=state_bound),
         report_window=window, grid_step=step, quad_tol=1e-9, **kw)
+
+
+def readme_spec(**kw):
+    """The README's library sketch; keywords override its numbers."""
+    numbers = dict(report_window=(-20.0, 20.0), grid_step=0.05, quad_tol=1e-9)
+    numbers.update(kw)
+    return ProblemSpec(
+        variant="advanced_delayed", dim=1, f=sinusoid_affine(sin_amp=1.0),
+        kernel_delayed=pc.exponential_kernel(2.0, cx=0.25, state_bound=3.0),
+        kernel_advanced=pc.zero_kernel(), **numbers)
 
 
 def two_sided_spec(f, cx1=0.25, cx2=0.0, rate=2.0, window=(-10.0, 10.0)):
@@ -238,12 +249,35 @@ def test_shifted_ball_degenerate_fixed_point():
     assert cert.verdict == "degenerate-pass"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("quad_tol", np.inf), ("quad_tol", np.nan), ("quad_tol", 0.0),
+    ("const_tol", np.inf), ("const_tol", -1e-9),
+    ("grid_step", np.inf), ("grid_step", np.nan),
+    ("report_window", (-20.0, np.inf)), ("report_window", (-np.inf, 20.0)),
+    ("report_window", (np.nan, 20.0))])
+def test_spec_refuses_non_finite_or_non_positive_numbers(field, value):
+    # with quad_tol = inf every truncation span is empty, the base point is
+    # zero and the shifted ball passed as "solution is y0"
+    name = "report window" if field == "report_window" else field
+    with pytest.raises(ProblemError, match=name):
+        readme_spec(**{field: value})
+
+
 def test_shifted_ball_requires_contraction():
     f = sinusoid_affine(sin_amp=0.1, state_coeff=0.6)
     spec = delayed_spec(f=f, cx=0.25)  # L = 2(0.6 + 0.125) > 1
     cert = certify_shifted_ball(spec, rho=1.0)
     assert cert.verdict == "fail"
     assert "1" in cert.violated
+
+
+@pytest.mark.xfail(strict=True, reason="the ball theorems read base_sup as "
+                   "the node maximum of T(0); between nodes T(0) is larger")
+def test_ball_zero_fails_when_the_base_point_leaves_the_ball():
+    # T(0) = sin t, so sup|T(0)| = 1 > rho; at step 0.8 the node maximum
+    # reads 0.99957 and the certificate passes
+    cert = certify_ball_zero(readme_spec(grid_step=0.8), rho=0.9998)
+    assert cert.verdict == "fail"
 
 
 def test_theta_identity():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,14 @@ from picardcert.diagnostics import (INCONSISTENT, CONSISTENT, aaa_split_estimate
                                     bochner_test, bohr_neugebauer_verdict,
                                     greedy_cauchy_filter,
                                     range_compactness_trend)
-from picardcert.paths import SampledPath, aaa_norm, from_function, sup_norm
+from picardcert.paths import SampledPath, sup_norm
 
 from _oracles import psi
 
 
 def sampled(func, lo, hi, h, **kw):
     grid = np.arange(lo, hi + h / 2, h)
-    return from_function(func, grid, **kw)
+    return SampledPath(grid, func(grid), **kw)
 
 
 PROBE = np.linspace(-3.0, 3.0, 25)
@@ -23,8 +25,7 @@ PROBE = np.linspace(-3.0, 3.0, 25)
 # -- double-limit recurrence test ----------------------------------------------------
 
 def test_constant_path_consistent():
-    p = sampled(lambda t: np.full_like(t, 2.5), -200, 200, 0.5,
-                interpolation="linear")
+    p = sampled(lambda t: np.full_like(t, 2.5), -200, 200, 0.5)
     rep = bochner_test(p, shifts=np.linspace(0, 150, 20), probe_grid=PROBE,
                        tol=1e-9)
     assert rep.verdict == CONSISTENT
@@ -57,19 +58,18 @@ def test_recurrent_nonperiodic_signal_vs_chirp():
     h = 0.05
     span = float(shifts.max())
     grid = np.arange(PROBE[0] - span - 1, PROBE[-1] + span + 1 + h / 2, h)
-    p = SampledPath(grid, psi(grid), interpolation="linear",
-                    tail_policy="constant")
+    p = SampledPath(grid, psi(grid), tail_policy="constant")
     rep = bochner_test(p, shifts, PROBE, tol=0.05)
     assert rep.verdict == CONSISTENT
 
     chirp = SampledPath(grid, np.sin(0.05 * grid ** 2 % (2 * np.pi)),
-                        interpolation="linear", tail_policy="constant")
+                        tail_policy="constant")
     rep2 = bochner_test(chirp, shifts, PROBE, tol=0.05)
     assert rep2.verdict == INCONSISTENT
 
 
 def test_growing_path_inconsistent():
-    p = sampled(lambda t: 0.1 * t, -300, 300, 0.1, interpolation="linear")
+    p = sampled(lambda t: 0.1 * t, -300, 300, 0.1)
     rep = bochner_test(p, shifts=np.linspace(5, 150, 30), probe_grid=PROBE,
                        tol=0.05)
     assert rep.verdict == INCONSISTENT
@@ -168,7 +168,7 @@ def test_equivalence_on_zero_solution():
 
 def test_equivalence_on_corrupted_path():
     spec, sol = _solved_oracle()
-    bad = sol.with_values(sol.values + 0.1 * sol.grid[:, None])
+    bad = replace(sol, values=sol.values + 0.1 * sol.grid[:, None])
     rep = bohr_neugebauer_verdict(
         spec, bad, shifts=2 * np.pi * np.arange(1, 6), probe_grid=PROBE,
         tol=1e-3, eps=0.01, windows=[(-30, 30), (-40, 40)])
@@ -194,7 +194,8 @@ def test_split_sin_plus_decay():
                 domain_kind="half_line", tail_policy="decay_to_anchor")
     dec, resid, fit = aaa_split_estimate(p, split_time=10.0)
     assert resid <= 1e-4
-    assert abs(aaa_norm(dec) - 2.0) <= 1e-3
+    # the norm of the pair is the sum of the two uniform norms
+    assert abs(sup_norm(dec.principal) + sup_norm(dec.ergodic) - 2.0) <= 1e-3
     # the recovered pieces really are the sinusoid and the decay
     g = dec.principal.grid
     assert np.max(np.abs(dec.principal.values[:, 0] - np.sin(g))) < 1e-3
@@ -222,8 +223,8 @@ def test_split_roundtrip():
     p = sampled(lambda t: np.sin(1.3 * t) + 2.0 * np.exp(-0.5 * t), 0.0, 60.0,
                 0.01, domain_kind="half_line", tail_policy="decay_to_anchor")
     dec, resid, fit = aaa_split_estimate(p, split_time=20.0)
-    rec = dec.recombined()
-    assert np.max(np.abs(rec.values - p.values)) < 1e-9  # exact by construction
+    rec = dec.principal.evaluate(p.grid) + dec.ergodic.values
+    assert np.max(np.abs(rec - p.values)) < 1e-9  # exact by construction
 
 
 def test_split_tail_too_short():

@@ -1,7 +1,9 @@
 import ast
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,47 @@ def test_guard_catches_an_unused_import():
     assert _unused_imports(source) == [(3, "adaptive_integral")]
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _dead_names(sources, corpus):
+    """(file, line, name) of every function, class and method defined in
+    sources, a {file: text} map, whose name occurs in corpus no more often
+    than it is defined.  Dunder methods are called by Python itself."""
+    words = Counter(re.findall(r"\w+", corpus))
+    defs = []
+    for file, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defs.append((file, node.lineno, node.name))
+    defined = Counter(name for _, _, name in defs)
+    return sorted(d for d in defs if not d[2].startswith("__")
+                  and words[d[2]] <= defined[d[2]])
+
+
+def test_every_definition_is_named_elsewhere():
+    # a name nothing else mentions (no library module, test, benchmark file,
+    # README example or entry point) is dead code
+    files = [p for d in ("src", "tests", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    files += [ROOT / "README.md", ROOT / "pyproject.toml"]
+    corpus = "\n".join(p.read_text(encoding="utf-8") for p in files)
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert _dead_names(sources, corpus) == []
+
+
+def test_guard_catches_a_dead_name():
+    source = ("class PlantedReport:\n"
+              "    def __post_init__(self): pass\n"
+              "    def planted_method(self): pass\n"
+              "    def called_method(self): pass\n"
+              "def planted_function(): pass\n")
+    corpus = source + "PlantedReport().called_method()\n"
+    assert _dead_names({"m.py": source}, corpus) == [
+        ("m.py", 3, "planted_method"), ("m.py", 5, "planted_function")]
+
+
 def _loaded_after(statement, prefixes):
     """The modules under prefixes that a fresh process has loaded after
     running statement; its last line of output."""
@@ -60,7 +103,7 @@ def _loaded_after_import(module, prefixes):
     return _loaded_after(f"import {module}", prefixes)
 
 
-CONFIG = Path(__file__).resolve().parent.parent / "configs" / "sinusoid_oracle.ini"
+CONFIG = ROOT / "configs" / "sinusoid_oracle.ini"
 
 
 def test_import_does_not_load_scipy_signal():

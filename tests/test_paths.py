@@ -5,11 +5,9 @@ import pytest
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
-from picardcert.paths import (AAADecomposition, DomainEscapeError, SampledPath,
-                              TimeWarp, aaa_norm, from_function, identity_warp,
-                              range_epsilon_net, read_csv,
-                              shift_warp, sup_norm, warp_compose, write_csv,
-                              zero_path)
+from picardcert.paths import (DomainEscapeError, SampledPath, TimeWarp,
+                              identity_warp, range_epsilon_net, read_csv,
+                              sup_norm, write_csv, zero_path)
 
 from picardcert.paths import _cubic_coefficients
 from picardcert.solver import _cell_nodes
@@ -19,7 +17,7 @@ from _oracles import psi
 
 def make_path(func, lo, hi, h, **kw):
     grid = np.arange(lo, hi + h / 2, h)
-    return from_function(lambda t: func(t), grid, **kw)
+    return SampledPath(grid, func(grid), **kw)
 
 
 # -- construction invariants -------------------------------------------------
@@ -42,10 +40,11 @@ def test_empty_grid_rejected():
 
 
 def test_node_exactness_cubic_and_linear():
-    grid = np.linspace(-3.0, 3.0, 41)
-    vals = np.sin(grid)
-    for interp in ("cubic", "linear"):
-        p = SampledPath(grid, vals, interpolation=interp)
+    # 41 nodes are read by the cubic spline, 3 nodes linearly
+    for n in (41, 3):
+        grid = np.linspace(-3.0, 3.0, n)
+        vals = np.sin(grid)
+        p = SampledPath(grid, vals)
         out = p.evaluate(grid)
         assert np.array_equal(out[:, 0], vals)
 
@@ -150,14 +149,13 @@ def test_row_read_escapes_as_the_pointwise_read_does():
 
 
 def test_linear_midpoint():
-    p = SampledPath(np.array([0.0, 1.0]), np.array([0.0, 2.0]),
-                    interpolation="linear")
+    p = SampledPath(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
     assert p.evaluate(0.5)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_constant_path_everywhere():
     p = SampledPath(np.array([0.0, 1.0, 2.0]), np.full(3, 4.5),
-                    interpolation="linear", tail_policy="constant")
+                    tail_policy="constant")
     for t in (-3.0, 0.3, 1.7, 9.0):
         assert p.evaluate(t)[0] == pytest.approx(4.5, abs=1e-15)
 
@@ -195,7 +193,7 @@ def test_sup_norm_recurrent_signal_dense_window():
     grid = np.arange(-W, W + h / 2, h)
     vals = psi(grid)
     oracle = float(np.max(np.abs(vals)))
-    p = SampledPath(grid, vals, interpolation="linear", tail_policy="constant")
+    p = SampledPath(grid, vals, tail_policy="constant")
     assert sup_norm(p) == pytest.approx(oracle, abs=0.0)
     assert oracle > 0.9999
 
@@ -206,7 +204,7 @@ def test_sup_norm_axioms_on_shared_grids():
     paths = [SampledPath(grid, f(grid)) for f in funcs]
     for a in (-2.0, 0.0, 0.5, 3.0):
         for p in paths:
-            assert sup_norm(p.with_values(a * p.values)) == pytest.approx(
+            assert sup_norm(SampledPath(grid, a * p.values)) == pytest.approx(
                 abs(a) * sup_norm(p), rel=1e-14, abs=1e-300)
 
 
@@ -214,30 +212,28 @@ def test_sup_norm_axioms_on_shared_grids():
 
 def test_warp_identity_bitwise():
     p = make_path(np.sin, -3, 3, 0.1)
-    q = warp_compose(p, identity_warp)
-    assert q is p
+    assert identity_warp.is_identity
+    assert np.array_equal(p.evaluate(identity_warp(p.grid)), p.values)
 
 
 def test_shift_warp_on_linear_path():
     grid = np.linspace(0.0, 5.0, 51)
-    p = SampledPath(grid, grid.copy(), interpolation="linear",
-                    tail_policy="constant")
-    q = warp_compose(p, shift_warp(1.0))
-    assert np.allclose(q.values[:, 0], np.clip(grid + 1.0, 0.0, 5.0), atol=1e-14)
+    p = SampledPath(grid, grid.copy(), tail_policy="constant")
+    q = p.evaluate(TimeWarp("shift", tau=1.0)(grid))
+    assert np.allclose(q[:, 0], np.clip(grid + 1.0, 0.0, 5.0), atol=1e-14)
 
 
 def test_warp_matches_pointwise_evaluation():
     p = make_path(np.cos, -10, 10, 0.05, tail_policy="constant")
-    w = shift_warp(-0.7)
-    q = warp_compose(p, w, out_grid=np.linspace(-5, 5, 101))
-    direct = p.evaluate(q.grid - 0.7)
-    assert np.array_equal(q.values, direct)
+    w = TimeWarp("shift", tau=-0.7)
+    out_grid = np.linspace(-5, 5, 101)
+    assert np.array_equal(p.evaluate(w(out_grid)), p.evaluate(out_grid - 0.7))
 
 
 def test_warp_escape_raises_under_error_policy():
     p = make_path(np.sin, 0, 1, 0.1)
     with pytest.raises(DomainEscapeError):
-        warp_compose(p, shift_warp(5.0))
+        p.evaluate(TimeWarp("shift", tau=5.0)(p.grid))
 
 
 def test_tabulated_warp():
@@ -277,8 +273,7 @@ def test_net_size_stabilises_for_recurrent_signal():
     sizes = []
     for W in (1e2, 1e3, 1e4):
         grid = np.arange(-W, W + 0.05 / 2, 0.05)
-        p = SampledPath(grid, psi(grid), interpolation="linear",
-                        tail_policy="constant")
+        p = SampledPath(grid, psi(grid), tail_policy="constant")
         sizes.append(range_epsilon_net(p, 0.01)[1])
     assert sizes[-1] == sizes[-2]
 
@@ -289,37 +284,6 @@ def test_net_determinism():
     n1, s1 = range_epsilon_net(p, 0.3)
     n2, s2 = range_epsilon_net(p, 0.3)
     assert s1 == s2 and np.array_equal(n1, n2)
-
-
-# -- decompositions --------------------------------------------------------------
-
-def _decomposition(f_func, e_func, W=30.0, h=0.01):
-    full = make_path(f_func, -W, W, h, tail_policy="constant")
-    erg = make_path(e_func, 0.0, W, h, domain_kind="half_line",
-                    tail_policy="decay_to_anchor")
-    return AAADecomposition(full, erg)
-
-
-def test_aaa_norm_zero():
-    dec = _decomposition(lambda t: 0.0 * t, lambda t: 0.0 * t)
-    assert aaa_norm(dec) == 0.0
-
-
-def test_aaa_norm_sin_plus_decay():
-    dec = _decomposition(np.sin, lambda t: np.exp(-t))
-    assert aaa_norm(dec) == pytest.approx(2.0, abs=1e-4)
-
-
-def test_aaa_norm_recurrent_plus_decay():
-    # dense-sampling oracle for the recurrent part's sup on this window
-    dec = _decomposition(psi, lambda t: np.exp(-2 * t), W=100.0)
-    oracle = float(np.max(np.abs(psi(dec.principal.grid)))) + 1.0
-    assert aaa_norm(dec) == pytest.approx(oracle, abs=1e-12)
-
-
-def test_aaa_norm_dominates_recombined():
-    dec = _decomposition(np.sin, lambda t: np.exp(-t) * np.cos(3 * t))
-    assert aaa_norm(dec) >= sup_norm(dec.recombined()) - 1e-12
 
 
 # -- CSV round trip ---------------------------------------------------------------
