@@ -228,6 +228,10 @@ def _build_evolution(cfg):
         raise ConfigError(f"unknown evolution family {family!r}")
     fam = _EVOLUTION_FAMILIES[family](value=sec.get("value", -1.0))
     window = sec.get("stability_window", (-15.0, 15.0))
+    if len(window) != 2 or not window[0] < window[1]:
+        raise ConfigError("bad value for evolution.stability_window: "
+                          f"{' '.join(map(str, window))!r} (needs two numbers "
+                          "lo < hi)")
     certify_stability(fam, stability_sample_pairs(window, n=30, max_sep=5.0),
                       M=sec.get("stability_m", 1.0),
                       delta=sec.get("stability_delta", 1.0))

@@ -3,9 +3,10 @@
 An evolution family propagates x' = A(t) x between two times, and builds the
 cell propagators of the solver's recurrence, by one routine per dimension: a
 scalar family in closed form, U(t, s) = exp(int_s^t a), from Gauss sums of
-a(t) over the cells; a family with d >= 2 by an adaptive ODE integrator.  Its
-exponential-stability constants (M, delta) are declared, checked on sampled
-pairs, and feed the evolution certificates.  A resolvent
+a(t) over the cells, read by one generator call on the array of all their
+nodes and edges; a family with d >= 2 by an adaptive ODE integrator, one
+time per call.  Its exponential-stability constants (M, delta) are declared,
+checked on sampled pairs, and feed the evolution certificates.  A resolvent
 operator propagates a linear equation with memory, R'(t) = A R(t) +
 int_0^t B(t-s) R(s) ds.  Its memory kernel is an exponential sum B(t) =
 sum_k exp(-r_k t) G_k, so R is a block of the matrix exponential of a
@@ -170,7 +171,9 @@ class EvolutionFamily:
     for cell_table alike.  A scalar family (d = 1) is exact up to quadrature,
     U(t, s) = exp(int_s^t a), read from a at the Gauss nodes of every cell;
     a family with d >= 2 is integrated by an adaptive high-order stepper.
-    The generator takes one float time and returns a d x d array.  The
+    The generator takes an ndarray of times t of any shape, 0-d included,
+    and returns values that broadcast to t.shape + (d, d); the stepper of a
+    family with d >= 2 passes it one float time.  The
     sectorial-regularity hypothesis on A(t) is not represented: its
     checkable content is the existence and stability of the propagator,
     which is verified directly.
@@ -198,10 +201,16 @@ class EvolutionFamily:
         return self._cells(np.array([s, t])).Phi[0]
 
     def _read(self, times) -> np.ndarray:
-        """a(t) of a scalar family at every time, one generator call each."""
-        values = np.array([self.generator(r)[0, 0]
-                           for r in times.ravel().tolist()],
-                          dtype=float).reshape(times.shape)
+        """a(t) of a scalar family at every time, by one generator call on
+        the whole array."""
+        shape = times.shape + (1, 1)
+        out = np.asarray(self.generator(times), dtype=float)
+        try:
+            values = np.array(np.broadcast_to(out, shape)[..., 0, 0])
+        except ValueError:
+            raise PropagationError(
+                f"the generator returned shape {out.shape} for times of "
+                f"shape {times.shape}; it must broadcast to {shape}") from None
         bad = ~np.isfinite(values)
         if bad.any():
             raise PropagationError("propagation failed: the generator is not "
@@ -333,7 +342,11 @@ def constant_family(A, label: str = "constant") -> EvolutionFamily:
 
 
 def scalar_family(a_of_t: Callable, label: str = "scalar") -> EvolutionFamily:
-    return EvolutionFamily(lambda t: np.array([[a_of_t(t)]]), dim=1, label=label)
+    """The family of x' = a(t) x.  a_of_t takes an ndarray of times and
+    returns a(t) at each, or one value that broadcasts to them all."""
+    return EvolutionFamily(
+        lambda t: np.asarray(a_of_t(t), dtype=float)[..., None, None],
+        dim=1, label=label)
 
 
 def stability_sample_pairs(window, n: int = 60, max_sep: float = 6.0):

@@ -250,6 +250,21 @@ def test_non_finite_config_number_exit_one(tmp_path):
                      "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("window", ["15 -15", "5", "1 2 3", "3 3", ""],
+                         ids=["reversed", "one", "three", "equal", "empty"])
+def test_bad_stability_window_exit_one(tmp_path, capsys, window):
+    # the stability pairs need lo < hi: a reversed window asked to propagate
+    # backwards, and one or three numbers failed to unpack
+    text = EVOLUTION_CONFIG.replace("window = 2 10", "window = 0 10") \
+        + f"stability_window = {window}\n"
+    cfg = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match="bad value for "
+                       "evolution.stability_window"):
+        build_problem(load_config(cfg))
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "evolution.stability_window" in capsys.readouterr().err
+
+
 HALF_LINE_CONFIG = """
 [problem]
 variant = half_line

@@ -107,8 +107,9 @@ def test_scalar_stability_pairs_are_the_closed_form():
 def test_scalar_jump_is_split(start, t0, rel):
     # a(t) jumps from -1 to -3 at t0: the cells around it are split, and the
     # result is the exact piecewise integral, to the resolution of t
-    calls = []
-    fam = scalar_family(lambda t: calls.append(1) or (-1.0 if t < t0 else -3.0))
+    calls = []  # points read per generator call
+    fam = scalar_family(lambda t: calls.append(np.size(t))
+                        or np.where(t < t0, -1.0, -3.0))
 
     def exponent(t, s):  # int_s^t a
         return (-(np.minimum(t, t0) - np.minimum(s, t0))
@@ -116,7 +117,7 @@ def test_scalar_jump_is_split(start, t0, rel):
 
     grid = start + np.linspace(0.0, 2.0, 21)
     table = fam.cell_table(grid)
-    assert len(calls) > 7 * len(table) + 1
+    assert sum(calls) > 7 * len(table) + 1
     w = 0.05 * np.polynomial.legendre.leggauss(6)[1]
     Phi = np.exp(exponent(grid[1:], grid[:-1]))
     VW = w * np.exp(exponent(grid[1:, None], table.nodes))
@@ -139,6 +140,39 @@ def test_scalar_propagation_error(a_of_t, reason):
         fam.propagate_matrix(3.0, 0.0)
     with pytest.raises(PropagationError, match=reason):
         fam.cell_table(np.linspace(0.0, 3.0, 2))
+
+
+def test_scalar_generator_of_wrong_shape_is_refused():
+    # a generator written for one float time nests the array of times inside
+    # a 1 x 1 matrix, (1, 1, n, K): a named refusal, not numpy's broadcast error
+    fam = pc.EvolutionFamily(lambda t: np.array([[np.sin(t)]]), dim=1)
+    with pytest.raises(PropagationError, match=r"shape \(1, 1, 10, 6\) .* "
+                       r"must broadcast to \(10, 6, 1, 1\)"):
+        fam.cell_table(np.linspace(0.0, 1.0, 11))
+    with pytest.raises(PropagationError, match="must broadcast to"):
+        fam.propagate_matrix(1.0, 0.0)
+
+
+def test_scalar_family_is_read_on_whole_arrays():
+    # the delay demo's family: one generator call per array of times, so the
+    # cell table of the demo's solve lattice is two calls (Gauss nodes, then
+    # edges) when no cell splits, and each of the 30 stability pairs is two
+    def a(t):
+        return -(2.0 + np.sin(t))
+
+    sizes = []
+    fam = scalar_family(lambda t: sizes.append(np.size(t)) or a(t))
+    grid = np.linspace(-37.52, 45.0, 4127)  # step 0.02, as the demo solves
+    table = fam.cell_table(grid, run_in=922)
+    assert sizes == [table.nodes.size, len(table) + 1]
+    sizes.clear()
+    cert = certify_stability(fam, stability_sample_pairs((-15.0, 15.0), n=30,
+                                                         max_sep=5.0),
+                             M=1.0, delta=1.0)
+    assert cert.passed and len(sizes) == 60
+    # bit for bit the values of one call per time
+    pointwise = np.array([a(t) for t in table.nodes.ravel().tolist()])
+    assert np.array_equal(fam._read(table.nodes).ravel(), pointwise)
 
 
 def test_matrix_nan_generator_raises():
