@@ -201,16 +201,17 @@ def _state_bound(q):
 
 
 _SCAN_LO, _SCAN_HI = 1e-3, 1e6  # the radius search's interval, capped at state_bound
+_SCAN_POINTS = 1000              # log-grid points before the local refinement
 
 
-def _radius_scan(objective, lo, hi, n=1000):
+def _radius_scan(objective, lo, hi):
     """Deterministic log-grid scan with golden refinement around the best point."""
-    rs = np.logspace(np.log10(lo), np.log10(hi), n)
+    rs = np.logspace(np.log10(lo), np.log10(hi), _SCAN_POINTS)
     vals = objective(rs)
     i = int(np.argmax(vals))
     r_best, v_best = float(rs[i]), float(vals[i])
     a = rs[max(i - 1, 0)]
-    b = rs[min(i + 1, n - 1)]
+    b = rs[min(i + 1, rs.size - 1)]
     if a < b:
         r_min, f_min = bounded_minimum(
             lambda r: -float(objective(np.array([r]))[0]), float(a), float(b))
@@ -496,7 +497,6 @@ def certify_evolution(spec: pb.ProblemSpec, rho: float, theorem: str = None,
 class HypothesisReport:
     rho: float
     passed: bool
-    warps_declared: bool
     lines: list = field(default_factory=list)
 
     def to_text(self) -> str:
@@ -507,7 +507,8 @@ def certify_bohr_neugebauer_hypotheses(spec: pb.ProblemSpec) -> HypothesisReport
     """Smallness condition under which bounded solutions with relatively
     compact range inherit the recurrence of the data: the nonlinearity
     constant plus the supremum of the one-sided Lipschitz-modulus integrals
-    must stay below one, and the time warps must be declared recurrent."""
+    must stay below one, and every time warp must preserve recurrence: an
+    identity or shift does, a tabulated a(t) is not known to."""
     if spec.variant not in (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY):
         raise CertificationError("the recurrence-transfer condition applies to "
                                  "the full-line integral-equation variants")
@@ -516,11 +517,11 @@ def certify_bohr_neugebauer_hypotheses(spec: pb.ProblemSpec) -> HypothesisReport
     if spec.variant == pb.ADVANCED_DELAYED and spec.kernel_advanced is not None:
         sup_mu += envelope_constant(spec.kernel_advanced.lipschitz)
     rho = L_f + sup_mu
-    warps_ok = all(spec.warp(k).declared_aa for k in ("a0", "a1", "a2"))
+    warps_ok = all(spec.warp(k).kind != "tabulated" for k in ("a0", "a1", "a2"))
     lines = [
         f"recurrence-transfer smallness: L_f + sup_t(moduli integrals) = "
         f"{rho:.12g} (closed form)",
-        f"time warps declared recurrent: {'yes' if warps_ok else 'NO'}",
+        f"time warps preserve recurrence: {'yes' if warps_ok else 'NO'}",
         f"verdict: {'pass' if rho < 1.0 and warps_ok else 'fail'}",
     ]
     if spec.variant == pb.DELAYED_ONLY:
@@ -528,4 +529,4 @@ def certify_bohr_neugebauer_hypotheses(spec: pb.ProblemSpec) -> HypothesisReport
     lines.append("note: the statement is applied to both one- and two-kernel "
                  "problems; the two-kernel reading is the one the proof uses")
     return HypothesisReport(rho=rho, passed=(rho < 1.0 and warps_ok),
-                            warps_declared=warps_ok, lines=lines)
+                            lines=lines)

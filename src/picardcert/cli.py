@@ -296,9 +296,10 @@ def build_problem(cfg: RunConfig) -> ProblemSpec:
         if not sec:
             raise ConfigError("resolvent_nonlocal needs a [resolvent] section")
         mem_sec = cfg.section("memory")
+        # the configured resolvent is scalar; ProblemSpec refuses dim != 1
         mem = exponential_memory(
             [(np.array([[mem_sec.get("coeff", 0.0)]]),
-              mem_sec.get("rate", 1.0))], dim=dim)
+              mem_sec.get("rate", 1.0))], dim=1)
         grid = np.arange(0.0, sec.get("horizon", 10.0) + sec.get("grid_step", 0.01) / 2,
                          sec.get("grid_step", 0.01))
         R = build_resolvent(np.array([[sec.get("a_value", -1.0)]]), mem, grid,
@@ -429,7 +430,13 @@ def cmd_diagnose(args) -> int:
     spec = None
     if cfg.get("problem", "variant") in (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY):
         spec = build_problem(cfg)
-    report = _diagnose_path(cfg, spec, path, tol_override=tol)
+    try:
+        report = _diagnose_path(cfg, spec, path, tol_override=tol)
+    except CertificationError as exc:
+        # the recurrence-transfer hypotheses failed: a certified fail, as in
+        # certify and solve, not an error
+        print(f"hypotheses violated: {exc}", file=sys.stderr)
+        return EXIT_CERTIFIED_FAIL
     out = _out_dir(args)
     _write(out / cfg.get("output", "diagnostic", "diagnostic.txt"),
            report.to_text())

@@ -26,6 +26,7 @@ from .paths import (AAADecomposition, FULL_LINE, HALF_LINE, SampledPath,
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
 INDETERMINATE = "indeterminate"
+_RESIDUAL_TOL = 1e-3  # interior residual above which a path is "NOT a solution"
 
 
 @dataclass
@@ -106,10 +107,6 @@ def greedy_cauchy_filter(vectors: np.ndarray, tol: float):
     return [int(i) for i in np.sort(accepted)], levels
 
 
-def _probe_vector(p: SampledPath, times: np.ndarray) -> np.ndarray:
-    return np.asarray(p.evaluate(times), dtype=float).ravel()
-
-
 def bochner_test(p: SampledPath, shifts, probe_grid, tol: float
                  ) -> DiagnosticReport:
     """Double-limit recurrence test on probe values of shifted copies.
@@ -133,7 +130,8 @@ def bochner_test(p: SampledPath, shifts, probe_grid, tol: float
             f"window too small: path covers [{p.t_min:g}, {p.t_max:g}] but the "
             f"shift plan needs [{need_lo:g}, {need_hi:g}]")
 
-    vectors = np.array([_probe_vector(p, probe + s) for s in shifts])
+    # one read per probe set: row n holds p(probe + s_n), flattened
+    vectors = p.evaluate(probe[None, :] + shifts[:, None]).reshape(shifts.size, -1)
     accepted, levels = greedy_cauchy_filter(vectors, tol)
     notes = ["heuristic verdict at the tested resolution"]
     if len(accepted) < 4:
@@ -151,12 +149,12 @@ def bochner_test(p: SampledPath, shifts, probe_grid, tol: float
     fwd = np.array([float(np.max(np.abs(vectors[i] - limit_vec)))
                     for i in accepted])
 
-    base_vec = _probe_vector(p, probe)
+    base_vec = p.evaluate(probe).ravel()
     tail_shifts = shifts[tail]
     bwd = []
     for i in accepted:
         back_times = (probe[None, :] - shifts[i]) + tail_shifts[:, None]
-        back_vals = np.array([_probe_vector(p, row) for row in back_times])
+        back_vals = p.evaluate(back_times).reshape(q, -1)
         bwd.append(float(np.max(np.abs(back_vals.mean(axis=0) - base_vec))))
     bwd = np.array(bwd)
 
@@ -221,8 +219,7 @@ def interior_residual(spec, p: SampledPath) -> float:
 
 
 def bohr_neugebauer_verdict(spec, p: SampledPath, shifts, probe_grid,
-                            tol: float, eps: float, windows,
-                            residual_tol: float = 1e-3) -> DiagnosticReport:
+                            tol: float, eps: float, windows) -> DiagnosticReport:
     """Two-sided audit of the recurrence/compact-range equivalence for a path
     claimed to solve the equation.
 
@@ -234,14 +231,15 @@ def bohr_neugebauer_verdict(spec, p: SampledPath, shifts, probe_grid,
 
     hyp = certify_bohr_neugebauer_hypotheses(spec)
     if not hyp.passed:
+        warp = "" if hyp.rho >= 1.0 else "; a time warp does not preserve recurrence"
         raise CertificationError(
-            f"smallness hypotheses not certified (rho = {hyp.rho:.6g})")
+            f"smallness hypotheses not certified (rho = {hyp.rho:.6g}{warp})")
     res = interior_residual(spec, p)
     compact = range_compactness_trend(p, eps, windows)
     recur = bochner_test(p, shifts, probe_grid, tol)
     agree = compact.verdict == recur.verdict
     verdict = compact.verdict if agree else INDETERMINATE
-    res_tag = "solution-like" if res <= residual_tol else "NOT a solution at this tolerance"
+    res_tag = "solution-like" if res <= _RESIDUAL_TOL else "NOT a solution at this tolerance"
     notes = [f"hypothesis constant rho = {hyp.rho:.6g} < 1",
              f"fixed-point residual of the path: {res:.6g} ({res_tag})",
              f"compact-range side: {compact.verdict}; "
@@ -261,8 +259,11 @@ def bohr_neugebauer_verdict(spec, p: SampledPath, shifts, probe_grid,
 # ---------------------------------------------------------------------------
 # asymptotic split estimation
 
+_MAX_FREQS = 3          # frequencies in the recurrent component's model
+_MIN_TAIL_POINTS = 64   # grid nodes the tail fit needs at t >= split_time
 
-def _detect_frequencies(t: np.ndarray, resid: np.ndarray, max_freqs: int):
+
+def _detect_frequencies(t: np.ndarray, resid: np.ndarray):
     """Dominant angular frequencies of a uniformly resampled residual."""
     m = 1 << int(np.ceil(np.log2(max(t.size, 16))))
     tu = np.linspace(t[0], t[-1], m)
@@ -281,12 +282,12 @@ def _detect_frequencies(t: np.ndarray, resid: np.ndarray, max_freqs: int):
     peaks.sort(key=lambda x: (-x[0], x[1]))
     total = float(spec.sum()) or 1.0
     out = []
-    for power, w in peaks[: 4 * max_freqs]:
+    for power, w in peaks[: 4 * _MAX_FREQS]:
         if power / total < 1e-6 or w < w_min:
             continue
         if all(abs(w - w0) > 0.5 * (freqs[1] - freqs[0]) for w0 in out):
             out.append(float(w))
-        if len(out) == max_freqs:
+        if len(out) == _MAX_FREQS:
             break
     return out, float(freqs[1] - freqs[0]), w_min
 
@@ -313,30 +314,30 @@ class SplitFitReport:
     lines: list = field(default_factory=list)
 
 
-def aaa_split_estimate(p: SampledPath, split_time: float, max_freqs: int = 3,
-                       min_tail_points: int = 64):
+def aaa_split_estimate(p: SampledPath, split_time: float):
     """Estimate the asymptotic split of a half-line path.
 
-    The recurrent component is fitted on the tail t >= split_time (where the
-    vanishing component is below tolerance) as a small trigonometric model
-    with refined frequencies, extended to the full line; the vanishing
-    component is the pointwise remainder on the half line.  Returns
-    (decomposition, residual beyond split_time, fit report).
+    The recurrent component is fitted on the tail t >= split_time (at least
+    _MIN_TAIL_POINTS nodes, where the vanishing component is below tolerance)
+    as a trigonometric model of at most _MAX_FREQS refined frequencies,
+    extended to the full line; the vanishing component is the pointwise
+    remainder on the half line.  Returns (decomposition, residual beyond
+    split_time, fit report).
     """
     if p.domain_kind != HALF_LINE:
         raise ValueError("split estimation expects a half-line path")
     mask = p.grid >= split_time
-    if mask.sum() < min_tail_points:
+    if mask.sum() < _MIN_TAIL_POINTS:
         raise ValueError(
             f"tail too short: {int(mask.sum())} nodes at t >= {split_time:g}, "
-            f"need {min_tail_points}")
+            f"need {_MIN_TAIL_POINTS}")
     t_tail = p.grid[mask]
     v_tail = p.values[mask]
 
     # shared frequency detection on the aggregate signal, per-component fit
     agg = np.linalg.norm(v_tail - v_tail.mean(axis=0), axis=1) \
         if p.dim > 1 else v_tail[:, 0]
-    omegas, bin_width, w_min = _detect_frequencies(t_tail, agg, max_freqs)
+    omegas, bin_width, w_min = _detect_frequencies(t_tail, agg)
 
     refined = []
     for w0 in omegas:

@@ -395,7 +395,6 @@ class MemoryKernel:
     matrix: Callable                     # u -> (d, d), vectorized over u
     dim: int
     exp_terms: Optional[tuple] = None    # ((G_k, rate_k), ...)
-    envelope: Optional[DecayEnvelope] = None
     label: str = ""
 
     def __call__(self, u):
@@ -414,10 +413,7 @@ def exponential_memory(terms, dim: int, label: str = "exponential_sum") -> Memor
             out += np.exp(-rate * u)[..., None, None] * G
         return out
 
-    amp = sum(float(np.linalg.norm(G, ord=2)) for G, _ in terms)
-    rate = min(r for _, r in terms)
-    env = DecayEnvelope("exponential", amp, rate) if amp > 0 else None
-    return MemoryKernel(matrix, dim, exp_terms=terms, envelope=env, label=label)
+    return MemoryKernel(matrix, dim, exp_terms=terms, label=label)
 
 
 def exponential_causal(G, rate: float, dim: int,
@@ -554,10 +550,11 @@ def build_resolvent(A, memory: MemoryKernel, grid, tol: float = 1e-10
     grid = np.asarray(grid, dtype=float)
     if grid[0] != 0.0:
         raise ValueError("resolvent grid must start at t = 0")
-    h = _uniform_step(grid)
+    _uniform_step(grid)  # refuses a grid that is not uniform
     op = ResolventOperator(A, memory, grid, np.empty((grid.size,) + A.shape),
                            label=memory.label)
-    Phi = expm(h * op.generator)
+    # expm(h A_hat) of the grid's own cell table, which the solver reuses
+    Phi = op.cell_table(grid).Phi
     lift = np.eye(Phi.shape[0], op.dim)
     op.values[1:] = _scan(Phi, None, lift, n=grid.size - 1)[1:, :op.dim]
 

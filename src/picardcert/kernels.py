@@ -2,8 +2,7 @@
 
 A kernel spec bundles the evaluator with everything the certificates need to
 know about it: a decay envelope dominating the whole kernel on a declared
-bounded state set, Lipschitz moduli in the state arguments, (optionally) the
-limit kernel of its diagonal translates with its own modulus, and its
+bounded state set, Lipschitz moduli in the state arguments, and its
 convolution form theta(t - s) * fhat(s, x, y).  Each built-in family declares
 that form once and derives its evaluator from it (`form_evaluator`).  Split
 kernels additionally separate a recurrent part from an ergodic part that dies
@@ -25,6 +24,8 @@ import numpy as np
 from .quadrature import DecayEnvelope, zero_envelope
 
 _SQRT_PRIMES = np.sqrt(np.array([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0]))
+# a sample plan's translations (zero included), two-time pairs, state pairs
+_N_TAUS, _N_TS_PAIRS, _N_STATES = 5, 48, 8
 
 
 def kronecker_points(n: int, dim: int, seed_shift: float = 0.0) -> np.ndarray:
@@ -43,6 +44,8 @@ class KernelSpec:
     the kernel uniformly over diagonal time translations for states inside
     the ball of radius state_bound; lipschitz dominates the modulus of
     continuity in (x, y) with respect to the sum of Euclidean distances.
+    No limit kernel is declared: a built-in kernel's translation limits
+    share its envelope and modulus.
     """
 
     evaluator: Callable
@@ -50,8 +53,6 @@ class KernelSpec:
     lipschitz: DecayEnvelope
     dim: int = 1
     state_bound: float = 1.0
-    limit_evaluator: Optional[Callable] = None
-    limit_lipschitz: Optional[DecayEnvelope] = None
     convolution: Optional[tuple] = None    # (theta(u), fhat(s, x, y))
     label: str = ""
 
@@ -102,7 +103,7 @@ def _affine_kernel(kind, rate, cx, cy, const, dim, state_bound, label,
     kind at rate and m the modulation (1 when None), |m| <= mod_bound.
 
     Autonomous in (t, s) up to the separation and the recurrent m, so the
-    kernel is its own translation limit, with the same modulus.
+    kernel's translation limits share its envelope and modulus.
     """
     c0 = _as_const_vec(const, dim)
     lam_amp = (abs(cx) + abs(cy)) * state_bound + float(np.linalg.norm(c0))
@@ -122,7 +123,6 @@ def _affine_kernel(kind, rate, cx, cy, const, dim, state_bound, label,
     env = DecayEnvelope(kind, lam_amp * mod_bound, rate)
     mu = DecayEnvelope(kind, mu_amp * mod_bound, rate) if mu_amp else zero_envelope()
     return KernelSpec(ev, env, mu, dim=dim, state_bound=state_bound,
-                      limit_evaluator=ev, limit_lipschitz=mu,
                       convolution=(theta, fhat), label=label)
 
 
@@ -269,12 +269,11 @@ class SamplePlan:
     states: np.ndarray          # (p, 2, d) sampled (x, y) points in the bounded set
 
     @staticmethod
-    def build(window, orientation: str, dim: int, state_bound: float,
-              n_tau: int = 5, n_ts: int = 48, n_state: int = 8) -> "SamplePlan":
+    def build(window, orientation: str, dim: int, state_bound: float) -> "SamplePlan":
         lo, hi = float(window[0]), float(window[1])
         width = hi - lo
-        taus = np.concatenate([[0.0], np.linspace(-width, width, n_tau - 1)])
-        pts = kronecker_points(n_ts, 2)
+        taus = np.concatenate([[0.0], np.linspace(-width, width, _N_TAUS - 1)])
+        pts = kronecker_points(_N_TS_PAIRS, 2)
         t = lo + width * pts[:, 0]
         sep = 0.02 + 3.0 * pts[:, 1]
         if orientation == "advanced":
@@ -285,8 +284,8 @@ class SamplePlan:
         else:
             s = t - sep
         ts = np.stack([t, s], axis=1)
-        raw = kronecker_points(n_state, 2 * dim, seed_shift=0.37)
-        states = (2.0 * raw - 1.0).reshape(n_state, 2, dim) * state_bound / np.sqrt(dim)
+        raw = kronecker_points(_N_STATES, 2 * dim, seed_shift=0.37)
+        states = (2.0 * raw - 1.0).reshape(_N_STATES, 2, dim) * state_bound / np.sqrt(dim)
         # canonical pairs realising the extreme directions of affine kernels:
         # consecutive pairing yields (e1, 0) vs (0, 0) and (0, 0) vs (0, e1)
         e = np.zeros(dim)
@@ -343,19 +342,12 @@ def check_lambda_bound(k: KernelSpec, plan: SamplePlan) -> KernelCheckReport:
     return KernelCheckReport("lambda_bound", worst, witness, n, worst <= 1e-12)
 
 
-def check_lipschitz(k: KernelSpec, plan: SamplePlan,
-                    use_limit: bool = False) -> KernelCheckReport:
-    """Sampled check of |C(t,s,u1,u2) - C(t,s,v1,v2)| <= mu(t,s)(|u1-v1|+|u2-v2|)."""
-    evaluator = k.limit_evaluator if use_limit else k.evaluator
-    modulus = k.limit_lipschitz if use_limit else k.lipschitz
-    name = "limit_lipschitz" if use_limit else "lipschitz"
-    if evaluator is None or modulus is None:
-        rep = KernelCheckReport(name, 0.0, {}, 0, True)
-        rep.notes.append("not checked: limit kernel not supplied")
-        return rep
+def check_lipschitz(k: KernelSpec, plan: SamplePlan) -> KernelCheckReport:
+    """Sampled check of |C(t,s,u1,u2) - C(t,s,v1,v2)| <= mu(t,s)(|u1-v1|+|u2-v2|),
+    mu = k.lipschitz, on consecutive pairs of the plan's state points."""
     t = plan.ts_pairs[:, 0]
     s = plan.ts_pairs[:, 1]
-    mu = modulus(t, s)
+    mu = k.lipschitz(t, s)
     worst = -np.inf
     witness = {}
     n = 0
@@ -370,8 +362,8 @@ def check_lipschitz(k: KernelSpec, plan: SamplePlan,
         uu2 = np.broadcast_to(u2, (t.size, k.dim))
         vv1 = np.broadcast_to(v1, (t.size, k.dim))
         vv2 = np.broadcast_to(v2, (t.size, k.dim))
-        diff = np.linalg.norm(np.asarray(evaluator(t, s, uu1, uu2))
-                              - np.asarray(evaluator(t, s, vv1, vv2)), axis=-1)
+        diff = np.linalg.norm(np.asarray(k.evaluator(t, s, uu1, uu2))
+                              - np.asarray(k.evaluator(t, s, vv1, vv2)), axis=-1)
         viol = diff - mu * gap
         n += t.size
         j = int(np.argmax(viol))
@@ -385,7 +377,7 @@ def check_lipschitz(k: KernelSpec, plan: SamplePlan,
     if n == 0:
         worst = 0.0
     # strict sampling check with a float guard at the equality boundary
-    return KernelCheckReport(name, worst, witness, n, worst <= 1e-12)
+    return KernelCheckReport("lipschitz", worst, witness, n, worst <= 1e-12)
 
 
 def check_convolution_form(k, plan: SamplePlan) -> KernelCheckReport:

@@ -333,15 +333,15 @@ class TimeWarp:
 
     Kinds: ``identity``; ``shift`` with a(t) = t + tau (a pure delay is a
     negative tau); ``tabulated`` with a(t) interpolated linearly from a table.
-    ``declared_aa`` records whether compositions with this warp are declared
-    to stay in the recurrent function classes the certificates require.
+    Composing with an identity or shift warp keeps a path in the recurrent
+    function classes the certificates require; a tabulated a(t) is not known
+    to, so the recurrence-transfer check refuses it.
     """
 
     kind: str = "identity"
     tau: float = 0.0
     table_t: Optional[np.ndarray] = None
     table_a: Optional[np.ndarray] = None
-    declared_aa: bool = True
 
     def __post_init__(self):
         if self.kind not in ("identity", "shift", "tabulated"):

@@ -30,6 +30,7 @@ FULL_LINE_VARIANTS = (ADVANCED_DELAYED, DELAYED_ONLY, DELAY_PARABOLIC)
 
 # points of the constants grid over which sup|f(., 0, 0)| is sampled
 SUP_F0_SAMPLES = 257
+_LIPSCHITZ_SAMPLES = 64   # point pairs of the empirical Lipschitz estimate
 
 
 class ProblemError(ValueError):
@@ -203,6 +204,15 @@ class ProblemSpec:
             value = getattr(self, name)
             need(np.isfinite(value) and value > 0,
                  f"{name} must be finite and positive, got {value:g}")
+        # a family, resolvent or u0 of another dim failed later or lost components
+        for what, held in (("evolution family", self.evolution),
+                           ("resolvent", self.resolvent)):
+            if held is not None:
+                need(held.dim == self.dim, f"the {what} has dimension "
+                     f"{held.dim}, the problem has dim = {self.dim}")
+        if self.u0 is not None:
+            need(self.u0.size == self.dim, f"u0 has {self.u0.size} components, "
+                 f"the problem has dim = {self.dim}")
         lo, hi = self.report_window
         need(np.isfinite(lo) and np.isfinite(hi),
              f"report window ends must be finite, got [{lo:g}, {hi:g}]")
@@ -256,15 +266,15 @@ class ProblemSpec:
         raise ProblemError("nonlinearity has no Lipschitz constant; "
                            "use the empirical estimate explicitly")
 
-    def empirical_lipschitz(self, radius: float, n_samples: int = 64) -> float:
+    def empirical_lipschitz(self, radius: float) -> float:
         """Sampled difference-quotient estimate of the nonlinearity's constant
         inside the working ball, used when no analytic constant is supplied."""
-        d = self.dim
-        pts = (2.0 * kronecker_points(2 * n_samples, 2 * d, seed_shift=0.11) - 1.0)
-        pts = pts.reshape(n_samples, 2, 2 * d) * radius / np.sqrt(d)
-        t_nodes = np.linspace(*self.report_window, n_samples)
+        d, n = self.dim, _LIPSCHITZ_SAMPLES
+        pts = (2.0 * kronecker_points(2 * n, 2 * d, seed_shift=0.11) - 1.0)
+        pts = pts.reshape(n, 2, 2 * d) * radius / np.sqrt(d)
+        t_nodes = np.linspace(*self.report_window, n)
         best = 0.0
-        for i in range(n_samples):
+        for i in range(n):
             u = pts[i, 0, :d][None, :]
             v = pts[i, 1, :d][None, :]
             uy = pts[i, 0, d:][None, :]

@@ -19,6 +19,8 @@ from typing import Optional
 import numpy as np
 
 DEFAULT_CONST_TOL = 1e-10   # sampled certificate constants (gamma1/gamma2)
+_ADAPTIVE_ORDER = 15        # Gauss-Legendre points per adaptive panel
+_ADAPTIVE_MAX_DEPTH = 40    # bisections before a panel's tol is unreachable
 
 
 class QuadratureError(RuntimeError):
@@ -127,38 +129,37 @@ def panel_nodes(a: float, b: float, max_width: float = 1.0, order: int = 15):
     return nodes, weights
 
 
-def _panel_integral(g, a, b, order):
-    x, w = gauss_legendre(order)
+def _panel_integral(g, a, b):
+    x, w = gauss_legendre(_ADAPTIVE_ORDER)
     half = 0.5 * (b - a)
     nodes = 0.5 * (a + b) + half * x
     vals = np.asarray(g(nodes), dtype=float)
     return half * np.tensordot(w, vals, axes=(0, 0))
 
 
-def adaptive_integral(g, a: float, b: float, tol: float,
-                      order: int = 15, max_depth: int = 40):
+def adaptive_integral(g, a: float, b: float, tol: float):
     """Adaptive composite Gauss-Legendre integral of a vectorized integrand.
 
     Each panel is accepted when the refined (bisected) estimate agrees with the
-    coarse one within its share of the error budget; otherwise it is split.
-    Returns (value, error_estimate).
+    coarse one within its share of the error budget; otherwise it is split,
+    at most _ADAPTIVE_MAX_DEPTH times.  Returns (value, error_estimate).
     """
     if b <= a:
         z = np.asarray(g(np.array([a])), dtype=float)
         return np.zeros(z.shape[1:]) if z.ndim > 1 else 0.0, 0.0
     total = None
     err_total = 0.0
-    stack = [(a, b, _panel_integral(g, a, b, order), 0)]
+    stack = [(a, b, _panel_integral(g, a, b), 0)]
     while stack:
         lo, hi, coarse, depth = stack.pop()
         mid = 0.5 * (lo + hi)
-        left = _panel_integral(g, lo, mid, order)
-        right = _panel_integral(g, mid, hi, order)
+        left = _panel_integral(g, lo, mid)
+        right = _panel_integral(g, mid, hi)
         fine = left + right
         err = float(np.max(np.abs(fine - coarse)))
         budget = tol * (hi - lo) / (b - a)
-        if err <= budget or depth >= max_depth:
-            if depth >= max_depth and err > budget:
+        if err <= budget or depth >= _ADAPTIVE_MAX_DEPTH:
+            if depth >= _ADAPTIVE_MAX_DEPTH and err > budget:
                 raise QuadratureError(
                     f"tolerance {tol:g} unreachable on [{lo:g}, {hi:g}] "
                     f"at max refinement (err {err:g})")

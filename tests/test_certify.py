@@ -263,6 +263,21 @@ def test_spec_refuses_non_finite_or_non_positive_numbers(field, value):
         readme_spec(**{field: value})
 
 
+def test_spec_refuses_a_family_or_u0_of_another_dimension():
+    # a scalar family on a dim = 2 problem dropped the second component
+    f = sinusoid_affine(sin_amp=0.25)
+    fam = scalar_family(lambda t: -1.0)
+    kw = dict(variant="evolution_nonlocal", f=f, evolution=fam,
+              report_window=(0.0, 5.0))
+    ProblemSpec(dim=1, u0=np.zeros(1), **kw)
+    with pytest.raises(ProblemError, match="the evolution family has "
+                       "dimension 1, the problem has dim = 2"):
+        ProblemSpec(dim=2, u0=np.zeros(2), **kw)
+    with pytest.raises(ProblemError, match="u0 has 2 components, the "
+                       "problem has dim = 1"):
+        ProblemSpec(dim=1, u0=np.zeros(2), **kw)
+
+
 def test_shifted_ball_requires_contraction():
     f = sinusoid_affine(sin_amp=0.1, state_coeff=0.6)
     spec = delayed_spec(f=f, cx=0.25)  # L = 2(0.6 + 0.125) > 1
@@ -446,6 +461,22 @@ def test_transfer_hypotheses_fail_at_boundary():
     rep = certify_bohr_neugebauer_hypotheses(spec)
     assert rep.rho == 1.0
     assert rep.passed is False
+
+
+def test_transfer_hypotheses_refuse_a_tabulated_warp():
+    # a shift preserves recurrence; a tabulated a(t) is not known to, so the
+    # check reads NO even though rho = 0.5 < 1
+    from picardcert.paths import TimeWarp
+    f = sinusoid_affine(sin_amp=0.1, state_coeff=0.2)
+    tt = np.linspace(-20.0, 20.0, 41)
+    for warp, expect in ((TimeWarp("shift", tau=-1.0), True),
+                         (TimeWarp("tabulated", table_t=tt, table_a=tt), False)):
+        rep = certify_bohr_neugebauer_hypotheses(
+            delayed_spec(f=f, cx=0.6, rate=2.0, warps={"a1": warp}))
+        assert rep.rho == pytest.approx(0.5, abs=1e-6)
+        assert rep.passed is expect
+        assert (f"time warps preserve recurrence: {'yes' if expect else 'NO'}"
+                in rep.lines)
 
 
 def test_transfer_single_kernel_flavour():

@@ -265,6 +265,51 @@ def test_bad_stability_window_exit_one(tmp_path, capsys, window):
     assert "evolution.stability_window" in capsys.readouterr().err
 
 
+DELAY_CONFIG = """
+[problem]
+variant = delay_parabolic
+window = -10 45
+grid_step = 0.02
+
+[nonlinearity]
+family = sinusoid_affine
+sin_amp = 0.5
+state_coeff = 0.1
+
+[evolution]
+family = scalar_constant
+value = -2.0
+delay = 1.0
+
+[numeric]
+rho = 2.0
+"""
+
+
+@pytest.mark.parametrize("text, held", [
+    (EVOLUTION_CONFIG.replace("window = 2 10", "window = 0 10"),
+     "evolution family"),
+    (RESOLVENT_CONFIG, "resolvent"),
+    (DELAY_CONFIG, "evolution family")],
+    ids=["evolution_nonlocal", "resolvent_nonlocal", "delay_parabolic"])
+def test_family_of_other_dimension_exit_one(tmp_path, capsys, text, held):
+    # the built-in families and the configured resolvent are scalar: with
+    # dim = 2, evolution_nonlocal solved on the first component alone and
+    # the other two failed with numpy's matmul and reshape errors
+    good = write_config(tmp_path, text, name="one.ini")
+    assert main(["certify", "--config", str(good), "--out", str(tmp_path)]) == 0
+    cfg = write_config(tmp_path, text.replace("[problem]\n",
+                                              "[problem]\ndim = 2\n"))
+    reason = f"the {held} has dimension 1, the problem has dim = 2"
+    with pytest.raises(ConfigError, match=reason):
+        build_problem(load_config(cfg))
+    for command in ("certify", "solve"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert reason in capsys.readouterr().err
+        assert not (out / "solution.csv").exists()
+
+
 HALF_LINE_CONFIG = """
 [problem]
 variant = half_line
@@ -379,6 +424,21 @@ def test_diagnose_growing_path_inconsistent(tmp_path):
                  "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 0
     assert "verdict: inconsistent" in (tmp_path / "diagnostic.txt").read_text()
+
+
+def test_diagnose_failed_hypotheses_exit_two(tmp_path, capsys):
+    # L_f = 0.9 and the delayed modulus integral 0.25/2 give rho = 1.025:
+    # the recurrence-transfer hypotheses fail, a certified fail as in certify
+    cfg = write_config(tmp_path)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    bad = write_config(tmp_path, ORACLE_CONFIG.replace(
+        "sin_amp = 1.0", "sin_amp = 1.0\nstate_coeff = 0.9"), name="bad.ini")
+    code = main(["diagnose", str(tmp_path / "solution.csv"),
+                 "--config", str(bad), "--out", str(tmp_path / "diag")])
+    assert code == 2
+    assert "rho = 1.025" in capsys.readouterr().err
+    assert not (tmp_path / "diag" / "diagnostic.txt").exists()
 
 
 def test_diagnose_bad_csv_exit_one(tmp_path):

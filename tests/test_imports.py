@@ -122,25 +122,39 @@ def test_cli_import_loads_no_scipy():
 def _commands(out):
     return {"certify": ["certify", "--config", str(CONFIG), "--out", str(out)],
             "solve": ["solve", "--config", str(CONFIG), "--out", str(out)],
+            "diagnose": ["diagnose", str(out / "solution.csv"), "--config",
+                         str(CONFIG), "--out", str(out / "diag")],
             "demo-delay": ["demo", "delay", "--out", str(out)],
             "demo-heat": ["demo", "heat", "--out", str(out)]}
 
 
-@pytest.mark.parametrize("name", ["certify", "solve", "demo-delay", "demo-heat"])
+def _argv(name, out):
+    """The command's argv; diagnose reads the solution a solve writes first,
+    in this process, so the fresh process runs diagnose alone."""
+    commands = _commands(out)
+    if name == "diagnose":
+        from picardcert.cli import main
+        assert main(commands["solve"]) == 0
+    return commands[name]
+
+
+@pytest.mark.parametrize("name", ["certify", "solve", "diagnose",
+                                  "demo-delay", "demo-heat"])
 def test_command_loads_no_scipy(name, tmp_path):
     # the sinusoid-oracle config and the delay demo are scalar, and the heat
     # demo's resolvent is a matrix exponential, so nothing they run reaches
     # solve_ivp, the one first-use scipy import
-    argv = _commands(tmp_path)[name]
+    argv = _argv(name, tmp_path)
     assert _loaded_after(
         f"from picardcert.cli import main; assert main({argv!r}) == 0",
         ("scipy",)) == "[]"
 
 
-@pytest.mark.parametrize("name", ["solve", "demo-delay", "demo-heat"])
+@pytest.mark.parametrize("name", ["solve", "diagnose", "demo-delay",
+                                  "demo-heat"])
 def test_command_runs_with_scipy_blocked(name, tmp_path):
     # with scipy unimportable, as on an install of numpy alone
-    argv = _commands(tmp_path)[name]
+    argv = _argv(name, tmp_path)
     assert _loaded_after(
         "sys.modules['scipy'] = None; from picardcert.cli import main; "
         f"assert main({argv!r}) == 0", ("scipy.",)) == "[]"

@@ -86,20 +86,6 @@ def test_affine_kernel_modulus_boundary():
         assert rep.passed is expect
 
 
-def test_limit_modulus_checked_when_supplied():
-    k = exponential_kernel(1.5, cx=0.2)
-    rep = check_lipschitz(k, plan(), use_limit=True)
-    assert rep.passed and rep.check == "limit_lipschitz"
-
-
-def test_limit_modulus_skipped_when_absent():
-    k = exponential_kernel(1.5, cx=0.2)
-    object.__setattr__(k, "limit_evaluator", None)
-    rep = check_lipschitz(k, plan(), use_limit=True)
-    assert rep.passed
-    assert any("not checked" in n for n in rep.notes)
-
-
 # -- convolution form ---------------------------------------------------------------
 
 def test_convolution_form_machine_precision():
