@@ -39,11 +39,15 @@ class CertificationError(RuntimeError):
 
 @dataclass
 class ContractionCertificate:
-    """Machine-checked record of one contraction theorem's hypotheses."""
+    """Machine-checked record of one contraction theorem's hypotheses.
+
+    A pass rests on declared constants only: f's Lipschitz constant (or its
+    lipschitz_curve in a radius search), the kernels' envelopes and the
+    stability data.  Without them certify raises CertificationError."""
 
     theorem_id: str
     variant: str
-    verdict: str                      # pass | fail | degenerate-pass | empirical-pass
+    verdict: str                      # pass | fail | degenerate-pass
     L_gamma: float
     rho: Optional[float] = None
     theta: Optional[float] = None
@@ -59,7 +63,7 @@ class ContractionCertificate:
 
     @property
     def passed(self) -> bool:
-        return self.verdict in ("pass", "degenerate-pass", "empirical-pass")
+        return self.verdict in ("pass", "degenerate-pass")
 
     @property
     def certificate_id(self) -> str:
@@ -161,16 +165,16 @@ def compute_base_point(spec: pb.ProblemSpec, grid=None) -> SampledPath:
     return solver.apply_operator(spec, zero)
 
 
-def _lipschitz_or_empirical(q):
-    """Analytic constant of f when supplied, else a sampled estimate over the
-    ball of radius rho + |y0| that the theorems actually use."""
-    if q.spec.f.lipschitz is not None:
-        q.audit.append(f"L_f = {q.spec.f.lipschitz:.12g}")
-        return float(q.spec.f.lipschitz)
-    q.empirical = True
-    est = q.spec.empirical_lipschitz(q.rho + q.b)
-    q.audit.append(f"L_f estimated empirically by difference quotients: {est:.6g}")
-    return est
+def _declared_lipschitz(q):
+    """The Lipschitz constant f declares.  Samples could only bound it from
+    below, so a certificate without a declared constant is refused."""
+    if q.spec.f.lipschitz is None:
+        raise CertificationError(
+            "f declares no Lipschitz constant: certificates need "
+            "Nonlinearity(lipschitz=...), or a lipschitz_curve for the radius "
+            "search")
+    q.audit.append(f"L_f = {q.spec.f.lipschitz:.12g}")
+    return float(q.spec.f.lipschitz)
 
 
 def _stability_constants(q):
@@ -241,14 +245,14 @@ class _Inputs:
     a row does exactly the work (constants, base point, stability) it needs."""
 
     def __init__(self, spec, rho):
-        self.spec, self.rho, self.audit, self.empirical = spec, rho, [], False
+        self.spec, self.rho, self.audit = spec, rho, []
         self.L = self.R = self.best = self.theta = None
 
     consts = cached_property(lambda q: compute_envelope_constants(q.spec))
     y0 = cached_property(lambda q: compute_base_point(q.spec))
     b = cached_property(lambda q: sup_norm(q.y0))
     ball_ratio = property(lambda q: q.rho / (q.rho + q.b))
-    L_f = cached_property(_lipschitz_or_empirical)
+    L_f = cached_property(_declared_lipschitz)
     L_f_at_R = property(lambda q: float(q.spec.f.curve(np.array([q.R]))[0]))
     sup_f0 = cached_property(lambda q: q.spec.sup_forcing_at_zero())
     moduli = property(lambda q: _INTEGRAL_TERMS[q.spec.variant][0](q.consts))
@@ -295,11 +299,13 @@ def _integral_constant(q):
 
 
 def _xi0(q):
-    return q.M * q.L_g + (q.M / q.delta) * (1.0 + q.C_B) * q.spec.forcing_lipschitz()
+    # the history term enters the combined forcing with coefficient one
+    L_F = q.L_f if q.spec.memory_kernel is None else max(1.0, q.L_f)
+    return q.M * q.L_g + (q.M / q.delta) * (1.0 + q.C_B) * L_F
 
 
 def _resolvent_constant(q):
-    return q.M * q.L_g + (q.M / q.delta) * q.spec.effective_lipschitz()
+    return q.M * q.L_g + (q.M / q.delta) * q.L_f
 
 
 def _contraction(text, rhs=lambda q: 1.0):
@@ -354,7 +360,7 @@ THEOREMS = (
             (_contraction("xi0 < 1"),), theta="decides", xi0=True),
     Theorem("th31", (pb.RESOLVENT_NONLOCAL,), "ball", _resolvent_constant,
             (Inequality("delta L_g + L_f < rho delta/(M(rho+|y0|))",
-                        lambda q: q.delta * q.L_g + q.spec.effective_lipschitz(),
+                        lambda q: q.delta * q.L_g + q.L_f,
                         lambda q: q.rho * q.delta / (q.M * (q.rho + q.b))),)),
     Theorem("th313", (pb.RESOLVENT_NONLOCAL,), "shifted", _resolvent_constant,
             (_contraction("M L_g + (M/delta) L_f < 1"),), theta="decides"),
@@ -368,12 +374,12 @@ THEOREMS = (
                                     - r * np.asarray(q.spec.f.curve(r)) * (1.0 + q.C_B)),
             notes=_th33_notes),
     Theorem("delay-final", (pb.DELAY_PARABOLIC,), "ball",
-            lambda q: (q.M / q.delta) * q.spec.effective_lipschitz(),
+            lambda q: (q.M / q.delta) * q.L_f,
             (Inequality("(M/delta) sup|f(.,0)| <= rho " + _SAMPLED_F0,
                         lambda q: (q.M / q.delta) * q.sup_f0, lambda q: q.rho,
                         strict=False),
              Inequality("M L_f < rho delta/(rho+|x0|)",
-                        lambda q: q.M * q.spec.effective_lipschitz(),
+                        lambda q: q.M * q.L_f,
                         lambda q: q.rho * q.delta / (q.rho + q.b))),
             theta="reported"),
 )
@@ -427,8 +433,6 @@ def _evaluate(row: Theorem, spec, rho, slack_margin) -> ContractionCertificate:
         verdict, failed = "degenerate-pass", []
         q.audit.append("base point is already a fixed point within quadrature "
                        "tolerance; solution is y0")
-    elif verdict == "pass" and q.empirical:
-        verdict = "empirical-pass"
     # ball certificates record their base point; radius searches only when read
     y0 = q.y0 if row.objective is None else vars(q).get("y0")
     return ContractionCertificate(

@@ -85,6 +85,19 @@ _SCHEMA = {
                "diagnostic": _STR, "residuals": _STR},
 }
 
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
+# section.key -> (test, the requirement a failing value is refused with)
+_LIMITS = {
+    "numeric.quad_tol": _POSITIVE, "numeric.const_tol": _POSITIVE,
+    "numeric.solver_tol": _POSITIVE, "numeric.rho": _POSITIVE,
+    "numeric.max_iter": _AT_LEAST_ONE,
+    "diagnose.tol": _POSITIVE, "diagnose.probe_count": _AT_LEAST_ONE,
+    "diagnose.windows": (lambda v: len(v) >= 2, "needs at least two windows"),
+    "diagnose.probe_window": (lambda v: len(v) == 2 and v[0] < v[1],
+                              "needs two numbers lo < hi"),
+}
+
 _EVOLUTION_FAMILIES = {
     "scalar_constant": lambda value=-1.0, **kw: scalar_family(
         lambda t: value, label="scalar_constant"),
@@ -140,10 +153,11 @@ def load_config(path) -> RunConfig:
                 raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
         sections[section] = out
     cfg = RunConfig(sections)
-    for key in ("quad_tol", "const_tol", "solver_tol", "rho"):
-        val = cfg.get("numeric", key)
-        if val is not None and val <= 0:
-            raise ConfigError(f"numeric.{key} must be positive")
+    # numbers a command would otherwise crash on, or accept without meaning
+    for name, (ok, need) in _LIMITS.items():
+        val = cfg.get(*name.split("."))
+        if val is not None and not ok(val):
+            raise ConfigError(f"{name} {need}")
     return cfg
 
 
@@ -474,11 +488,8 @@ def cmd_demo(args) -> int:
         print(f"heat demo artifacts written to {out}")
         return EXIT_PASS
     if args.name == "delay":
-        fam = scalar_family(lambda t: -(2.0 + np.sin(t)),
-                            label="scalar_two_plus_sin")
-        certify_stability(fam, stability_sample_pairs((-15.0, 15.0), n=30,
-                                                      max_sep=5.0),
-                          M=1.0, delta=1.0)
+        fam, _ = _build_evolution(
+            RunConfig({"evolution": {"family": "scalar_two_plus_sin"}}))
         f = pb.sinusoid_affine(sin_amp=0.5, state_coeff=0.1)
         try:
             report, cert = delay_demo_solve(fam, f, tau=1.0, rho=2.0, tol=1e-8,

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernels import KernelSpec, SplitKernelSpec, kronecker_points
+from .kernels import KernelSpec, SplitKernelSpec
 from .paths import SampledPath, TimeWarp, identity_warp
 
 ADVANCED_DELAYED = "advanced_delayed"
@@ -30,7 +30,6 @@ FULL_LINE_VARIANTS = (ADVANCED_DELAYED, DELAYED_ONLY, DELAY_PARABOLIC)
 
 # points of the constants grid over which sup|f(., 0, 0)| is sampled
 SUP_F0_SAMPLES = 257
-_LIPSCHITZ_SAMPLES = 64   # point pairs of the empirical Lipschitz estimate
 
 
 class ProblemError(ValueError):
@@ -42,9 +41,11 @@ class Nonlinearity:
     """Pointwise nonlinearity f(t, x, y) with its Lipschitz data.
 
     func must broadcast: t of shape (...,), x and y of shape (..., d) produce
-    (..., d).  lipschitz is the constant on the working ball when known
-    analytically; lipschitz_curve optionally gives the radius-dependent
-    constant L(r) used by the radius-search certificates.
+    (..., d).  lipschitz is the declared constant on the working ball, which
+    every ball and shifted-ball certificate needs; lipschitz_curve optionally
+    gives the radius-dependent constant L(r) of the radius-search
+    certificates.  Without either, certification is refused: sampled
+    difference quotients only bound the constant from below.
     """
 
     func: Callable
@@ -93,7 +94,10 @@ def sinusoid_affine(sin_amp: float = 0.0, cos_amp: float = 0.0,
 
     def f(t, x, y):
         t = np.asarray(t, dtype=float)
-        forcing = sin_amp * np.sin(omega * t) + cos_amp * np.cos(omega * t) + const
+        forcing = sin_amp * np.sin(omega * t)
+        if cos_amp:
+            forcing = forcing + cos_amp * np.cos(omega * t)
+        forcing = forcing + const
         return forcing[..., None] * e1 + kx * np.asarray(x) + ky * np.asarray(y)
 
     lip = max(abs(kx), abs(ky))
@@ -259,33 +263,11 @@ class ProblemSpec:
         return np.linspace(*self.report_window, n)
 
     def effective_lipschitz(self) -> float:
-        if self.f is None:
-            return 0.0
+        """The Lipschitz constant f declares; ProblemError without one."""
         if self.f.lipschitz is not None:
             return float(self.f.lipschitz)
-        raise ProblemError("nonlinearity has no Lipschitz constant; "
-                           "use the empirical estimate explicitly")
-
-    def empirical_lipschitz(self, radius: float) -> float:
-        """Sampled difference-quotient estimate of the nonlinearity's constant
-        inside the working ball, used when no analytic constant is supplied."""
-        d, n = self.dim, _LIPSCHITZ_SAMPLES
-        pts = (2.0 * kronecker_points(2 * n, 2 * d, seed_shift=0.11) - 1.0)
-        pts = pts.reshape(n, 2, 2 * d) * radius / np.sqrt(d)
-        t_nodes = np.linspace(*self.report_window, n)
-        best = 0.0
-        for i in range(n):
-            u = pts[i, 0, :d][None, :]
-            v = pts[i, 1, :d][None, :]
-            uy = pts[i, 0, d:][None, :]
-            vy = pts[i, 1, d:][None, :]
-            gap = np.linalg.norm(u - v) + np.linalg.norm(uy - vy)
-            if gap == 0:
-                continue
-            t = t_nodes[i:i + 1]
-            quot = float(np.linalg.norm(self.f(t, u, uy) - self.f(t, v, vy))) / gap
-            best = max(best, quot)
-        return best
+        raise ProblemError("nonlinearity declares no Lipschitz constant "
+                           "(Nonlinearity(lipschitz=...))")
 
     def sup_forcing_at_zero(self) -> float:
         """Sampled sup|f(t, 0, 0)|: the max over the SUP_F0_SAMPLES = 257
@@ -293,11 +275,3 @@ class ProblemSpec:
         0.5 sin t on the delay demo's window).  Certificates label it so."""
         vals = self.f.at_zero(self.constants_grid(SUP_F0_SAMPLES))
         return float(np.max(np.linalg.norm(vals, axis=1)))
-
-    def forcing_lipschitz(self) -> float:
-        """Lipschitz constant of the combined state/history nonlinearity for
-        the evolution variant: the history term enters with coefficient one."""
-        base = self.effective_lipschitz()
-        if self.variant == EVOLUTION_NONLOCAL and self.memory_kernel is not None:
-            return max(1.0, base)
-        return base

@@ -366,7 +366,7 @@ def _integral_image(spec, y, start) -> SampledPath:
     """
     t = y.grid
     out = np.zeros((t.size, spec.dim))
-    if spec.f is not None and not spec.f.is_zero:
+    if not spec.f.is_zero:
         a0 = spec.warp("a0")
         ya0 = y.values if a0.is_identity else y.evaluate(a0(t))
         out += np.asarray(spec.f(t, y.values, ya0))
@@ -586,6 +586,8 @@ def picard_solve(spec: pb.ProblemSpec, cert: ContractionCertificate,
     Alternative starting paths are accepted only for uniqueness experiments;
     the theorems centre the ball at the base point.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     notes = []
     if not cert.passed:
         if not allow_uncertified:

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -217,16 +218,46 @@ def test_ball_past_kernel_state_bound_refused():
     assert cert.violated == "state radius |y0| + rho <= kernel state_bound"
 
 
-def test_empirical_lipschitz_downgrade():
+def _tanh_forcing(kappa):
+    """0.2 tanh(kappa x) + 0.1 tanh(kappa y)/kappa + 0.05 sin t, whose
+    Lipschitz constant is 0.2 kappa + 0.1."""
     def f_eval(t, x, y):
         t = np.atleast_1d(np.asarray(t, float))
-        return 0.1 * np.tanh(np.asarray(x)) + 0.05 * np.sin(t)[..., None]
+        return (0.2 * np.tanh(kappa * np.asarray(x))
+                + 0.1 * np.tanh(kappa * np.asarray(y)) / kappa
+                + 0.05 * np.sin(t)[..., None])
+    return f_eval
 
-    f = Nonlinearity(f_eval, lipschitz=None, dim=1, label="tanh")
-    spec = delayed_spec(f=f, cx=0.1)
-    cert = certify_ball_zero(spec, rho=1.0)
-    assert cert.verdict == "empirical-pass"
-    assert any("empirically" in a for a in cert.audit)
+
+def test_undeclared_lipschitz_refused():
+    # sampled difference quotients put L_f near 0.3 at both kappas, and th24
+    # passed on them; with the true constant the contraction constant is
+    # 2 (0.2 kappa + 0.1 + 0.05) > 1
+    kernel = pc.exponential_kernel(2.0, cx=0.1, state_bound=3.0)
+    for kappa in (5.0, 100.0):
+        spec = dataclasses.replace(readme_spec(grid_step=0.1), kernel_delayed=kernel,
+                                   f=Nonlinearity(_tanh_forcing(kappa)))
+        for mode in ("ball", "shifted"):
+            with pytest.raises(CertificationError, match="lipschitz"):
+                certify(spec, rho=1.0, mode=mode)
+        declared = Nonlinearity(_tanh_forcing(kappa), lipschitz=0.2 * kappa + 0.1)
+        cert = certify(dataclasses.replace(spec, f=declared), rho=1.0)
+        assert cert.verdict == "fail"
+        assert cert.L_gamma == pytest.approx(2.0 * (0.2 * kappa + 0.15), rel=1e-9)
+
+
+def test_curve_only_lipschitz_serves_the_radius_search_alone():
+    f = Nonlinearity(lambda t, x, y: 0.1 * np.tanh(np.asarray(x))
+                     + 0.1 * np.sin(np.atleast_1d(t))[..., None],
+                     lipschitz=None,
+                     lipschitz_curve=saturating_lipschitz(0.1, 0.2, 1.0))
+    spec = two_sided_spec(f, cx1=0.2, cx2=0.1)
+    for mode in ("ball", "shifted"):
+        with pytest.raises(CertificationError, match="lipschitz"):
+            certify(spec, rho=1.0, mode=mode)
+    cert = certify_radius_search(spec)
+    assert cert.theorem_id == "K-conditions"
+    assert cert.verdict == "pass"
 
 
 # -- shifted-ball certificates ---------------------------------------------------------
@@ -541,11 +572,19 @@ def test_dispatch_covers_every_variant():
                 continue
             cert = certify(spec, rho=2.0, mode=mode)
             assert cert.theorem_id == expect, (name, mode)
-            assert cert.verdict in ("pass", "fail", "degenerate-pass",
-                                    "empirical-pass"), (name, mode)
+            assert cert.verdict in ("pass", "fail", "degenerate-pass"), (name, mode)
     # an explicit theorem wins over the mode
     cert = certify(spec, rho=2.0, mode="radius", theorem="delay-final")
     assert cert.theorem_id == "delay-final"
+
+
+def test_no_row_passes_without_a_declared_lipschitz_constant():
+    for name, spec in _dispatch_specs().items():
+        spec = dataclasses.replace(spec, f=Nonlinearity(spec.f.func))
+        for mode, expect in zip(("ball", "shifted", "radius"), MODE_TABLE[name]):
+            with pytest.raises(CertificationError,
+                               match="(?i)lipschitz" if expect else None):
+                certify(spec, rho=2.0, mode=mode)
 
 
 def test_dispatch_rejects_bad_requests():

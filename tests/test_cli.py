@@ -75,6 +75,32 @@ def test_bad_tolerance_rejected(tmp_path):
         load_config(write_config(tmp_path, bad))
 
 
+@pytest.mark.parametrize("old, new, key, command", [
+    ("rho = 1.0", "rho = 1.0\nmax_iter = 0", "numeric.max_iter", "solve"),
+    ("rho = 1.0", "rho = 1.0\nmax_iter = -3", "numeric.max_iter", "solve"),
+    ("probe_count = 25", "probe_count = 0", "diagnose.probe_count", "diagnose"),
+    ("windows = 30 40", "windows = 40", "diagnose.windows", "diagnose"),
+    ("probe_window = -3 3", "probe_window = 3", "diagnose.probe_window",
+     "diagnose"),
+    ("tol = 1e-3", "tol = -1", "diagnose.tol", "diagnose")],
+    ids=["max_iter_zero", "max_iter_negative", "probe_count", "windows",
+         "probe_window", "diagnose_tol"])
+def test_bad_config_number_exit_one(tmp_path, capsys, old, new, key, command):
+    # each crashed with an IndexError deep in the solver or the diagnostics,
+    # except diagnose.tol = -1, which was accepted; the config is refused
+    # before the path is read
+    cfg = write_config(tmp_path, ORACLE_CONFIG.replace(old, new), name="bad.ini")
+    with pytest.raises(ConfigError, match=key):
+        load_config(cfg)
+    argv = ([command] + ([str(tmp_path / "solution.csv")]
+                         if command == "diagnose" else [])
+            + ["--config", str(cfg), "--out", str(tmp_path / "bad")])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "bad").exists()
+
+
 def test_unknown_family_rejected(tmp_path):
     bad = ORACLE_CONFIG.replace("family = exponential_decay",
                                 "family = mystery_meat")

@@ -452,6 +452,15 @@ def test_uncertified_requires_override():
     assert any("override" in n for n in rep.notes)
 
 
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_picard_solve_refuses_fewer_than_one_sweep(max_iter):
+    # with no sweep, the refusal message read the last of no increments
+    spec = oracle_spec(window=(-5.0, 5.0))
+    cert = certify_ball_zero(spec, rho=1.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        picard_solve(spec, cert, tol=1e-6, max_iter=max_iter)
+
+
 def test_non_contraction_detected():
     # an expanding affine operator: kernel mass 2 > 1 with forcing
     f = pc.sinusoid_affine(sin_amp=1.0)
