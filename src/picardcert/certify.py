@@ -159,10 +159,9 @@ def compute_envelope_constants(spec: pb.ProblemSpec) -> EnvelopeConstants:
 # base points, Lipschitz and stability data
 
 
-def compute_base_point(spec: pb.ProblemSpec, grid=None) -> SampledPath:
+def compute_base_point(spec: pb.ProblemSpec) -> SampledPath:
     """Image of the zero function under the variant's integral operator."""
-    zero = solver.zero_start(spec, grid)
-    return solver.apply_operator(spec, zero)
+    return solver.apply_operator(spec, solver.zero_start(spec))
 
 
 def _declared_lipschitz(q):
@@ -188,6 +187,10 @@ def _stability_constants(q):
         source = "declared resolvent decay"
     elif fam is None or getattr(fam, "stability", None) is None:
         raise CertificationError("evolution family has no stability certificate")
+    elif not fam.stability.passed:
+        # the samples refute the declared (M, delta): no theorem rests on it
+        raise CertificationError("the evolution family's stability bound is "
+                                 f"refuted: {fam.stability.lines[-1]}")
     else:
         M, delta = float(fam.stability.M), float(fam.stability.delta)
         source = f"sampled: checked on {fam.stability.n_samples} pairs"

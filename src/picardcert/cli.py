@@ -92,8 +92,14 @@ _LIMITS = {
     "numeric.quad_tol": _POSITIVE, "numeric.const_tol": _POSITIVE,
     "numeric.solver_tol": _POSITIVE, "numeric.rho": _POSITIVE,
     "numeric.max_iter": _AT_LEAST_ONE,
-    "diagnose.tol": _POSITIVE, "diagnose.probe_count": _AT_LEAST_ONE,
-    "diagnose.windows": (lambda v: len(v) >= 2, "needs at least two windows"),
+    "diagnose.eps": _POSITIVE, "diagnose.tol": _POSITIVE,
+    "diagnose.probe_count": _AT_LEAST_ONE,
+    "diagnose.shift_count": (lambda v: v >= 4, "must be at least 4"),
+    "diagnose.shift_step": (lambda v: v != 0, "must be nonzero"),
+    "diagnose.windows": (lambda v: len(v) >= 2 and v[0] > 0
+                         and np.all(np.diff(v) > 0),
+                         "needs at least two positive, strictly increasing "
+                         "windows"),
     "diagnose.probe_window": (lambda v: len(v) == 2 and v[0] < v[1],
                               "needs two numbers lo < hi"),
 }
@@ -464,13 +470,22 @@ def cmd_demo(args) -> int:
     out = _out_dir(args)
     if args.name == "heat":
         spec, rho, heat_rep = heat_demo_assemble()
-        cert = certify(spec, rho=rho)
-        _write(out / "heat_certificate.txt", cert.to_text())
         _write(out / "heat_conditions.txt", heat_rep.to_text())
         table = heat_rep.decay_table
         rows = ["t,resolvent_norm,decay_bound"]
         rows += [",".join(repr(float(x)) for x in r) for r in table]
         _write(out / "heat_resolvent_decay.csv", "\n".join(rows) + "\n")
+        # the certificate reads the constants these audits check
+        failed = [name for name, ok in (
+            ("relaxation and memory-factor bounds", heat_rep.r2_passed),
+            ("resolvent decay bound", heat_rep.decay_passed),
+            ("ball size", heat_rep.ball_passed)) if not ok]
+        if failed:
+            print("heat demo audit failed: " + ", ".join(failed)
+                  + f" (see {out / 'heat_conditions.txt'})", file=sys.stderr)
+            return EXIT_CERTIFIED_FAIL
+        cert = certify(spec, rho=rho)
+        _write(out / "heat_certificate.txt", cert.to_text())
         if not cert.passed:
             return EXIT_CERTIFIED_FAIL
         report = picard_solve(spec, cert, tol=1e-8)

@@ -183,7 +183,7 @@ class EvolutionFamily:
     dim: int = 1
     stability: Optional[StabilityCertificate] = None
     label: str = ""
-    # cell propagators of the solver's recurrence, keyed by lattice
+    # cell propagators of the solver's recurrence, keyed by grid
     cell_tables: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
@@ -315,25 +315,13 @@ class EvolutionFamily:
             start = stop
         return _CellTable(nodes, Phi, VW)
 
-    def cell_table(self, grid, run_in: int = 0) -> _CellTable:
-        """Propagators over grid's cells and run_in cells of its step left
-        of it, kept per lattice; a longer run-in extends the stored table to
-        the left."""
+    def cell_table(self, grid) -> _CellTable:
+        """Propagators over the cells of grid, kept per grid."""
         key = grid.tobytes()
         table = self.cell_tables.get(key)
-        n = grid.size - 1 + run_in
-        h = grid[1] - grid[0]
         if table is None:
-            table = self._cells(np.concatenate(
-                [grid[0] - h * np.arange(run_in, 0, -1), grid]))
-        elif len(table) < n:
-            have = len(table) - (grid.size - 1)
-            new = self._cells(grid[0] - h * np.arange(run_in, have - 1, -1))
-            table = _CellTable(np.concatenate([new.nodes, table.nodes]),
-                               np.concatenate([new.Phi, table.Phi]),
-                               np.concatenate([new.VW, table.VW]))
-        self.cell_tables[key] = table
-        return table.tail(n)
+            table = self.cell_tables[key] = self._cells(grid)
+        return table
 
 
 def constant_family(A, label: str = "constant") -> EvolutionFamily:

@@ -33,12 +33,12 @@ time, z_{j+1} = U(t_{j+1}, t_j) z_j + (Gauss quadrature of U(t_{j+1}, s) g(s)
 over the cell), as in Lubich's convolution quadrature.  The resolvent
 variant is the same recurrence for the augmented system of its
 exponential-sum memory, z = (v, w_1, ..., w_K) with z' = A_hat z + (g, 0),
-and v is the image.  The tables come from `source.cell_table(grid,
-run_in)` of the evolution family or the resolvent operator, which builds
-them once per grid and keeps them for every sweep.  Either recurrence is
-solved by `_scan`, a blocked associative scan: blocks of about sqrt(n) of
-the n cells advance side by side, so a sweep takes about 2 sqrt(n) Python
-steps instead of n.  The resolvent table of `evolution.build_resolvent` is
+and v is the image.  The tables come from `source.cell_table(grid)` of the
+evolution family or the resolvent operator, which builds them once per
+grid and keeps them for every sweep.  Either recurrence is solved by
+`_scan`, a blocked associative scan: blocks of about sqrt(n) of the n cells
+advance side by side, so a sweep takes about 2 sqrt(n) Python steps
+instead of n.  The resolvent table of `evolution.build_resolvent` is
 the same scan, unforced, from [I; 0].
 
 The stopping rule converts the contraction certificate into a computable
@@ -56,7 +56,7 @@ from numpy.fft import irfft, rfft
 
 from . import problem as pb
 from .paths import (HALF_LINE, SampledPath, TAIL_CONSTANT, sup_distance,
-                    sup_norm, zero_path)
+                    zero_path)
 from .quadrature import adaptive_integral, gauss_legendre
 
 if TYPE_CHECKING:
@@ -141,22 +141,24 @@ def _warp_margin(spec) -> float:
 
 
 def _delay_margin(spec) -> float:
-    """Left margin for delayed mild-solution problems.
+    """Left margin for delayed mild-solution problems: the one truncation of
+    the history integral.
 
-    Constant-tail reads of the iterate left of the grid inject an O(1) error
-    whose decay into the window is governed not by the stability rate delta
-    but by the root of the delay majorant  L_f M e^(omega tau) = delta - omega;
-    the margin is sized so that the injected error falls below the quadrature
-    tolerance at the report edge.
+    The recurrence starts at the grid's first node from z = 0, where the
+    fixed point may be as large as its a-priori bound B = M sup|f(., 0)| /
+    (delta - M L_f), and constant-tail reads of the iterate left of the grid
+    inject an error of the same size.  Its decay into the window is governed
+    not by the stability rate delta but by the root of the delay majorant
+    L_f M e^(omega tau) = delta - omega (omega = delta without feedback); the
+    margin is sized so that an error of max(1, B) falls below the quadrature
+    tolerance at the report edge.  sup|f(., 0)| is sampled, as
+    ProblemSpec.sup_forcing_at_zero reads it.
     """
     tau = abs(float(spec.delay or 0.0))
     stab = getattr(spec.evolution, "stability", None)
     if stab is None:
         raise pb.ProblemError("delay problems need a certified evolution family")
-    L = spec.effective_lipschitz()
-    feedback = L * stab.M
-    if feedback <= 0.0:
-        return tau + 1.0
+    feedback = spec.effective_lipschitz() * stab.M
     if feedback >= stab.delta:
         raise pb.ProblemError(
             "delayed feedback at least as strong as the stability rate: the "
@@ -169,7 +171,8 @@ def _delay_margin(spec) -> float:
         else:
             hi_w = mid
     omega = max(lo_w, 1e-6)
-    scale = 10.0 * max(1.0, stab.M / stab.delta)
+    bound = stab.M * spec.sup_forcing_at_zero() / (stab.delta - feedback)
+    scale = 10.0 * max(1.0, stab.M / stab.delta) * max(1.0, bound)
     return tau + np.log(scale / spec.quad_tol) / omega
 
 
@@ -214,10 +217,10 @@ def work_grid(spec: pb.ProblemSpec) -> np.ndarray:
     return r_lo + h * np.arange(-n_lo, n_mid + n_hi + 1)
 
 
-def zero_start(spec: pb.ProblemSpec, grid=None) -> SampledPath:
-    g = work_grid(spec) if grid is None else np.asarray(grid, dtype=float)
+def zero_start(spec: pb.ProblemSpec) -> SampledPath:
     kind = HALF_LINE if spec.variant not in pb.FULL_LINE_VARIANTS else "full_line"
-    return zero_path(g, spec.dim, domain_kind=kind, tail_policy=TAIL_CONSTANT)
+    return zero_path(work_grid(spec), spec.dim, domain_kind=kind,
+                     tail_policy=TAIL_CONSTANT)
 
 
 def _iterate_like(y: SampledPath, values: np.ndarray) -> SampledPath:
@@ -407,10 +410,6 @@ class _CellTable:
     def __len__(self):
         return self.nodes.shape[0]
 
-    def tail(self, n: int) -> "_CellTable":
-        """The last n cells."""
-        return _CellTable(self.nodes[-n:], self.Phi[-n:], self.VW[-n:])
-
 
 def _cell_nodes(edges):
     """Gauss-Legendre nodes and weights of every cell, each (n, K)."""
@@ -527,28 +526,16 @@ def apply_mild_evolution(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
         return _iterate_like(y, z[:, :spec.dim])
 
     if spec.variant == pb.DELAY_PARABOLIC:
-        tau = float(spec.delay)
-        stab = getattr(spec.evolution, "stability", None)
-        if stab is None:
-            raise pb.ProblemError("delay problems need a certified evolution "
-                                  "family (stability constants fix the run-in)")
-        # run-in long enough that the neglected history integral beyond it is
-        # below the quadrature tolerance at every grid node, including the
-        # first one; the current iterate serves reads beyond its grid by its
-        # constant tail
-        sup_f = np.max(np.linalg.norm(spec.f.at_zero(t), axis=1))
-        sup_f = max(sup_f + spec.effective_lipschitz() * sup_norm(y), 1.0)
-        span = np.log(max(stab.M * sup_f / (stab.delta * spec.quad_tol), 2.0)) \
-            / stab.delta
-        # snapped up to the lattice: starting earlier only shrinks the history
-        run_in = int(np.ceil(span / (t[1] - t[0])))
-        table = spec.evolution.cell_table(t, run_in)
+        # from z = 0 at the grid's first node; _delay_margin sizes the grid so
+        # that the history cut off there is below the quadrature tolerance in
+        # the report window
+        table = spec.evolution.cell_table(t)
         s = table.nodes.ravel()
-        x_del = y.evaluate(table.nodes - tau).reshape(s.size, spec.dim)
+        x_del = y.evaluate(table.nodes - spec.delay).reshape(s.size, spec.dim)
         g = np.asarray(spec.f(s, x_del, np.zeros_like(x_del)))
         vals = _cell_recurrence(table, np.zeros(spec.dim),
                                 g.reshape(table.nodes.shape + (spec.dim,)))
-        return _iterate_like(y, vals[run_in:])
+        return _iterate_like(y, vals)
 
     raise pb.ProblemError(f"variant {spec.variant!r} has no mild-evolution operator")
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from picardcert.certify import CertificationError, certify
 from picardcert.cli import (ConfigError, build_problem, load_config, main)
 from picardcert.paths import read_csv
 
@@ -82,13 +83,21 @@ def test_bad_tolerance_rejected(tmp_path):
     ("windows = 30 40", "windows = 40", "diagnose.windows", "diagnose"),
     ("probe_window = -3 3", "probe_window = 3", "diagnose.probe_window",
      "diagnose"),
-    ("tol = 1e-3", "tol = -1", "diagnose.tol", "diagnose")],
+    ("tol = 1e-3", "tol = -1", "diagnose.tol", "diagnose"),
+    ("eps = 0.01", "eps = 0", "diagnose.eps", "diagnose"),
+    ("shift_count = 5", "shift_count = 2", "diagnose.shift_count", "diagnose"),
+    ("shift_step = 6.283185307179586", "shift_step = 0",
+     "diagnose.shift_step", "diagnose"),
+    ("windows = 30 40", "windows = 40 30", "diagnose.windows", "diagnose"),
+    ("windows = 30 40", "windows = -30 40", "diagnose.windows", "diagnose")],
     ids=["max_iter_zero", "max_iter_negative", "probe_count", "windows",
-         "probe_window", "diagnose_tol"])
+         "probe_window", "diagnose_tol", "eps_zero", "shift_count_two",
+         "shift_step_zero", "windows_decreasing", "windows_negative"])
 def test_bad_config_number_exit_one(tmp_path, capsys, old, new, key, command):
-    # each crashed with an IndexError deep in the solver or the diagnostics,
-    # except diagnose.tol = -1, which was accepted; the config is refused
-    # before the path is read
+    # each crashed deep in the solver or the diagnostics with a message that
+    # names no key, or was accepted and tested nothing (diagnose.tol = -1,
+    # shift_step = 0, decreasing windows); the config is refused before the
+    # path is read
     cfg = write_config(tmp_path, ORACLE_CONFIG.replace(old, new), name="bad.ini")
     with pytest.raises(ConfigError, match=key):
         load_config(cfg)
@@ -99,6 +108,42 @@ def test_bad_config_number_exit_one(tmp_path, capsys, old, new, key, command):
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert not (tmp_path / "bad").exists()
+
+
+REFUTED_STABILITY_CONFIG = """
+[problem]
+variant = delay_parabolic
+window = -10 10
+grid_step = 0.05
+
+[nonlinearity]
+family = sinusoid_affine
+sin_amp = 0.5
+state_coeff = 0.1
+
+[evolution]
+family = scalar_constant
+value = -0.5
+delay = 1.0
+
+[numeric]
+rho = 2
+"""
+
+
+def test_refuted_stability_bound_is_refused(tmp_path, capsys):
+    # a = -0.5 decays at rate 0.5, so the default bound M = 1, delta = 1 is
+    # refuted by the family's own samples; no certificate rests on it
+    cfg = write_config(tmp_path, REFUTED_STABILITY_CONFIG)
+    spec = build_problem(load_config(cfg))
+    assert not spec.evolution.stability.passed
+    with pytest.raises(CertificationError, match="FAIL: growth detected"):
+        certify(spec, rho=2.0)
+    assert main(["certify", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "M = 1, delta = 1; worst slack -0.249986 over 30 samples" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_family_rejected(tmp_path):
@@ -489,6 +534,26 @@ def test_demo_heat(tmp_path):
     assert decay[0] == "t,resolvent_norm,decay_bound"
     rows = np.array([[float(x) for x in line.split(",")] for line in decay[1:]])
     assert np.all(rows[:, 1] <= rows[:, 2] + 1e-12)
+
+
+def test_demo_heat_stops_on_a_failed_audit(tmp_path, monkeypatch, capsys):
+    # the certificate reads the constants the audits check: a failed audit
+    # leaves its conditions and decay table, and no certificate or solution
+    from dataclasses import replace
+    from picardcert import cli
+    real = cli.heat_demo_assemble
+
+    def refuted(*args, **kwargs):
+        spec, rho, report = real(*args, **kwargs)
+        return spec, rho, replace(report, decay_passed=False)
+
+    monkeypatch.setattr(cli, "heat_demo_assemble", refuted)
+    assert main(["demo", "heat", "--out", str(tmp_path)]) == 2
+    assert "audit failed: resolvent decay bound" in capsys.readouterr().err
+    assert "sampled t: NO" in (tmp_path / "heat_conditions.txt").read_text()
+    assert (tmp_path / "heat_resolvent_decay.csv").exists()
+    assert not (tmp_path / "heat_certificate.txt").exists()
+    assert not (tmp_path / "heat_solution.csv").exists()
 
 
 @pytest.mark.slow

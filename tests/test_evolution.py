@@ -62,13 +62,6 @@ def _two_plus_sin_exact(t, s):
     return np.exp(-2.0 * (t - s) + np.cos(t) - np.cos(s))
 
 
-def _table_edges(grid, table):
-    """The cell edges of a family's table over grid, its run-in included."""
-    h = grid[1] - grid[0]
-    run_in = len(table) - (grid.size - 1)
-    return np.concatenate([grid[0] - h * np.arange(run_in, 0, -1), grid])
-
-
 def test_scalar_table_is_the_closed_form():
     # the delay demo's lattice, as its base point builds it: every cell
     # propagator and Gauss-node weight within 1e-13 of exp(int a)
@@ -82,9 +75,8 @@ def test_scalar_table_is_the_closed_form():
                           grid_step=0.02, quad_tol=1e-8)
     pc.certify_evolution(spec, rho=2.0, theorem="delay-final")
     (table,) = fam.cell_tables.values()
-    grid = work_grid(spec)
-    edges = _table_edges(grid, table)
-    assert len(table) > grid.size - 1
+    edges = work_grid(spec)
+    assert len(table) == edges.size - 1
     Phi = _two_plus_sin_exact(edges[1:], edges[:-1])
     VW = (np.diff(edges)[:, None] / 2 * np.polynomial.legendre.leggauss(6)[1]
           * _two_plus_sin_exact(edges[1:, None], table.nodes))
@@ -163,7 +155,7 @@ def test_scalar_family_is_read_on_whole_arrays():
     sizes = []
     fam = scalar_family(lambda t: sizes.append(np.size(t)) or a(t))
     grid = np.linspace(-37.52, 45.0, 4127)  # step 0.02, as the demo solves
-    table = fam.cell_table(grid, run_in=922)
+    table = fam.cell_table(grid)
     assert sizes == [table.nodes.size, len(table) + 1]
     sizes.clear()
     cert = certify_stability(fam, stability_sample_pairs((-15.0, 15.0), n=30,
@@ -599,6 +591,21 @@ def test_delay_demo_state_independent_oracle():
     g = rep.solution.grid
     exact = (np.sin(g) - np.cos(g)) / 2.0
     assert np.max(np.abs(rep.solution.values[:, 0] - exact)) < 1e-7
+
+
+def test_delay_large_manufactured_solution():
+    # x* = 300 sin t solves x' = -x + g(t) + 0.1 x(t - 1): the history cut
+    # off at the grid's left edge is as large as the solution, and the margin
+    # is sized for its a-priori bound
+    A, kappa, tau = 300.0, 0.1, 1.0
+    f = pc.sinusoid_affine(sin_amp=A * (1.0 - kappa * np.cos(tau)),
+                           cos_amp=A * (1.0 + kappa * np.sin(tau)),
+                           state_coeff=kappa)
+    rep, _ = delay_demo_solve(_unit_decay_family(), f, tau=tau, rho=4.0 * A,
+                              tol=1e-8, report_window=(-10.0, 45.0),
+                              grid_step=0.02)
+    g = rep.solution.grid
+    assert np.max(np.abs(rep.solution.values[:, 0] - A * np.sin(g))) < 1e-8
 
 
 def test_delay_demo_coupled_oracle():

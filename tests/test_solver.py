@@ -711,29 +711,26 @@ def _recurrence_spec(variant, case):
 
 
 def _forced_ode_image(spec, y):
-    """The operator image of y by integrating z' = A(t) z + g(t) directly,
-    restarted at every knot of the spline forcing, where its third
-    derivative jumps."""
+    """The operator image of y by integrating z' = A(t) z + g(t) directly
+    from the grid's first knot, restarted at every knot of the spline
+    forcing, where its third derivative jumps.  The delay variant starts
+    there from z = 0, as its operator does."""
     from scipy.integrate import solve_ivp
     from scipy.interpolate import CubicSpline
 
     t = y.grid
     if spec.variant == pb.DELAY_PARABOLIC:
         # y's cubic spline with its constant tails; the delay is a whole
-        # number of steps, so the knots of g are those of the grid, and the
-        # history before the first knot contributes below exp(-40)
+        # number of steps, so the knots of g are those of the grid
         y_spline = CubicSpline(t, y.values, axis=0)
 
         def g(s):
             x = y_spline(max(s - spec.delay, t[0]))[None]
             return spec.f(np.array([s]), x, np.zeros_like(x))[0]
-        h = spec.grid_step
-        n_left = int(np.ceil(40.0 / (spec.evolution.stability.delta * h)))
-        knots = np.concatenate([t[0] - h * np.arange(n_left, 0, -1), t])
         z = np.zeros(spec.dim)
     else:
         g = CubicSpline(t, spec.f(t, y.values, np.zeros_like(y.values)), axis=0)
-        knots, z = t, spec.u0
+        z = spec.u0
     if spec.variant == pb.RESOLVENT_NONLOCAL:
         # the memory's auxiliary states: v' = A v + sum_k w_k + g,
         # w_k' = G_k v - r_k w_k, with w_k(0) = 0; v is the image
@@ -748,13 +745,13 @@ def _forced_ode_image(spec, y):
         def rhs(s, z):
             return spec.evolution.generator(s) @ z + g(s)
     out = [z]
-    for a, b in zip(knots[:-1], knots[1:]):
+    for a, b in zip(t[:-1], t[1:]):
         sol = solve_ivp(rhs, (a, b), z, method="DOP853", rtol=1e-13,
                         atol=1e-15)
         assert sol.success
         z = sol.y[:, -1]
         out.append(z)
-    return np.array(out[-t.size:])[:, :spec.dim]
+    return np.array(out)[:, :spec.dim]
 
 
 @pytest.mark.parametrize("variant, case", [
@@ -808,26 +805,6 @@ def test_cell_table_product_matches_the_propagator():
     product = _scan(table.Phi, None, np.eye(fam.dim), n=len(table))[-1]
     expect = fam.propagate_matrix(grid[-1], grid[0])
     assert np.max(np.abs(product - expect)) < 1e-10 * np.max(np.abs(expect))
-
-
-def test_longer_run_in_extends_the_cell_table():
-    # a larger iterate needs a longer delay run-in: the stored propagators
-    # grow to the left and their old cells are kept as they are
-    from picardcert.solver import apply_mild_evolution
-    spec = _recurrence_spec(pb.DELAY_PARABOLIC, "rotating")
-    y = zero_start(spec)
-    apply_mild_evolution(spec, y)
-    (short,) = spec.evolution.cell_tables.values()
-    big = _iterate_like(y, 1e3 * np.column_stack([np.sin(1.3 * y.grid),
-                                                  np.cos(0.7 * y.grid)]))
-    image = apply_mild_evolution(spec, big)
-    (longer,) = spec.evolution.cell_tables.values()
-    assert len(longer) > len(short)
-    assert np.array_equal(longer.Phi[-len(short):], short.Phi)
-    fresh = apply_mild_evolution(_recurrence_spec(pb.DELAY_PARABOLIC, "rotating"),
-                                 big)
-    assert np.max(np.abs(image.values - fresh.values)) \
-        < 1e-9 * np.max(np.abs(fresh.values))
 
 
 # -- the blocked scan of the cell recurrence ------------------------------------------
