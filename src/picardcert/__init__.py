@@ -24,7 +24,7 @@ from .solver import (CertificationRequired, NonContractionError, SolverReport,
                      check_integral_inequality, picard_solve)
 from .evolution import (EvolutionFamily, MemoryKernel, ResolventOperator,
                         exponential_causal, StabilityCertificate, build_resolvent,
-                        certify_stability, constant_family,
+                        certify_decay, certify_stability, constant_family,
                         delay_demo_solve, exponential_memory,
                         heat_demo_assemble, scalar_family)
 from .diagnostics import (DiagnosticReport, aaa_split_estimate, bochner_test,

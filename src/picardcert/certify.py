@@ -177,26 +177,23 @@ def _declared_lipschitz(q):
 
 
 def _stability_constants(q):
-    """(M, delta) of the propagator's exponential decay."""
-    R, fam = q.spec.resolvent, q.spec.evolution
-    if q.spec.variant == pb.RESOLVENT_NONLOCAL:
-        if R is None or R.decay is None:
-            raise CertificationError("resolvent handle has no certified decay "
-                                     "constants (M, gamma, q)")
-        M, delta = float(R.decay[0]), float(R.decay[1]) / float(R.decay[2])
-        source = "declared resolvent decay"
-    elif fam is None or getattr(fam, "stability", None) is None:
-        raise CertificationError("evolution family has no stability certificate")
-    elif not fam.stability.passed:
+    """(M, delta) of the decay record of the variant's propagator, its
+    resolvent or else its evolution family.  A propagator without a record,
+    or whose own samples refute it, is refused."""
+    resolvent = q.spec.variant == pb.RESOLVENT_NONLOCAL
+    which = "resolvent" if resolvent else "evolution family"
+    record = (q.spec.resolvent if resolvent else q.spec.evolution).stability
+    if record is None:
+        raise CertificationError(f"the {which} has no stability record "
+                                 "(certify_stability or certify_decay)")
+    if not record.passed:
         # the samples refute the declared (M, delta): no theorem rests on it
-        raise CertificationError("the evolution family's stability bound is "
-                                 f"refuted: {fam.stability.lines[-1]}")
-    else:
-        M, delta = float(fam.stability.M), float(fam.stability.delta)
-        source = f"sampled: checked on {fam.stability.n_samples} pairs"
-    q.audit.append(f"stability constants: M = {M:.12g}, delta = {delta:.12g} "
-                   f"({source})")
-    return M, delta
+        raise CertificationError(f"the {which}'s stability bound is refuted: "
+                                 f"{record.lines[-1]}")
+    q.audit.append(f"stability constants: M = {record.M:.12g}, delta = "
+                   f"{record.delta:.12g} (sampled: checked on "
+                   f"{record.n_samples} pairs)")
+    return record.M, record.delta
 
 
 def _state_bound(q):

@@ -21,8 +21,8 @@ from . import problem as pb
 from .certify import CertificationError, certify
 from .diagnostics import (aaa_split_estimate, bochner_test,
                           bohr_neugebauer_verdict, range_compactness_trend)
-from .evolution import (PropagationError, build_resolvent, certify_stability,
-                        decay_violations, delay_demo_solve, exponential_causal,
+from .evolution import (PropagationError, build_resolvent, certify_decay,
+                        certify_stability, delay_demo_solve, exponential_causal,
                         exponential_memory, heat_demo_assemble, scalar_family,
                         stability_sample_pairs)
 from .kernels import (KERNEL_FAMILIES, SPLIT_KERNEL_FAMILIES)
@@ -41,48 +41,42 @@ class ConfigError(ValueError):
     pass
 
 
-# schema: section -> {key: parser}; sections matched by exact name or prefix
-_FLOAT = float
-_INT = int
-_STR = str
-
-
 def _floats(s):
     return tuple(float(x) for x in s.split())
 
 
+# schema: section -> {key: parser}; sections matched by exact name or prefix
 _SCHEMA = {
-    "problem": {"variant": _STR, "dim": _INT, "window": _floats,
-                "grid_step": _FLOAT, "state_bound": _FLOAT, "label": _STR},
-    "nonlinearity": {"family": _STR, "sin_amp": _FLOAT, "cos_amp": _FLOAT,
-                     "const": _FLOAT, "state_coeff": _FLOAT,
-                     "warp_state_coeff": _FLOAT, "omega": _FLOAT,
-                     "curve_l0": _FLOAT, "curve_l1": _FLOAT,
-                     "curve_scale": _FLOAT},
-    "kernel.": {"family": _STR, "rate": _FLOAT, "state_coeff": _FLOAT,
-                "warp_state_coeff": _FLOAT, "const": _FLOAT,
-                "mod_amp": _FLOAT, "mod_omega": _FLOAT},
-    "split.": {"family": _STR, "rate": _FLOAT, "aa_const": _FLOAT,
-               "aa_state_coeff": _FLOAT, "aa_warp_state_coeff": _FLOAT,
-               "erg_state_coeff": _FLOAT, "erg_warp_state_coeff": _FLOAT,
-               "erg_const": _FLOAT, "erg_decay": _FLOAT},
-    "warp.": {"kind": _STR, "tau": _FLOAT},
-    "evolution": {"family": _STR, "value": _FLOAT, "delay": _FLOAT,
-                  "stability_m": _FLOAT, "stability_delta": _FLOAT,
+    "problem": {"variant": str, "dim": int, "window": _floats,
+                "grid_step": float, "state_bound": float, "label": str},
+    "nonlinearity": {"family": str, "sin_amp": float, "cos_amp": float,
+                     "const": float, "state_coeff": float, "omega": float,
+                     "warp_state_coeff": float, "curve_l0": float,
+                     "curve_l1": float, "curve_scale": float},
+    "kernel.": {"family": str, "rate": float, "state_coeff": float,
+                "warp_state_coeff": float, "const": float,
+                "mod_amp": float, "mod_omega": float},
+    "split.": {"family": str, "rate": float, "aa_const": float,
+               "aa_state_coeff": float, "aa_warp_state_coeff": float,
+               "erg_state_coeff": float, "erg_warp_state_coeff": float,
+               "erg_const": float, "erg_decay": float},
+    "warp.": {"kind": str, "tau": float},
+    "evolution": {"family": str, "value": float, "delay": float,
+                  "stability_m": float, "stability_delta": float,
                   "stability_window": _floats},
-    "nonlocal": {"family": _STR, "coeff": _FLOAT, "t_probe": _FLOAT,
-                 "offset": _FLOAT},
-    "memory": {"family": _STR, "coeff": _FLOAT, "rate": _FLOAT},
-    "resolvent": {"a_value": _FLOAT, "horizon": _FLOAT, "grid_step": _FLOAT,
-                  "decay_m": _FLOAT, "decay_gamma": _FLOAT, "decay_q": _FLOAT},
-    "numeric": {"quad_tol": _FLOAT, "const_tol": _FLOAT, "solver_tol": _FLOAT,
-                "rho": _FLOAT, "max_iter": _INT},
-    "certify": {"mode": _STR, "theorem": _STR},
-    "diagnose": {"eps": _FLOAT, "windows": _floats, "shift_step": _FLOAT,
-                 "shift_count": _INT, "probe_window": _floats,
-                 "probe_count": _INT, "tol": _FLOAT, "split_time": _FLOAT},
-    "output": {"certificate": _STR, "solution": _STR, "report": _STR,
-               "diagnostic": _STR, "residuals": _STR},
+    "nonlocal": {"family": str, "coeff": float, "t_probe": float,
+                 "offset": float},
+    "memory": {"family": str, "coeff": float, "rate": float},
+    "resolvent": {"a_value": float, "horizon": float, "grid_step": float,
+                  "decay_m": float, "decay_gamma": float, "decay_q": float},
+    "numeric": {"quad_tol": float, "const_tol": float, "solver_tol": float,
+                "rho": float, "max_iter": int},
+    "certify": {"mode": str, "theorem": str},
+    "diagnose": {"eps": float, "windows": _floats, "shift_step": float,
+                 "shift_count": int, "probe_window": _floats,
+                 "probe_count": int, "tol": float, "split_time": float},
+    "output": {"certificate": str, "solution": str, "report": str,
+               "diagnostic": str, "residuals": str},
 }
 
 _POSITIVE = (lambda v: v > 0, "must be positive")
@@ -102,12 +96,17 @@ _LIMITS = {
                          "windows"),
     "diagnose.probe_window": (lambda v: len(v) == 2 and v[0] < v[1],
                               "needs two numbers lo < hi"),
+    # a decay bound M exp(-delta t) has M >= 1, as U(t, t) = R(0) = I
+    "evolution.stability_m": _AT_LEAST_ONE, "resolvent.decay_m": _AT_LEAST_ONE,
+    "evolution.stability_delta": _POSITIVE, "resolvent.decay_gamma": _POSITIVE,
+    "resolvent.decay_q": _POSITIVE,
 }
 
+# family -> factory, whose keywords are the [evolution] keys it reads
 _EVOLUTION_FAMILIES = {
-    "scalar_constant": lambda value=-1.0, **kw: scalar_family(
+    "scalar_constant": lambda value=-1.0: scalar_family(
         lambda t: value, label="scalar_constant"),
-    "scalar_two_plus_sin": lambda **kw: scalar_family(
+    "scalar_two_plus_sin": lambda: scalar_family(
         lambda t: -(2.0 + np.sin(t)), label="scalar_two_plus_sin"),
 }
 
@@ -152,7 +151,7 @@ def load_config(path) -> RunConfig:
             try:
                 out[key] = schema[key](raw)
                 # nan or inf is refused here, not deep in a propagator or sweep
-                if schema[key] in (_FLOAT, _floats) \
+                if schema[key] in (float, _floats) \
                         and not np.all(np.isfinite(out[key])):
                     raise ValueError(raw)
             except ValueError as exc:
@@ -246,7 +245,12 @@ def _build_evolution(cfg):
     family = sec.get("family", "scalar_constant")
     if family not in _EVOLUTION_FAMILIES:
         raise ConfigError(f"unknown evolution family {family!r}")
-    fam = _EVOLUTION_FAMILIES[family](value=sec.get("value", -1.0))
+    own = {key: sec[key] for key in sec.keys() & {"value"}}
+    try:
+        fam = _EVOLUTION_FAMILIES[family](**own)
+    except TypeError:  # a keyword the factory does not take
+        raise ConfigError(f"evolution.value is not read by family {family!r}"
+                          ) from None
     window = sec.get("stability_window", (-15.0, 15.0))
     if len(window) != 2 or not window[0] < window[1]:
         raise ConfigError("bad value for evolution.stability_window: "
@@ -278,6 +282,9 @@ def build_problem(cfg: RunConfig) -> ProblemSpec:
     if len(window) != 2:
         raise ConfigError("problem.window needs two numbers")
     state_bound = prob.get("state_bound", 3.0)
+    if variant != pb.DELAY_PARABOLIC and cfg.get("evolution", "delay") is not None:
+        raise ConfigError("evolution.delay is read by delay_parabolic only, "
+                          f"not by {variant}")
     num = cfg.section("numeric")
     kwargs = dict(
         variant=variant, dim=dim, report_window=tuple(window),
@@ -324,14 +331,11 @@ def build_problem(cfg: RunConfig) -> ProblemSpec:
                          sec.get("grid_step", 0.01))
         R = build_resolvent(np.array([[sec.get("a_value", -1.0)]]), mem, grid,
                             tol=max(num.get("quad_tol", 1e-8), 1e-9))
-        R.decay = (sec.get("decay_m", 1.0),
-                   sec.get("decay_gamma", 1.0), sec.get("decay_q", 1.0))
-        over = decay_violations(R.norm_table())
-        if over.size:
-            t, norm, bound = over[0]
-            raise ConfigError(f"[resolvent] decay does not hold: |R({t:g})| = "
-                              f"{norm:.6g} > M exp(-gamma t/q) = {bound:.6g}, first "
-                              f"of {len(over)} violations at sampled times")
+        # |R(t)| <= M exp(-gamma t/q) is the record's bound with delta = gamma/q
+        decay = certify_decay(R, sec.get("decay_m", 1.0), sec.get(
+            "decay_gamma", 1.0) / sec.get("decay_q", 1.0))
+        if not decay.passed:
+            raise ConfigError(f"[resolvent] decay does not hold: {decay.lines[-1]}")
         kwargs["resolvent"] = R
         kwargs["u0"] = np.zeros(dim)
         kwargs["nonlocal_map"] = _build_nonlocal(cfg, dim)

@@ -308,10 +308,7 @@ def _fit_model(t, vals, omegas):
 
 @dataclass
 class SplitFitReport:
-    omegas: list
-    sse: float
-    tail_span: tuple
-    lines: list = field(default_factory=list)
+    lines: list
 
 
 def aaa_split_estimate(p: SampledPath, split_time: float):
@@ -366,9 +363,8 @@ def aaa_split_estimate(p: SampledPath, split_time: float):
                           tail_policy=TAIL_DECAY)
     dec = AAADecomposition(principal, ergodic)
     residual = float(np.max(np.linalg.norm(ergodic_vals[mask], axis=1)))
-    report = SplitFitReport(
-        omegas=refined, sse=sse, tail_span=(float(t_tail[0]), float(t_tail[-1])),
-        lines=[f"fitted frequencies: {', '.join(f'{w:.9g}' for w in refined) or 'none'}",
-               f"tail fit SSE: {sse:.6g}",
-               f"remainder beyond t = {split_time:g}: {residual:.6g}"])
+    report = SplitFitReport([
+        f"fitted frequencies: {', '.join(f'{w:.9g}' for w in refined) or 'none'}",
+        f"tail fit SSE: {sse:.6g}",
+        f"remainder beyond t = {split_time:g}: {residual:.6g}"])
     return dec, residual, report

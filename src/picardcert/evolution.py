@@ -5,18 +5,19 @@ cell propagators of the solver's recurrence, by one routine per dimension: a
 scalar family in closed form, U(t, s) = exp(int_s^t a), from Gauss sums of
 a(t) over the cells, read by one generator call on the array of all their
 nodes and edges; a family with d >= 2 by an adaptive ODE integrator, one
-time per call.  Its exponential-stability constants (M, delta) are declared,
-checked on sampled pairs, and feed the evolution certificates.  A resolvent
-operator propagates a linear equation with memory, R'(t) = A R(t) +
-int_0^t B(t-s) R(s) ds.  Its memory kernel is an exponential sum B(t) =
-sum_k exp(-r_k t) G_k, so R is a block of the matrix exponential of a
-constant augmented generator; R is tabulated on a uniform grid by powers of
-one step of that exponential, which also gives its cell propagators, and its
-defining-equation residual is checked on test vectors.  The exponential,
-`expm`, is numpy's alone: a Taylor polynomial scaled and squared in
-np.longdouble, whose 64-bit mantissa on x86-64 makes nearly every entry of
-a step the correctly rounded double.  Where longdouble is plain double it is
-only as accurate as a double-precision Pade.
+time per call.  A resolvent operator propagates a linear equation with
+memory, R'(t) = A R(t) + int_0^t B(t-s) R(s) ds.  Its memory kernel is an
+exponential sum B(t) = sum_k exp(-r_k t) G_k, so R is a block of the matrix
+exponential of a constant augmented generator; R is tabulated on a uniform
+grid by powers of one step of that exponential, which also gives its cell
+propagators, and its defining-equation residual is checked on test
+vectors.  Either propagator carries one decay record, a
+StabilityCertificate: a declared bound M exp(-delta t), M >= 1 and delta >
+0, checked on sampled pairs (t, s) of a family or rows of a resolvent's norm
+table.  The exponential, `expm`, is numpy's alone: a Taylor polynomial
+scaled and squared in np.longdouble, whose 64-bit mantissa on x86-64 makes
+nearly every entry of a step the correctly rounded double.  Where longdouble
+is plain double it is only as accurate as a double-precision Pade.
 
 The demos assemble the heat-conduction-with-memory problem (second-order
 equation reduced to a first-order block system with a fixed
@@ -59,7 +60,7 @@ _CHECK_VECTORS = 10    # test vectors of the resolvent residual check
 _CHECK_TIMES = 41      # interior grid times of the resolvent residual check
 # a sampled stability slack this far below zero still passes: equality cases
 # sit at zero up to the propagation accuracy
-_STABILITY_MARGIN = 1e-10
+_STABILITY_MARGIN = 1e-12
 _TAYLOR_DEGREE = 18    # expm's Taylor degree, on matrices of 1-norm <= 1/2
 
 
@@ -107,6 +108,11 @@ def expm(A) -> np.ndarray:
 
 @dataclass
 class StabilityCertificate:
+    """The decay record of an evolution family or a resolvent P: a declared
+    bound |P| <= M exp(-delta sep), sep = t - s for U(t, s) and t for R(t),
+    and its worst slack over n_samples sampled (sep, |P|) pairs.  Samples
+    can refute the bound (passed False), never prove it between them."""
+
     M: float
     delta: float
     worst_slack: float
@@ -116,9 +122,6 @@ class StabilityCertificate:
     @property
     def passed(self) -> bool:
         return self.worst_slack >= -_STABILITY_MARGIN
-
-    def to_text(self) -> str:
-        return "\n".join(self.lines) + "\n"
 
 
 def _scalar_rules():
@@ -342,33 +345,40 @@ def stability_sample_pairs(window, n: int = 60, max_sep: float = 6.0):
     lo, hi = window
     ts = np.linspace(lo, hi, n)
     seps = 0.25 + (max_sep - 0.25) * np.mod(np.arange(n) * 0.6180339887498949, 1.0)
-    pairs = [(float(min(t + sep, hi + max_sep)), float(t))
-             for t, sep in zip(ts, seps)]
-    return pairs
+    return [(float(min(t + sep, hi + max_sep)), float(t))
+            for t, sep in zip(ts, seps)]
 
 
-def certify_stability(fam: EvolutionFamily, pairs, M: float, delta: float
-                      ) -> StabilityCertificate:
-    """Check a declared bound |U(t,s)| <= M exp(-delta (t-s)) on sampled
-    pairs.  The certificate holds on the samples only; it is attached to the
-    family for downstream use.
-    """
-    norms = np.array([np.linalg.norm(fam.propagate_matrix(t, s), ord=2)
-                      for t, s in pairs])
-    seps = np.array([t - s for t, s in pairs])
-    worst = float(np.min(M * np.exp(-delta * seps) - norms))
+def _stability_record(seps, norms, M, delta) -> StabilityCertificate:
+    """The decay record of a declared bound |P| <= M exp(-delta sep) on
+    sampled separations and propagator norms.  M must be finite and at least
+    1 (U(t, t) = R(0) = I), delta finite and positive; else ValueError."""
+    M, delta = float(M), float(delta)
+    if not (1.0 <= M < np.inf and 0.0 < delta < np.inf):
+        raise ValueError("a decay bound M exp(-delta t) needs a finite M >= 1 "
+                         f"and a finite delta > 0, got M = {M:.12g}, "
+                         f"delta = {delta:.12g}")
+    worst = float(np.min(M * np.exp(-delta * np.asarray(seps)) - norms))
     lines = []
     verdict = "pass" if worst >= -_STABILITY_MARGIN else "FAIL: growth detected"
     if -_STABILITY_MARGIN <= worst < 0.0:
         lines.append("worst slack within propagation accuracy of zero "
                      "(tight bound)")
     lines.append(f"stability bound M = {M:.12g}, delta = {delta:.12g}; "
-                 f"worst slack {worst:.6g} over {len(pairs)} samples ({verdict})")
-    cert = StabilityCertificate(M=float(M), delta=float(delta),
-                                worst_slack=worst, n_samples=len(pairs),
-                                lines=lines)
-    fam.stability = cert
-    return cert
+                 f"worst slack {worst:.6g} over {len(norms)} samples ({verdict})")
+    return StabilityCertificate(M=M, delta=delta, worst_slack=worst,
+                                n_samples=len(norms), lines=lines)
+
+
+def certify_stability(fam: EvolutionFamily, pairs, M: float, delta: float
+                      ) -> StabilityCertificate:
+    """Check a declared bound |U(t,s)| <= M exp(-delta (t-s)) on sampled
+    (t, s) pairs and attach the decay record to the family as fam.stability."""
+    norms = np.array([np.linalg.norm(fam.propagate_matrix(t, s), ord=2)
+                      for t, s in pairs])
+    fam.stability = _stability_record([t - s for t, s in pairs], norms, M,
+                                      delta)
+    return fam.stability
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +394,6 @@ class MemoryKernel:
     dim: int
     exp_terms: Optional[tuple] = None    # ((G_k, rate_k), ...)
     label: str = ""
-
-    def __call__(self, u):
-        return self.matrix(u)
 
 
 def exponential_memory(terms, dim: int, label: str = "exponential_sum") -> MemoryKernel:
@@ -429,15 +436,16 @@ def exponential_causal(G, rate: float, dim: int,
 class ResolventOperator:
     """Tabulated resolvent R(t) on a grid with interpolation.
 
-    R(0) is the identity exactly; decay stores certified (M, gamma, q) with
-    the bound |R(t)| <= M exp(-gamma t / q) when available.
+    R(0) is the identity exactly.  stability is the decay record
+    |R(t)| <= M exp(-delta t) of certify_decay; the paper's M exp(-gamma t/q)
+    is delta = gamma/q.
     """
 
     A: np.ndarray
     memory: MemoryKernel
     grid: np.ndarray
     values: np.ndarray               # (n, d, d)
-    decay: Optional[tuple] = None    # (M, gamma, q)
+    stability: Optional[StabilityCertificate] = None
     residual_report: Optional[dict] = None
     label: str = ""
     # cell propagators of the solver's recurrence, keyed by grid
@@ -504,23 +512,30 @@ class ResolventOperator:
 
     __call__ = eval
 
-    def norm_table(self) -> np.ndarray:
-        """Rows (t, |R(t)|, decay bound) at about 200 grid times, for the
-        decay audit."""
+    @cached_property
+    def _norm_rows(self):
+        """(t, |R(t)|) at every max(1, n // 200)-th grid time: the samples
+        of the decay record, 201 on a grid of 1001 or 2001 times."""
         every = slice(None, None, max(1, self.grid.size // 200))
-        t = self.grid[every]
-        norms = np.linalg.norm(self.values[every], ord=2, axis=(1, 2))
-        if self.decay is None:
-            return np.column_stack([t, norms, np.full(t.size, np.nan)])
-        M, gamma, q = self.decay
-        return np.column_stack([t, norms, M * np.exp(-gamma * t / q)])
+        return self.grid[every], np.linalg.norm(self.values[every], ord=2,
+                                                axis=(1, 2))
+
+    def norm_table(self) -> np.ndarray:
+        """Rows (t, |R(t)|, M exp(-delta t)) at the decay record's samples;
+        the bound is nan without a record."""
+        t, norms = self._norm_rows
+        rec = self.stability
+        bound = np.nan if rec is None else rec.M * np.exp(-rec.delta * t)
+        return np.column_stack([t, norms, np.broadcast_to(bound, t.shape)])
 
 
-def decay_violations(table: np.ndarray) -> np.ndarray:
-    """The rows of a norm_table at which |R(t)| exceeds the decay bound by
-    more than 1e-12.  A sampled audit: no row found does not prove the bound
-    between the sampled times."""
-    return table[table[:, 1] > table[:, 2] + 1e-12]
+def certify_decay(R: ResolventOperator, M: float, delta: float
+                  ) -> StabilityCertificate:
+    """Check a declared bound |R(t)| <= M exp(-delta t) on the rows of R's
+    norm_table and attach the decay record to R as R.stability."""
+    t, norms = R._norm_rows
+    R.stability = _stability_record(t, norms, M, delta)
+    return R.stability
 
 
 def build_resolvent(A, memory: MemoryKernel, grid, tol: float = 1e-10
@@ -604,8 +619,7 @@ class HeatDemoReport:
     decay_passed: bool
     ball_lines: list
     ball_passed: bool
-    base_sup: float
-    notes: list = field(default_factory=list)
+    notes: list
 
     def to_text(self) -> str:
         lines = [f"semigroup constants: M = {self.M:.9g}, gamma = {self.gamma:.9g}, "
@@ -724,9 +738,8 @@ def heat_demo_assemble(n: int = 4, a_path: SampledPath = None,
 
     grid = np.arange(0.0, horizon + grid_step / 2.0, grid_step)
     R = build_resolvent(A, memory, grid, tol=_HEAT_RESOLVENT_TOL)
-    R.decay = (M, gamma, q)
+    decay_ok = certify_decay(R, M, gamma / q).passed
     table = R.norm_table()
-    decay_ok = not decay_violations(table).size
 
     # forcing f(t, u) = (0, a(t) b(theta)) on the velocity block
     x_nodes = np.arange(1, n + 1) / (n + 1)
@@ -784,12 +797,10 @@ def heat_demo_assemble(n: int = 4, a_path: SampledPath = None,
             f"(declared {nonlocal_map.lipschitz:.6g}), forcing factor <= "
             f"{b_budget:.6g} (declared {b_lipschitz:.6g})")
 
-    report = HeatDemoReport(
+    return spec, rho, HeatDemoReport(
         M=M, gamma=gamma, p=p, q=q, r1_lines=r1_lines, r2_lines=r2_lines,
-        r2_passed=bool(r1_ok and r2_ok), decay_table=table,
-        decay_passed=decay_ok, ball_lines=ball_lines, ball_passed=bool(ball_ok),
-        base_sup=base_sup, notes=notes)
-    return spec, rho, report
+        r2_passed=bool(r1_ok and r2_ok), decay_table=table, notes=notes,
+        decay_passed=decay_ok, ball_lines=ball_lines, ball_passed=bool(ball_ok))
 
 
 # ---------------------------------------------------------------------------
@@ -819,5 +830,4 @@ def delay_demo_solve(fam: EvolutionFamily, f, tau: float, rho: float,
     if not cert.passed:
         raise CertificationRequired(
             f"delay demo certificate failed: {cert.violated}")
-    report = picard_solve(spec, cert, tol=tol)
-    return report, cert
+    return picard_solve(spec, cert, tol=tol), cert

@@ -295,11 +295,6 @@ class SamplePlan:
         states = np.concatenate([structured, states], axis=0)
         return SamplePlan(taus, ts, states)
 
-    def validate_translations(self):
-        if not np.any(self.taus != 0.0):
-            raise ValueError(
-                "sample plan must include nonzero diagonal translations")
-
 
 @dataclass
 class KernelCheckReport:
@@ -317,7 +312,8 @@ def check_lambda_bound(k: KernelSpec, plan: SamplePlan) -> KernelCheckReport:
     The envelope bound is uniform in the diagonal translation, so the plan is
     required to exercise nonzero translations.
     """
-    plan.validate_translations()
+    if not np.any(plan.taus != 0.0):
+        raise ValueError("sample plan must include nonzero diagonal translations")
     worst = -np.inf
     witness = {}
     n = 0

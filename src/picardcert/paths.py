@@ -410,8 +410,7 @@ def range_epsilon_net(p: SampledPath, eps: float):
         dist = np.minimum(dist, np.linalg.norm(pts - pts[far], axis=1))
         if len(chosen) >= n:
             break
-    net = pts[chosen]
-    return net, len(chosen)
+    return pts[chosen], len(chosen)
 
 
 # ---------------------------------------------------------------------------

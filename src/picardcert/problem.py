@@ -54,6 +54,11 @@ class Nonlinearity:
     dim: int = 1
     label: str = ""
 
+    def __post_init__(self):
+        if self.lipschitz is not None and not 0.0 <= self.lipschitz < np.inf:
+            raise ValueError("a declared Lipschitz constant must be finite and "
+                             f"nonnegative, got {self.lipschitz:.12g}")
+
     def __call__(self, t, x, y):
         return self.func(t, x, y)
 
@@ -127,6 +132,11 @@ class NonlocalMap:
     at_zero: np.ndarray            # value at the zero path
     dim: int = 1
     label: str = ""
+
+    def __post_init__(self):
+        if not 0.0 <= self.lipschitz < np.inf:
+            raise ValueError("a declared Lipschitz constant must be finite and "
+                             f"nonnegative, got {self.lipschitz:.12g}")
 
     def __call__(self, u: SampledPath) -> np.ndarray:
         return np.asarray(self.func(u), dtype=float)

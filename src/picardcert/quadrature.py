@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -105,14 +106,10 @@ def zero_envelope() -> DecayEnvelope:
 # ---------------------------------------------------------------------------
 # Gauss-Legendre panel machinery
 
-_GL_CACHE = {}
 
-
+@lru_cache(maxsize=None)
 def gauss_legendre(order: int):
-    if order not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (x, w)
-    return _GL_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 def panel_nodes(a: float, b: float, max_width: float = 1.0, order: int = 15):

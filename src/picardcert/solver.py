@@ -85,10 +85,6 @@ class CertificationRequired(RuntimeError):
 class NonContractionError(RuntimeError):
     """Measured rates exceeded one repeatedly; iteration aborted."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class ConvergenceError(RuntimeError):
     """Iteration budget exhausted before the certified stopping rule fired."""
@@ -131,13 +127,9 @@ class SolverReport:
 
 
 def _warp_margin(spec) -> float:
-    extra = 0.0
     lo, hi = spec.report_window
-    for key in ("a0", "a1", "a2"):
-        w = spec.warp(key)
-        r = w.reach(lo, hi)
-        extra = max(extra, lo - r[0], r[1] - hi, 0.0)
-    return extra
+    reach = [spec.warp(key).reach(lo, hi) for key in ("a0", "a1", "a2")]
+    return max([0.0] + [max(lo - r[0], r[1] - hi) for r in reach])
 
 
 def _delay_margin(spec) -> float:
@@ -575,6 +567,10 @@ def picard_solve(spec: pb.ProblemSpec, cert: ContractionCertificate,
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    L = cert.L_gamma
+    if not 0.0 <= L < np.inf:  # a negative one would stop after one sweep
+        raise ValueError(f"certificate {cert.certificate_id} has contraction "
+                         f"constant {L:.12g}, not finite and nonnegative")
     notes = []
     if not cert.passed:
         if not allow_uncertified:
@@ -582,7 +578,6 @@ def picard_solve(spec: pb.ProblemSpec, cert: ContractionCertificate,
                 f"certificate {cert.certificate_id} did not pass "
                 f"(violated: {cert.violated}); use allow_uncertified to override")
         notes.append("uncertified run: override recorded")
-    L = max(cert.L_gamma, 0.0)
     if 0.0 < L < 1.0:
         threshold = tol * (1.0 - L) / L
     elif L == 0.0:
@@ -603,7 +598,6 @@ def picard_solve(spec: pb.ProblemSpec, cert: ContractionCertificate,
 
     increments, rates = [], []
     iterates = [y] if store_iterates else None
-    first_inc = None
     bad_rate_streak = 0
     for n in range(1, max_iter + 1):
         y_next = apply_operator(spec, y)
@@ -617,8 +611,6 @@ def picard_solve(spec: pb.ProblemSpec, cert: ContractionCertificate,
                 raise NonContractionError(
                     f"measured rate exceeded 1 for 3 consecutive sweeps "
                     f"(last {rate:.4g}); operator is not contracting on this data")
-        if first_inc is None:
-            first_inc = inc
         y = y_next
         if store_iterates:
             iterates.append(y)
@@ -631,11 +623,11 @@ def picard_solve(spec: pb.ProblemSpec, cert: ContractionCertificate,
 
     n_done = len(increments)
     if 0.0 < L < 1.0:
-        apriori = (L ** n_done) / (1.0 - L) * (first_inc or 0.0)
+        apriori = (L ** n_done) / (1.0 - L) * increments[0]
     else:
         apriori = increments[-1]
     res = sup_distance(y, apply_operator(spec, y))
-    report = SolverReport(
+    return SolverReport(
         solution=_restrict_to_report(spec, y),
         solution_work=y,
         iterations=n_done,
@@ -650,7 +642,6 @@ def picard_solve(spec: pb.ProblemSpec, cert: ContractionCertificate,
         notes=notes,
         iterates=iterates,
     )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -431,19 +431,21 @@ def test_resolvent_ball_certificate():
     mem = exponential_memory([(np.array([[-0.25]]), 1.0)], dim=1)
     grid = np.arange(0.0, 10.0 + 0.005, 0.01)
     R = build_resolvent(np.array([[-2.0]]), mem, grid, tol=1e-8)
-    R.decay = (1.0, 1.5, 1.0)  # |R(t)| <= e^{-1.5 t} for this kernel
+    # R(t) = (1 - t/2) e^{-1.5 t} for this kernel, so |R(t)| <= e^{-1.2 t}
+    # (|1 - t/2| e^{-0.3 t} peaks at 0.34 past t = 2); e^{-1.5 t} fails
+    assert pc.certify_decay(R, M=1.0, delta=1.2).passed
     f = sinusoid_affine(sin_amp=0.2, state_coeff=0.3)
     spec = ProblemSpec(variant="resolvent_nonlocal", dim=1, f=f, resolvent=R,
                        u0=np.array([0.2]), nonlocal_map=pc.zero_nonlocal(1),
                        report_window=(0.0, 10.0), grid_step=0.05)
     cert = certify_evolution(spec, rho=2.0, theorem="th31")
-    # delta = gamma/q = 1.5: L_f=0.3 < rho delta/(M(rho+|y0|))
+    # delta = 1.2: L_f=0.3 < rho delta/(M(rho+|y0|))
     assert cert.theorem_id == "th31"
     assert cert.verdict == "pass"
     cert2 = certify_evolution(spec, rho=2.0, theorem="th313")
     assert cert2.passed
-    assert "stability constants: M = 1, delta = 1.5 (declared resolvent " \
-        "decay)" in cert.audit
+    assert "stability constants: M = 1, delta = 1.2 (sampled: checked on " \
+        "201 pairs)" in cert.audit
 
 
 def test_missing_stability_certificate_raises():
@@ -453,6 +455,73 @@ def test_missing_stability_certificate_raises():
                        delay=1.0, report_window=(-5.0, 5.0), grid_step=0.05)
     with pytest.raises(CertificationError):
         certify_evolution(spec, rho=1.0)
+
+
+def _slow_resolvent():
+    # R' = -0.5 R + int_0^t 0.2 e^{-(t-s)} R(s) ds: |R(t)| <= e^{-0.25 t} only
+    mem = pc.exponential_memory([(np.array([[0.2]]), 1.0)], dim=1)
+    return pc.build_resolvent(np.array([[-0.5]]), mem,
+                              np.arange(0.0, 10.005, 0.01))
+
+
+def test_refuted_resolvent_decay_is_refused():
+    # a declared e^{-5t} passed th31 with contraction constant 0.08, and
+    # picard_solve reported an a-priori bound of 5e-20 at measured rates of
+    # 0.67-0.92; the record's own rows refute it, and certify refuses it
+    R = _slow_resolvent()
+    rec = pc.certify_decay(R, M=1.0, delta=5.0)
+    assert R.stability is rec and not rec.passed
+    table = R.norm_table()
+    assert np.count_nonzero(table[:, 1] > table[:, 2]) == 200
+    spec = ProblemSpec(variant="resolvent_nonlocal", dim=1, resolvent=R,
+                       f=sinusoid_affine(sin_amp=0.3, state_coeff=0.4),
+                       nonlocal_map=pc.zero_nonlocal(1), u0=np.zeros(1),
+                       report_window=(0.0, 10.0), grid_step=0.01)
+    for rho in (1.0, None):
+        mode = "ball" if rho else "radius"
+        with pytest.raises(CertificationError, match=re.escape(
+                "the resolvent's stability bound is refuted: " + rec.lines[-1])):
+            certify(spec, rho=rho, mode=mode)
+    R.stability = None
+    with pytest.raises(CertificationError, match="resolvent has no stability"):
+        certify(spec, rho=1.0)
+    # the bound the table supports: th31's constant is (M/delta) L_f = 1.6
+    assert pc.certify_decay(R, M=1.0, delta=0.25).passed
+    cert = certify(spec, rho=1.0)
+    assert not cert.passed
+    assert cert.L_gamma == pytest.approx(1.6, rel=1e-12)
+
+
+@pytest.mark.parametrize("M, delta", [(0.5, 1.0), (1.0, 0.0), (1.0, -1.0),
+                                      (np.nan, 1.0), (np.inf, 1.0),
+                                      (1.0, np.inf)],
+                         ids=["M_below_one", "delta_zero", "delta_negative",
+                              "M_nan", "M_inf", "delta_inf"])
+def test_decay_bound_that_is_no_decay_refused(M, delta):
+    # U(t, t) = R(0) = I refutes any M < 1 at zero separation, and delta <= 0
+    # is no decay: both propagators refuse such a bound, naming both numbers
+    want = re.escape(f"got M = {M:.12g}, delta = {delta:.12g}")
+    fam = constant_family([[-1.0]])
+    with pytest.raises(ValueError, match=want):
+        certify_stability(fam, stability_sample_pairs((0.0, 5.0), n=8),
+                          M=M, delta=delta)
+    assert fam.stability is None
+    R = _slow_resolvent()
+    with pytest.raises(ValueError, match=want):
+        pc.certify_decay(R, M=M, delta=delta)
+    assert R.stability is None
+
+
+@pytest.mark.parametrize("value", [-3.0, np.nan, np.inf])
+def test_lipschitz_constant_that_is_negative_or_infinite_refused(value):
+    # with lipschitz = -3, th24 passed with contraction constant -5.9, and
+    # picard_solve clamped it to 0 and stopped after one sweep at residual
+    # 2.77; a nonlocal map's constant enters the same constants
+    func = sinusoid_affine(sin_amp=0.3, state_coeff=3.0).func
+    with pytest.raises(ValueError, match=re.escape(f"got {value:.12g}")):
+        Nonlinearity(func, lipschitz=value)
+    with pytest.raises(ValueError, match=re.escape(f"got {value:.12g}")):
+        pc.NonlocalMap(lambda u: np.zeros(1), value, np.zeros(1))
 
 
 def test_delay_certificate():
@@ -528,7 +597,7 @@ def _dispatch_specs():
     mem = exponential_memory([(np.array([[0.0]]), 1.0)], dim=1)
     R = build_resolvent(np.array([[-1.0]]), mem,
                         np.arange(0.0, 10.0 + 0.01, 0.02), tol=1e-8)
-    R.decay = (1.0, 1.0, 1.0)
+    pc.certify_decay(R, M=1.0, delta=1.0)  # R(t) = e^{-t}
     return {
         "advanced_delayed": two_sided_spec(f, cx1=0.1, cx2=0.1),
         "delayed_only": delayed_spec(f=f, cx=0.1),

@@ -276,10 +276,62 @@ def test_resolvent_declared_decay_audited(tmp_path):
     # audit of the declared bound, and the config is refused
     bad = write_config(tmp_path, RESOLVENT_CONFIG.replace(
         "decay_gamma = 1.0", "decay_gamma = 5"))
-    with pytest.raises(ConfigError, match=r"decay does not hold: \|R\("):
+    with pytest.raises(ConfigError, match=r"^\[resolvent\] decay does not "
+                       r"hold: stability bound .* \(FAIL"):
         build_problem(load_config(bad))
     assert main(["certify", "--config", str(bad),
                  "--out", str(tmp_path)]) == 1
+
+
+NO_DECAY_CONFIG = """
+[problem]
+variant = evolution_nonlocal
+window = 0 10
+grid_step = 0.05
+
+[nonlinearity]
+family = sinusoid_affine
+sin_amp = 0.2
+state_coeff = 0.5
+
+[evolution]
+family = scalar_constant
+value = 0.5
+stability_delta = -1
+
+[numeric]
+rho = 30
+"""
+
+
+@pytest.mark.parametrize("text, old, new, key", [
+    (NO_DECAY_CONFIG, "", "", "evolution.stability_delta"),
+    (NO_DECAY_CONFIG, "stability_delta = -1", "stability_delta = 0",
+     "evolution.stability_delta"),
+    (NO_DECAY_CONFIG, "stability_delta = -1", "stability_m = 0.5",
+     "evolution.stability_m"),
+    (RESOLVENT_CONFIG, "decay_gamma = 1.0", "decay_gamma = 0",
+     "resolvent.decay_gamma"),
+    (RESOLVENT_CONFIG, "decay_gamma = 1.0", "decay_q = 0",
+     "resolvent.decay_q"),
+    (RESOLVENT_CONFIG, "decay_gamma = 1.0", "decay_m = 0.5",
+     "resolvent.decay_m")],
+    ids=["growing_family_delta_negative", "delta_zero", "m_below_one",
+         "gamma_zero", "q_zero", "decay_m_below_one"])
+def test_declared_bound_that_is_no_decay_exit_one(tmp_path, capsys, text, old,
+                                                   new, key):
+    # a delta or gamma of 0 crashed with a ZeroDivisionError, a q of 0 warned
+    # twice and quoted a bound of 0, and stability_delta = -1 on the growing
+    # family a = 0.5 passed theoaaa1 with contraction constant -0.5 and
+    # solved in one sweep to residual 248
+    cfg = write_config(tmp_path, text.replace(old, new), name="bad.ini")
+    with pytest.raises(ConfigError, match=key):
+        load_config(cfg)
+    assert main(["solve", "--config", str(cfg), "--out",
+                 str(tmp_path / "bad")]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "bad").exists()
 
 
 EVOLUTION_CONFIG = """
@@ -595,3 +647,25 @@ def test_demo_delay(tmp_path):
         assert (tmp_path / name).exists(), name
     sol = read_csv(tmp_path / "delay_solution.csv")
     assert np.max(np.abs(sol.values)) < 2.0  # stays inside the certified ball
+
+
+@pytest.mark.parametrize("text, key", [
+    (DELAY_CONFIG.replace("family = scalar_constant\nvalue = -2.0",
+                          "family = scalar_two_plus_sin\nvalue = 7.0"),
+     "evolution.value is not read by family 'scalar_two_plus_sin'"),
+    (EVOLUTION_CONFIG.replace("window = 2 10", "window = 0 10")
+     + "delay = 1.0\n",
+     "evolution.delay is read by delay_parabolic only, not by "
+     "evolution_nonlocal")], ids=["value", "delay"])
+def test_evolution_key_the_problem_does_not_read_exit_one(tmp_path, capsys,
+                                                          text, key):
+    # both were dropped without a word: scalar_two_plus_sin with value = 7
+    # certified as if the value were absent, and so did a delay outside
+    # delay_parabolic
+    cfg = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match=key):
+        build_problem(load_config(cfg))
+    assert main(["certify", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

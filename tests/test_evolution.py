@@ -209,6 +209,19 @@ def test_stability_two_plus_sin_passes_at_unit_rate():
     assert cert.worst_slack >= 0.0
 
 
+def test_stability_margin_is_the_resolvent_audits():
+    # one margin, 1e-12, for families and resolvents: a declared delta 2e-10
+    # above the true rate of e^{-t} is refuted by a slack of about -7e-11,
+    # which the families' former margin of 1e-10 let pass; the equality
+    # case stays within it
+    fam = constant_family([[-1.0]])
+    pairs = stability_sample_pairs((0.0, 10.0), n=30)
+    assert certify_stability(fam, pairs, M=1.0, delta=1.0).passed
+    cert = certify_stability(fam, pairs, M=1.0, delta=1.0 + 2e-10)
+    assert -1e-10 < cert.worst_slack < -1e-12
+    assert not cert.passed
+
+
 def test_stability_growth_detected():
     fam = constant_family([[1.0]])
     cert = certify_stability(fam, stability_sample_pairs((0.0, 6.0), n=16),

@@ -461,6 +461,16 @@ def test_picard_solve_refuses_fewer_than_one_sweep(max_iter):
         picard_solve(spec, cert, tol=1e-6, max_iter=max_iter)
 
 
+@pytest.mark.parametrize("L", [-5.9, np.nan, np.inf])
+def test_picard_solve_refuses_a_constant_that_is_negative_or_infinite(L):
+    # a negative constant was clamped to 0 ("first increment is final"), so
+    # the solve stopped after one sweep whatever the increment
+    spec = oracle_spec(window=(-5.0, 5.0))
+    cert = replace(certify_ball_zero(spec, rho=1.0), L_gamma=L)
+    with pytest.raises(ValueError, match="contraction constant"):
+        picard_solve(spec, cert, tol=1e-6)
+
+
 def test_non_contraction_detected():
     # an expanding affine operator: kernel mass 2 > 1 with forcing
     f = pc.sinusoid_affine(sin_amp=1.0)
