@@ -66,7 +66,7 @@ _SCHEMA = {
                   "stability_window": _floats},
     "nonlocal": {"family": str, "coeff": float, "t_probe": float,
                  "offset": float},
-    "memory": {"family": str, "coeff": float, "rate": float},
+    "memory": {"coeff": float, "rate": float},
     "resolvent": {"a_value": float, "horizon": float, "grid_step": float,
                   "decay_m": float, "decay_gamma": float, "decay_q": float},
     "numeric": {"quad_tol": float, "const_tol": float, "solver_tol": float,
@@ -282,7 +282,11 @@ def build_problem(cfg: RunConfig) -> ProblemSpec:
     if len(window) != 2:
         raise ConfigError("problem.window needs two numbers")
     state_bound = prob.get("state_bound", 3.0)
-    if variant != pb.DELAY_PARABOLIC and cfg.get("evolution", "delay") is not None:
+    if "evolution" in cfg.sections and variant not in (pb.EVOLUTION_NONLOCAL,
+                                                       pb.DELAY_PARABOLIC):
+        raise ConfigError("[evolution] is read by evolution_nonlocal and "
+                          f"delay_parabolic only, not by {variant}")
+    if variant == pb.EVOLUTION_NONLOCAL and cfg.get("evolution", "delay") is not None:
         raise ConfigError("evolution.delay is read by delay_parabolic only, "
                           f"not by {variant}")
     num = cfg.section("numeric")

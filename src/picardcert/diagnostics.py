@@ -14,6 +14,7 @@ tie-breaks are deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -275,14 +276,13 @@ def _detect_frequencies(t: np.ndarray, resid: np.ndarray):
     # frequencies below one full period over the tail window cannot be
     # resolved and produce ill-conditioned near-linear terms
     w_min = 2.0 * np.pi / (t[-1] - t[0])
-    peaks = []
-    for i in range(1, spec.size - 1):
-        if spec[i] >= spec[i - 1] and spec[i] >= spec[i + 1]:
-            peaks.append((spec[i], freqs[i]))
-    peaks.sort(key=lambda x: (-x[0], x[1]))
+    # local maxima, by power descending, then frequency ascending
+    inner = spec[1:-1]
+    peaks = 1 + np.flatnonzero((inner >= spec[:-2]) & (inner >= spec[2:]))
+    peaks = peaks[np.argsort(-spec[peaks], kind="stable")][: 4 * _MAX_FREQS]
     total = float(spec.sum()) or 1.0
     out = []
-    for power, w in peaks[: 4 * _MAX_FREQS]:
+    for power, w in zip(spec[peaks], freqs[peaks]):
         if power / total < 1e-6 or w < w_min:
             continue
         if all(abs(w - w0) > 0.5 * (freqs[1] - freqs[0]) for w0 in out):
@@ -304,6 +304,38 @@ def _fit_model(t, vals, omegas):
     coef, *_ = np.linalg.lstsq(X, vals, rcond=None)
     sse = float(np.sum((vals - X @ coef) ** 2))
     return coef, sse
+
+
+def _trial_sse(t, vals, held):
+    """w -> the SSE of _fit_model(t, vals, held + [w]), by projection.
+
+    The variables separate (G. H. Golub and V. Pereyra, SIAM J. Numer. Anal.
+    10, 1973): the held design is factored once, and a trial orthogonalises
+    only cos(wt) and sin(wt), against it and each other, and reads the SSE
+    from the residual they leave.  A trial column whose orthogonal part is
+    below lstsq's cut-off is dropped, as lstsq's minimum-norm solution drops
+    it: a trial on a held frequency reads the held-only SSE.
+    """
+    Q, _ = np.linalg.qr(_trig_design(t, held))
+    QT = np.ascontiguousarray(Q.T)
+    resid = np.ascontiguousarray((vals - Q @ (QT @ vals)).T)  # (d, n)
+    # the squared cut-off: eps max(shape) times the design's scale, sqrt(n)
+    floor = (np.finfo(float).eps * t.size) ** 2 * t.size
+
+    def sse_of(w):
+        wt = w * t
+        X = np.array((np.cos(wt), np.sin(wt)))
+        res, kept = resid, []
+        for p in X - (X @ Q) @ QT:
+            for q in kept:
+                p = p - (q @ p) * q
+            norm2 = p @ p
+            if norm2 > floor:
+                q = p / math.sqrt(norm2)
+                kept.append(q)
+                res = res - (res @ q)[:, None] * q
+        return float(np.vdot(res, res))
+    return sse_of
 
 
 @dataclass
@@ -339,13 +371,8 @@ def aaa_split_estimate(p: SampledPath, split_time: float):
     refined = []
     for w0 in omegas:
         held = refined + [w for w in omegas if w != w0 and w not in refined]
-
-        def sse_of(w):
-            _, sse = _fit_model(t_tail, v_tail, held + [float(w)])
-            return sse
-
-        w_fit, _ = bounded_minimum(sse_of, max(w0 - bin_width, w_min),
-                                   w0 + bin_width)
+        w_fit, _ = bounded_minimum(_trial_sse(t_tail, v_tail, held),
+                                   max(w0 - bin_width, w_min), w0 + bin_width)
         refined.append(float(w_fit))
     coef, sse = _fit_model(t_tail, v_tail, refined)
 

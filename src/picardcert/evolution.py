@@ -591,7 +591,10 @@ def resolvent_residual(op: ResolventOperator) -> dict:
         k += 1
     n = op.grid.size
     h = float(op.grid[1] - op.grid[0])
-    idx = np.unique(np.linspace(3, n - 4, _CHECK_TIMES).astype(int))
+    # the truncated linspace is nondecreasing: dropping repeats is np.unique,
+    # which under numpy 2 imports numpy.ma
+    idx = np.linspace(3, n - 4, _CHECK_TIMES).astype(int)
+    idx = idx[np.r_[True, idx[1:] != idx[:-1]]]
     t = op.grid[idx]
     conv_int = _sweep(t, 0.0, t,
                       lambda T, S: op.memory.matrix(T - S) @ op.eval(S))

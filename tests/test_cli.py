@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -668,4 +670,47 @@ def test_evolution_key_the_problem_does_not_read_exit_one(tmp_path, capsys,
     assert main(["certify", "--config", str(cfg), "--out",
                  str(tmp_path / "out")]) == 1
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+UNREAD_EVOLUTION = """
+[evolution]
+family = scalar_constant
+value = 3.0
+stability_m = 2
+"""
+
+
+@pytest.mark.parametrize("text, variant", [
+    (ORACLE_CONFIG.replace("variant = advanced_delayed",
+                           "variant = delayed_only"), "delayed_only"),
+    (ORACLE_CONFIG, "advanced_delayed"),
+    (RESOLVENT_CONFIG, "resolvent_nonlocal")],
+    ids=["delayed_only", "advanced_delayed", "resolvent_nonlocal"])
+def test_evolution_section_the_variant_does_not_read_exit_one(
+        tmp_path, capsys, text, variant):
+    # a growing family (value = 3) in a delayed_only config was ignored
+    # whole, and th24 certified pass
+    cfg = write_config(tmp_path, text + UNREAD_EVOLUTION)
+    reason = ("[evolution] is read by evolution_nonlocal and delay_parabolic "
+              f"only, not by {variant}")
+    with pytest.raises(ConfigError, match=re.escape(reason)):
+        build_problem(load_config(cfg))
+    assert main(["certify", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 1
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_memory_family_is_an_unknown_key_exit_one(tmp_path, capsys):
+    # the memory is always the exponential one built from coeff and rate; a
+    # family named there was parsed and never read
+    cfg = write_config(tmp_path, RESOLVENT_CONFIG.replace(
+        "[memory]\n", "[memory]\nfamily = no_such_family\n"))
+    with pytest.raises(ConfigError, match="unknown key 'family' in section "
+                       r"\[memory\]"):
+        load_config(cfg)
+    assert main(["certify", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 1
+    assert "'family'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

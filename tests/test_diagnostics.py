@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import picardcert as pc
+from picardcert import diagnostics
 from picardcert import problem as pb
 from picardcert.diagnostics import (INCONSISTENT, CONSISTENT, aaa_split_estimate,
                                     bochner_test, bohr_neugebauer_verdict,
                                     greedy_cauchy_filter,
                                     range_compactness_trend)
+from picardcert.minimize import bounded_minimum
 from picardcert.paths import SampledPath, sup_norm
 
 from _oracles import psi
@@ -232,3 +234,137 @@ def test_split_tail_too_short():
                 tail_policy="decay_to_anchor")
     with pytest.raises(ValueError):
         aaa_split_estimate(p, split_time=11.5)
+
+
+# -- the split fit's frequency search ------------------------------------------------------
+
+def _heat_probes(forced):
+    """The middle temperature and velocity modes of the heat solve, the
+    components `demo heat` (unforced) and the `heat_forced` benchmark
+    workload (a = 0.5 sin t + 0.2 e^-t, b = 0.05 tanh) split."""
+    kw = {}
+    if forced:
+        grid = np.arange(0.0, 10.0 + 0.0025, 0.005)
+        a = SampledPath(grid, 0.5 * np.sin(grid) + 0.2 * np.exp(-grid),
+                        domain_kind="half_line", tail_policy="constant")
+        kw = dict(a_path=a, b_func=lambda th: 0.05 * np.tanh(th),
+                  b_lipschitz=0.05)
+    spec, rho, _ = pc.heat_demo_assemble(n=4, **kw)
+    sol = pc.picard_solve(spec, pc.certify_evolution(spec, rho),
+                          tol=1e-8).solution
+    n = spec.dim // 2
+    mid = (n - 1) // 2
+    return SampledPath(sol.grid, sol.values[:, [mid, n + mid]],
+                       domain_kind="half_line", tail_policy="constant")
+
+
+@pytest.fixture(scope="module", params=["heat", "heat_forced", "two_sines"])
+def split_case(request):
+    """(path, split time); two_sines is the signal of
+    tests/test_minimize.py::test_split_fit_objective_as_scipy."""
+    if request.param == "two_sines":
+        grid = np.arange(0.0, 60.0 + 0.005, 0.01)
+        p = SampledPath(grid, np.sin(1.3 * grid) + 0.5 * np.cos(0.4 * grid)
+                        + 2.0 * np.exp(-0.5 * grid), domain_kind="half_line",
+                        tail_policy="decay_to_anchor")
+        return p, 20.0
+    p = _heat_probes(request.param == "heat_forced")
+    return p, p.t_max / 2
+
+
+def _lstsq_route(p, split_time):
+    """The frequency refinement with every trial fitted by lstsq on the full
+    design: the tail, each search's (held frequencies, lo, hi), and the
+    refined frequencies."""
+    mask = p.grid >= split_time
+    t, v = p.grid[mask], p.values[mask]
+    agg = np.linalg.norm(v - v.mean(axis=0), axis=1) if p.dim > 1 else v[:, 0]
+    omegas, bin_width, w_min = diagnostics._detect_frequencies(t, agg)
+    searches, refined = [], []
+    for w0 in omegas:
+        held = refined + [w for w in omegas if w != w0 and w not in refined]
+        lo, hi = max(w0 - bin_width, w_min), w0 + bin_width
+        searches.append((held, lo, hi))
+        w_fit, _ = bounded_minimum(
+            lambda w: diagnostics._fit_model(t, v, held + [w])[1], lo, hi)
+        refined.append(w_fit)
+    return t, v, searches, refined
+
+
+def test_projected_sse_is_the_lstsq_sse(split_case):
+    t, v, searches, _ = _lstsq_route(*split_case)
+    assert len(searches) >= 2
+    for held, lo, hi in searches:
+        sse_of = diagnostics._trial_sse(t, v, held)
+        for w in np.linspace(lo, hi, 20):
+            ref = diagnostics._fit_model(t, v, held + [w])[1]
+            assert abs(sse_of(w) - ref) <= 1e-12 * ref
+
+
+def test_trial_on_a_held_frequency_reads_the_held_sse(split_case):
+    # the trial columns lie in the held span: lstsq's minimum-norm solution
+    # fits with the held columns alone, and the projection drops them
+    t, v, searches, _ = _lstsq_route(*split_case)
+    for held, _, _ in searches:
+        held_sse = diagnostics._fit_model(t, v, held)[1]
+        sse_of = diagnostics._trial_sse(t, v, held)
+        for w in held:
+            assert abs(sse_of(w) - held_sse) <= 1e-12 * held_sse
+            # near a held frequency the fit is ill-conditioned, never nan
+            for near in (w * (1 + 1e-13), w * (1 + 1e-9)):
+                sse = sse_of(near)
+                assert 0.0 <= sse <= held_sse * (1 + 1e-12)
+
+
+def test_split_refines_as_lstsq(split_case, monkeypatch):
+    # the searches take the same steps; where the minimum is flat to the
+    # last digits, a rounding difference can flip one comparison, and the
+    # two then part by one final step, about 1.5e-8 relative (the search's
+    # own tolerance)
+    found = []
+
+    def spy(f, lo, hi):
+        x, fx = bounded_minimum(f, lo, hi)
+        found.append(x)
+        return x, fx
+
+    monkeypatch.setattr(diagnostics, "bounded_minimum", spy)
+    aaa_split_estimate(*split_case)
+    np.testing.assert_allclose(found, _lstsq_route(*split_case)[3],
+                               rtol=1e-9, atol=0.0)
+
+
+def test_split_fits_by_lstsq_once(split_case, monkeypatch):
+    # the trials are projections; only the fit on the refined frequencies
+    # is a least-squares solve
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **kw: calls.append(a) or lstsq(*a, **kw))
+    aaa_split_estimate(*split_case)
+    assert len(calls) == 1
+
+
+def test_detected_peaks_keep_their_order(split_case):
+    # power descending, then frequency ascending, among the local maxima of
+    # the power spectrum, as a per-bin scan finds them
+    p, split_time = split_case
+    mask = p.grid >= split_time
+    t, v = p.grid[mask], p.values[mask]
+    agg = np.linalg.norm(v - v.mean(axis=0), axis=1) if p.dim > 1 else v[:, 0]
+    omegas, bin_width, w_min = diagnostics._detect_frequencies(t, agg)
+    m = 1 << int(np.ceil(np.log2(max(t.size, 16))))
+    tu = np.linspace(t[0], t[-1], m)
+    ru = np.interp(tu, t, agg)
+    spec = np.abs(np.fft.rfft(ru - ru.mean())) ** 2
+    spec[0] = 0.0
+    freqs = 2.0 * np.pi * np.fft.rfftfreq(m, d=tu[1] - tu[0])
+    peaks = sorted(((spec[i], freqs[i]) for i in range(1, spec.size - 1)
+                    if spec[i] >= spec[i - 1] and spec[i] >= spec[i + 1]),
+                   key=lambda x: (-x[0], x[1]))
+    expected = []
+    for power, w in peaks[:12]:
+        if power / spec.sum() >= 1e-6 and w >= w_min and all(
+                abs(w - w0) > 0.5 * bin_width for w0 in expected):
+            expected.append(float(w))
+    assert omegas == expected[:3]

@@ -311,3 +311,12 @@ def test_command_runs_with_scipy_blocked(name, tmp_path):
     assert _loaded_after(
         "sys.modules['scipy'] = None; from picardcert.cli import main; "
         f"assert main({argv!r}) == 0", ("scipy.",)) == "[]"
+
+
+def test_demo_heat_loads_no_numpy_ma(tmp_path):
+    # under numpy 2, np.unique imports numpy.ma, numpy.ma.core and
+    # numpy.ma.extras (9-15 ms of set-up); numpy 1 imports them with numpy
+    argv = _argv("demo-heat", tmp_path)
+    assert _loaded_after(
+        f"from picardcert.cli import main; assert main({argv!r}) == 0",
+        ("numpy.ma",)) == _loaded_after("import numpy", ("numpy.ma",))
