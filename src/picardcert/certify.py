@@ -160,8 +160,10 @@ def compute_envelope_constants(spec: pb.ProblemSpec) -> EnvelopeConstants:
 
 
 def compute_base_point(spec: pb.ProblemSpec) -> SampledPath:
-    """Image of the zero function under the variant's integral operator."""
-    return solver.apply_operator(spec, solver.zero_start(spec))
+    """Image of the zero function under the variant's integral operator: the
+    spec's own base point, computed on its first read and shared by every
+    certificate, audit and solve of that spec."""
+    return spec.base_point
 
 
 def _declared_lipschitz(q):

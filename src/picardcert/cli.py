@@ -447,16 +447,26 @@ def _merge_sides(recur, compact):
     return recur
 
 
+def _split_lines(path, split_time):
+    """The asymptotic split's fit report and remainder, one line each."""
+    _, resid, fit = aaa_split_estimate(path, split_time=split_time)
+    return fit.lines + [f"split remainder: {resid:.6g}"]
+
+
 def cmd_diagnose(args) -> int:
     tol = _tol_option(args, None)
     cfg = load_config(args.config)
-    path = read_csv(args.path_csv,
-                    tail_policy="constant",
-                    domain_kind=(HALF_LINE if cfg.get("problem", "variant")
-                                 in (pb.HALF_LINE, pb.EVOLUTION_NONLOCAL,
-                                     pb.RESOLVENT_NONLOCAL) else "full_line"))
+    variant = cfg.get("problem", "variant")
+    half_line = variant in (pb.HALF_LINE, pb.EVOLUTION_NONLOCAL,
+                            pb.RESOLVENT_NONLOCAL)
+    split_time = cfg.get("diagnose", "split_time")
+    if split_time is not None and not half_line:
+        raise ConfigError("diagnose.split_time splits a half-line path; "
+                          f"{variant} paths are full-line")
+    path = read_csv(args.path_csv, tail_policy="constant",
+                    domain_kind=HALF_LINE if half_line else "full_line")
     spec = None
-    if cfg.get("problem", "variant") in (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY):
+    if variant in (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY):
         spec = build_problem(cfg)
     try:
         report = _diagnose_path(cfg, spec, path, tol_override=tol)
@@ -465,12 +475,14 @@ def cmd_diagnose(args) -> int:
         # certify and solve, not an error
         print(f"hypotheses violated: {exc}", file=sys.stderr)
         return EXIT_CERTIFIED_FAIL
+    text = report.to_text()
+    if split_time is not None:
+        text += "\n".join(_split_lines(path, split_time)) + "\n"
     out = _out_dir(args)
-    _write(out / cfg.get("output", "diagnostic", "diagnostic.txt"),
-           report.to_text())
+    _write(out / cfg.get("output", "diagnostic", "diagnostic.txt"), text)
     _write(out / cfg.get("output", "residuals", "residuals.csv"),
            report.residual_csv_text())
-    print(report.to_text(), end="")
+    print(text, end="")
     return EXIT_PASS
 
 
@@ -505,9 +517,8 @@ def cmd_demo(args) -> int:
                              report.solution.values[:, [mid, n + mid]],
                              domain_kind=HALF_LINE, tail_policy="constant")
         write_csv(probes, out / "heat_probes.csv")
-        dec, resid, fit = aaa_split_estimate(probes, split_time=probes.t_max / 2)
-        lines = fit.lines + [f"split remainder: {resid:.6g}"]
-        _write(out / "heat_diagnostic.txt", "\n".join(lines) + "\n")
+        _write(out / "heat_diagnostic.txt",
+               "\n".join(_split_lines(probes, probes.t_max / 2)) + "\n")
         print(f"heat demo artifacts written to {out}")
         return EXIT_PASS
     if args.name == "delay":

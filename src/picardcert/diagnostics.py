@@ -368,9 +368,11 @@ def aaa_split_estimate(p: SampledPath, split_time: float):
         if p.dim > 1 else v_tail[:, 0]
     omegas, bin_width, w_min = _detect_frequencies(t_tail, agg)
 
+    # search k refines omegas[k] with the k refined frequencies and the
+    # detected ones after it held
     refined = []
-    for w0 in omegas:
-        held = refined + [w for w in omegas if w != w0 and w not in refined]
+    for k, w0 in enumerate(omegas):
+        held = refined + omegas[k + 1:]
         w_fit, _ = bounded_minimum(_trial_sse(t_tail, v_tail, held),
                                    max(w0 - bin_width, w_min), w0 + bin_width)
         refined.append(float(w_fit))
@@ -391,7 +393,8 @@ def aaa_split_estimate(p: SampledPath, split_time: float):
     dec = AAADecomposition(principal, ergodic)
     residual = float(np.max(np.linalg.norm(ergodic_vals[mask], axis=1)))
     report = SplitFitReport([
-        f"fitted frequencies: {', '.join(f'{w:.9g}' for w in refined) or 'none'}",
+        # bounded_minimum resolves a frequency to about 1.5e-8 relative
+        f"fitted frequencies: {', '.join(f'{w:.7g}' for w in refined) or 'none'}",
         f"tail fit SSE: {sse:.6g}",
         f"remainder beyond t = {split_time:g}: {residual:.6g}"])
     return dec, residual, report

@@ -9,6 +9,7 @@ propagator handle, the initial state and the nonlocal correction map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -166,9 +167,13 @@ NONLOCAL_FAMILIES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
     """One fixed-point problem: variant, data, working window and tolerances.
+
+    A spec is a value: its fields cannot be assigned, and
+    `dataclasses.replace` builds a new spec.  That is what lets it keep its
+    base point, computed on first read.
 
     The variant decides which fields must be present:
 
@@ -205,8 +210,16 @@ class ProblemSpec:
         if self.variant not in VARIANTS:
             raise ProblemError(f"unknown variant {self.variant!r}")
         if self.u0 is not None:
-            self.u0 = np.asarray(self.u0, dtype=float).ravel()
+            object.__setattr__(self, "u0",
+                               np.asarray(self.u0, dtype=float).ravel())
         self.validate()
+
+    @cached_property
+    def base_point(self) -> SampledPath:
+        """y0 = T(0), the image of the zero function, at whose centre every
+        ball theorem works; computed once, on first read."""
+        from . import solver  # solver imports this module
+        return solver.apply_operator(self, solver.zero_start(self))
 
     def warp(self, name: str) -> TimeWarp:
         return self.warps.get(name, identity_warp)

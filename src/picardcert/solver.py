@@ -49,18 +49,16 @@ tol*(1-L)/L, which bounds the distance to the fixed point by tol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.fft import irfft, rfft
 
+from . import certify  # certify imports this module too; read at call time
 from . import problem as pb
 from .paths import (HALF_LINE, SampledPath, TAIL_CONSTANT, sup_distance,
                     zero_path)
 from .quadrature import adaptive_integral, gauss_legendre
-
-if TYPE_CHECKING:
-    from .certify import ContractionCertificate
 
 _PANEL_ORDER = 15
 _PANEL_WIDTH = 0.5
@@ -554,11 +552,11 @@ def _restrict_to_report(spec, y: SampledPath) -> SampledPath:
                        tail_policy="error")
 
 
-def picard_solve(spec: pb.ProblemSpec, cert: ContractionCertificate,
+def picard_solve(spec: pb.ProblemSpec, cert: certify.ContractionCertificate,
                  tol: float = 1e-8, start: SampledPath = None,
                  max_iter: int = 200, store_iterates: bool = False,
                  allow_uncertified: bool = False) -> SolverReport:
-    """Iterate the operator from the certificate's base point to the fixed point.
+    """Iterate the operator from the spec's base point to the fixed point.
 
     Under a passing certificate the stopping rule guarantees the returned
     solution is within tol of the true fixed point in the uniform norm.
@@ -588,13 +586,12 @@ def picard_solve(spec: pb.ProblemSpec, cert: ContractionCertificate,
         notes.append("contraction constant >= 1: plain increment stopping")
 
     if start is not None:
-        y = _iterate_like(start, start.values)
         notes.append("alternative start accepted (uniqueness experiment)")
-    elif cert.base_point is not None:
-        y = _iterate_like(cert.base_point, cert.base_point.values)
     else:
-        from .certify import compute_base_point
-        y = compute_base_point(spec)
+        start = certify.compute_base_point(spec)
+    # a copy, so that the spline the first sweep builds on it is freed with
+    # the iterate, not kept by the spec's base point for the spec's lifetime
+    y = _iterate_like(start, start.values)
 
     increments, rates = [], []
     iterates = [y] if store_iterates else None

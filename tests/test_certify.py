@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import picardcert as pc
+from picardcert import solver
 from picardcert.certify import (CertificationError, certify,
                                 certify_ball_zero,
                                 certify_bohr_neugebauer_hypotheses,
@@ -145,6 +146,35 @@ def test_base_point_evolution_semigroup():
                        report_window=(0.0, 5.0), grid_step=0.05)
     y0 = compute_base_point(spec)
     assert sup_norm(y0) <= 1e-9  # zero forcing integrates to zero
+
+
+def test_base_point_is_the_specs_own():
+    # certify reads the spec's memo, not a second application of T to zero
+    spec = delayed_spec(f=sinusoid_affine(sin_amp=0.5), cx=0.0, const=0.25)
+    cert = certify_ball_zero(spec, rho=2.0)
+    assert cert.base_point is spec.base_point
+    assert compute_base_point(spec) is spec.base_point
+    fresh = solver.apply_operator(spec, solver.zero_start(spec))
+    assert np.array_equal(cert.base_point.grid, fresh.grid)
+    assert np.array_equal(cert.base_point.values, fresh.values)
+    # the sweeps start from a copy: the spline they build on it is not kept
+    # by the memo for the spec's lifetime
+    report = pc.picard_solve(spec, cert, tol=1e-8)
+    assert report.iterations >= 1 and "_spline" not in vars(spec.base_point)
+
+
+def test_spec_is_a_value():
+    # a frozen spec cannot change under its base point; replace builds a
+    # new spec, which computes its own
+    spec = delayed_spec(f=sinusoid_affine(sin_amp=0.5))
+    y0 = spec.base_point
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.f = sinusoid_affine(sin_amp=1.0)
+    other = dataclasses.replace(spec, f=sinusoid_affine(sin_amp=1.0))
+    assert "base_point" not in vars(other)
+    assert other.base_point is not y0
+    assert not np.array_equal(other.base_point.values, y0.values)
+    assert spec.base_point is y0
 
 
 # -- ball-around-zero certificates ----------------------------------------------------

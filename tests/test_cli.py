@@ -574,6 +574,59 @@ def test_diagnose_bad_csv_exit_one(tmp_path):
     assert code == 1
 
 
+# shift plan of a path on [0, 40]: probes at 16..18 shifted back by up to
+# 4 * 4 = 16 and forward by 5 * 4 = 20
+HALF_LINE_DIAGNOSE = """
+[diagnose]
+probe_window = 16 18
+shift_step = 4
+shift_count = 5
+split_time = 20
+"""
+
+
+def test_diagnose_splits_a_half_line_path(tmp_path, capsys):
+    from picardcert.diagnostics import aaa_split_estimate
+    text = HALF_LINE_CONFIG.replace("window = 2 12", "window = 0 40")
+    cfg = write_config(tmp_path, text + HALF_LINE_DIAGNOSE)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["diagnose", str(tmp_path / "solution.csv"), "--config",
+                 str(cfg), "--out", str(tmp_path / "diag")]) == 0
+    lines = (tmp_path / "diag" / "diagnostic.txt").read_text().splitlines()
+    path = read_csv(tmp_path / "solution.csv", domain_kind="half_line",
+                    tail_policy="constant")
+    _, resid, fit = aaa_split_estimate(path, split_time=20.0)
+    assert lines[-4:] == fit.lines + [f"split remainder: {resid:.6g}"]
+    assert lines[-4].startswith("fitted frequencies: 1")
+    assert capsys.readouterr().out.splitlines() == lines
+    # without the key the report ends at the recurrence diagnostics
+    plain = write_config(tmp_path, text + HALF_LINE_DIAGNOSE.replace(
+        "split_time = 20", ""), name="plain.ini")
+    assert main(["diagnose", str(tmp_path / "solution.csv"), "--config",
+                 str(plain), "--out", str(tmp_path / "plain")]) == 0
+    plain_lines = (tmp_path / "plain" / "diagnostic.txt").read_text().splitlines()
+    assert plain_lines == lines[:-4]
+
+
+def test_diagnose_refuses_a_split_time_on_a_full_line_path(tmp_path, capsys):
+    from argparse import Namespace
+    from picardcert.cli import cmd_diagnose
+    cfg = write_config(tmp_path)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    split = write_config(tmp_path, ORACLE_CONFIG + "split_time = 20\n",
+                         name="split.ini")
+    with pytest.raises(ConfigError, match="advanced_delayed"):
+        cmd_diagnose(Namespace(path_csv=str(tmp_path / "solution.csv"),
+                               config=str(split), out=None, tol=None))
+    assert main(["diagnose", str(tmp_path / "solution.csv"), "--config",
+                 str(split), "--out", str(tmp_path / "diag")]) == 1
+    err = capsys.readouterr().err
+    assert "diagnose.split_time" in err and "advanced_delayed" in err
+    assert not (tmp_path / "diag" / "diagnostic.txt").exists()
+
+
 # -- demo command ------------------------------------------------------------------------
 
 @pytest.mark.slow

@@ -181,7 +181,8 @@ def test_equivalence_on_corrupted_path():
 
 def test_equivalence_requires_hypotheses():
     spec, sol = _solved_oracle()
-    spec.f = pc.sinusoid_affine(sin_amp=1.0, state_coeff=0.9)  # rho >= 1
+    spec = replace(spec, f=pc.sinusoid_affine(sin_amp=1.0,
+                                              state_coeff=0.9))  # rho >= 1
     from picardcert.certify import CertificationError
     with pytest.raises(CertificationError):
         bohr_neugebauer_verdict(spec, sol, shifts=2 * np.pi * np.arange(1, 6),
@@ -281,8 +282,8 @@ def _lstsq_route(p, split_time):
     agg = np.linalg.norm(v - v.mean(axis=0), axis=1) if p.dim > 1 else v[:, 0]
     omegas, bin_width, w_min = diagnostics._detect_frequencies(t, agg)
     searches, refined = [], []
-    for w0 in omegas:
-        held = refined + [w for w in omegas if w != w0 and w not in refined]
+    for k, w0 in enumerate(omegas):
+        held = refined + omegas[k + 1:]
         lo, hi = max(w0 - bin_width, w_min), w0 + bin_width
         searches.append((held, lo, hi))
         w_fit, _ = bounded_minimum(
@@ -332,6 +333,37 @@ def test_split_refines_as_lstsq(split_case, monkeypatch):
     aaa_split_estimate(*split_case)
     np.testing.assert_allclose(found, _lstsq_route(*split_case)[3],
                                rtol=1e-9, atol=0.0)
+
+
+def test_each_search_holds_every_other_frequency_once(split_case, monkeypatch):
+    # search k holds the k refined frequencies and the detected ones after
+    # omegas[k]: never a refined frequency beside the one it came from
+    p, split_time = split_case
+    held = []
+    trial_sse = diagnostics._trial_sse
+    monkeypatch.setattr(diagnostics, "_trial_sse",
+                        lambda t, v, h: held.append(list(h)) or trial_sse(t, v, h))
+    aaa_split_estimate(p, split_time)
+    omegas = _lstsq_route(p, split_time)[2]
+    assert len(held) == len(omegas) >= 2
+    assert [len(h) for h in held] == [len(omegas) - 1] * len(omegas)
+
+
+@pytest.mark.parametrize("rel", [1e-9, -1e-9])
+def test_printed_frequencies_ignore_digits_the_search_cannot_resolve(
+        split_case, monkeypatch, rel):
+    # bounded_minimum stops at about 1.5e-8 relative, so a move of 1e-9
+    # relative in every refined frequency leaves the printed line as it is
+    lines = aaa_split_estimate(*split_case)[2].lines
+
+    def moved(f, lo, hi):
+        x, fx = bounded_minimum(f, lo, hi)
+        return x * (1.0 + rel), fx
+
+    monkeypatch.setattr(diagnostics, "bounded_minimum", moved)
+    moved_lines = aaa_split_estimate(*split_case)[2].lines
+    assert moved_lines[0].startswith("fitted frequencies: ")
+    assert moved_lines[0] == lines[0]
 
 
 def test_split_fits_by_lstsq_once(split_case, monkeypatch):

@@ -524,6 +524,39 @@ def test_heat_demo_zero_nonlinearity_solution_is_resolvent_orbit():
     assert np.max(np.linalg.norm(sol.solution.values - Ru0, axis=1)) < 1e-6
 
 
+def _zero_applications(monkeypatch):
+    """The specs of the solver.apply_operator calls on a zero path made from
+    here on."""
+    from picardcert import solver
+    calls, apply = [], solver.apply_operator
+
+    def counted(spec, y):
+        if not np.any(y.values):
+            calls.append(spec)
+        return apply(spec, y)
+
+    monkeypatch.setattr(solver, "apply_operator", counted)
+    return calls
+
+
+def test_heat_demo_applies_the_operator_to_zero_once(monkeypatch):
+    # the assembly's T(0) is the base point the certificate and the solve read
+    zero_calls = _zero_applications(monkeypatch)
+    spec, rho, _ = heat_demo_assemble(n=2, horizon=4.0, grid_step=0.01)
+    cert = pc.certify_evolution(spec, rho)
+    assert cert.passed and cert.base_point is spec.base_point
+    pc.picard_solve(spec, cert, tol=1e-8)
+    assert len(zero_calls) == 1 and zero_calls[0] is spec
+
+
+def test_demo_heat_command_applies_the_operator_to_zero_once(monkeypatch,
+                                                             tmp_path):
+    from picardcert.cli import main
+    zero_calls = _zero_applications(monkeypatch)
+    assert main(["demo", "heat", "--out", str(tmp_path)]) == 0
+    assert len(zero_calls) == 1
+
+
 def test_heat_demo_decay_table():
     spec, rho, rep = heat_demo_assemble(n=2, horizon=5.0, grid_step=0.01)
     table = rep.decay_table
