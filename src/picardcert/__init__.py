@@ -3,8 +3,7 @@ delayed type, with contraction certificates, a-priori error control and
 recurrence diagnostics."""
 
 from .paths import (AAADecomposition, DomainEscapeError, SampledPath,
-                    TimeWarp, identity_warp, range_epsilon_net, read_csv,
-                    sup_norm, write_csv)
+                    TimeWarp, identity_warp, read_csv, sup_norm, write_csv)
 from .quadrature import (DecayEnvelope, EnvelopeConstants, QuadratureError,
                          envelope_constant)
 from .kernels import (KernelSpec, SamplePlan, SplitKernelSpec,

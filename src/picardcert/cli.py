@@ -20,13 +20,15 @@ import numpy as np
 from . import problem as pb
 from .certify import CertificationError, certify
 from .diagnostics import (aaa_split_estimate, bochner_test,
-                          bohr_neugebauer_verdict, range_compactness_trend)
+                          bohr_neugebauer_verdict, join_sides,
+                          range_compactness_trend)
 from .evolution import (PropagationError, build_resolvent, certify_decay,
                         certify_stability, delay_demo_solve, exponential_causal,
                         exponential_memory, heat_demo_assemble, scalar_family,
                         stability_sample_pairs)
 from .kernels import (KERNEL_FAMILIES, SPLIT_KERNEL_FAMILIES)
-from .paths import HALF_LINE, SampledPath, TimeWarp, read_csv, write_csv
+from .paths import (HALF_LINE, DomainEscapeError, SampledPath, TimeWarp,
+                    read_csv, write_csv)
 from .problem import (NONLINEARITY_FAMILIES, NONLOCAL_FAMILIES, ProblemError,
                       ProblemSpec, saturating_lipschitz)
 from .solver import (CertificationRequired, ConvergenceError,
@@ -434,17 +436,8 @@ def _diagnose_path(cfg, spec, path, tol_override=None):
                                              pb.DELAYED_ONLY):
         return bohr_neugebauer_verdict(spec, path, shifts, probe, tol, eps,
                                        windows)
-    return _merge_sides(bochner_test(path, shifts, probe, tol),
-                        range_compactness_trend(path, eps, windows))
-
-
-def _merge_sides(recur, compact):
-    """Fold the compact-range side into recur; a disagreement is indeterminate."""
-    recur.net_sizes = compact.net_sizes
-    recur.notes.append(f"compact-range side: {compact.verdict}")
-    if compact.verdict != recur.verdict:
-        recur.verdict = "indeterminate"
-    return recur
+    return join_sides(bochner_test(path, shifts, probe, tol),
+                      range_compactness_trend(path, eps, windows))
 
 
 def _split_lines(path, split_time):
@@ -475,6 +468,10 @@ def cmd_diagnose(args) -> int:
         # certify and solve, not an error
         print(f"hypotheses violated: {exc}", file=sys.stderr)
         return EXIT_CERTIFIED_FAIL
+    except DomainEscapeError as exc:
+        # the shift plan reads the path outside its window
+        raise ConfigError(f"{exc}; the plan is set by [diagnose] probe_window, "
+                          "shift_step and shift_count") from exc
     text = report.to_text()
     if split_time is not None:
         text += "\n".join(_split_lines(path, split_time)) + "\n"
@@ -537,7 +534,7 @@ def cmd_demo(args) -> int:
         _write(out / "delay_solver_report.txt", report.to_text())
         shifts = 2.0 * np.pi * np.arange(1, 6)
         probe = np.linspace(-3.0, 3.0, 25)
-        recur = _merge_sides(
+        recur = join_sides(
             bochner_test(report.solution_work, shifts, probe, tol=1e-2),
             range_compactness_trend(report.solution, 0.01,
                                     [(-10.0, 25.0), (-10.0, 45.0)]))

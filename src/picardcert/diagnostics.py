@@ -2,8 +2,9 @@
 
 These tests probe, at a finite resolution, the structure the certificates
 speak about: double-limit recurrence of shifted copies of a path, relative
-compactness of its sampled range, and the split of a half-line path into a
-recurrent component plus one vanishing at forward infinity.
+compactness of its sampled range (in R^d, boundedness), and the split of a
+half-line path into a recurrent component plus one vanishing at forward
+infinity.
 
 Every verdict here is heuristic and labelled so: pointwise double limits
 over infinite sequences are not decidable from finite data, and a verdict of
@@ -21,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .minimize import bounded_minimum
-from .paths import (AAADecomposition, FULL_LINE, HALF_LINE, SampledPath,
-                    TAIL_CONSTANT, TAIL_DECAY, range_epsilon_net)
+from .paths import (AAADecomposition, DomainEscapeError, FULL_LINE, HALF_LINE,
+                    SampledPath, TAIL_CONSTANT, TAIL_DECAY, sup_norm)
 
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
@@ -38,7 +39,7 @@ class DiagnosticReport:
     accepted: Optional[np.ndarray] = None
     forward_residuals: Optional[np.ndarray] = None
     backward_residuals: Optional[np.ndarray] = None
-    net_sizes: Optional[list] = None          # [(lo, hi, size), ...]
+    window_sups: Optional[list] = None        # [(lo, hi, sup), ...]
     evidence: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
@@ -54,9 +55,9 @@ class DiagnosticReport:
         if self.backward_residuals is not None and len(self.backward_residuals):
             br = self.backward_residuals
             lines.append(f"backward residuals: first {br[0]:.6g}, last {br[-1]:.6g}")
-        if self.net_sizes:
-            for lo, hi, size in self.net_sizes:
-                lines.append(f"net size on [{lo:g}, {hi:g}]: {size}")
+        if self.window_sups:
+            for lo, hi, sup in self.window_sups:
+                lines.append(f"sup norm on [{lo:g}, {hi:g}]: {sup:.6g}")
         for k, v in self.evidence.items():
             if isinstance(v, (int, float, str, bool)):
                 lines.append(f"{k}: {v}")
@@ -127,7 +128,7 @@ def bochner_test(p: SampledPath, shifts, probe_grid, tol: float
     need_lo = probe[0] + min(s_min, -span)
     need_hi = probe[-1] + max(s_max, span)
     if p.t_min > need_lo or p.t_max < need_hi:
-        raise ValueError(
+        raise DomainEscapeError(
             f"window too small: path covers [{p.t_min:g}, {p.t_max:g}] but the "
             f"shift plan needs [{need_lo:g}, {need_hi:g}]")
 
@@ -179,24 +180,34 @@ def bochner_test(p: SampledPath, shifts, probe_grid, tol: float
 
 def range_compactness_trend(p: SampledPath, eps: float, windows
                             ) -> DiagnosticReport:
-    """Covering-net sizes of the sampled range over growing windows.
+    """Sup norm of the path over growing windows.
 
-    Stabilising sizes (last two equal) are the finite proxy for a relatively
-    compact range; growing sizes flag an escaping trajectory.
+    In R^d a relatively compact range is a bounded one (Heine-Borel), so the
+    finite proxy is a sup that stops growing: the last window's sup exceeds
+    the one before it by at most eps.
     """
-    sizes = []
-    for lo, hi in windows:
-        sub = p.restrict(float(lo), float(hi))
-        _, size = range_epsilon_net(sub, eps)
-        sizes.append((float(lo), float(hi), int(size)))
-    notes = []
-    if p.dim == 1:
-        notes.append("scalar range: bounded intervals are always totally "
-                     "bounded, so this reduces to a boundedness check")
-    verdict = CONSISTENT if sizes[-1][2] == sizes[-2][2] else INCONSISTENT
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    sups = [(float(lo), float(hi), sup_norm(p.restrict(float(lo), float(hi))))
+            for lo, hi in windows]
+    verdict = CONSISTENT if sups[-1][2] - sups[-2][2] <= eps else INCONSISTENT
     return DiagnosticReport(kind="range_compactness", verdict=verdict,
-                            net_sizes=sizes, evidence={"eps": eps},
-                            notes=notes)
+                            window_sups=sups, evidence={"eps": eps})
+
+
+def join_sides(recur: DiagnosticReport, compact: DiagnosticReport
+               ) -> DiagnosticReport:
+    """Fold the compact-range side into the double-limit report recur; the
+    sides disagreeing makes the verdict indeterminate."""
+    agree = compact.verdict == recur.verdict
+    recur.window_sups = compact.window_sups
+    recur.evidence["sides_agree"] = agree
+    recur.notes.append(f"compact-range side: {compact.verdict}; "
+                       f"double-limit side: {recur.verdict}; "
+                       f"agreement: {'yes' if agree else 'no'}")
+    if not agree:
+        recur.verdict = INDETERMINATE
+    return recur
 
 
 def interior_residual(spec, p: SampledPath) -> float:
@@ -224,9 +235,9 @@ def bohr_neugebauer_verdict(spec, p: SampledPath, shifts, probe_grid,
     """Two-sided audit of the recurrence/compact-range equivalence for a path
     claimed to solve the equation.
 
-    Requires the smallness hypotheses to certify first; then runs the
-    covering-net trend and the double-limit test and reports whether the two
-    sides agree, together with the fixed-point residual of the path.
+    Requires the smallness hypotheses to certify first; then joins the
+    double-limit test and the window-sup trend (join_sides) and adds the
+    fixed-point residual of the path.
     """
     from .certify import CertificationError, certify_bohr_neugebauer_hypotheses
 
@@ -236,25 +247,14 @@ def bohr_neugebauer_verdict(spec, p: SampledPath, shifts, probe_grid,
         raise CertificationError(
             f"smallness hypotheses not certified (rho = {hyp.rho:.6g}{warp})")
     res = interior_residual(spec, p)
-    compact = range_compactness_trend(p, eps, windows)
-    recur = bochner_test(p, shifts, probe_grid, tol)
-    agree = compact.verdict == recur.verdict
-    verdict = compact.verdict if agree else INDETERMINATE
+    rep = join_sides(bochner_test(p, shifts, probe_grid, tol),
+                     range_compactness_trend(p, eps, windows))
     res_tag = "solution-like" if res <= _RESIDUAL_TOL else "NOT a solution at this tolerance"
-    notes = [f"hypothesis constant rho = {hyp.rho:.6g} < 1",
-             f"fixed-point residual of the path: {res:.6g} ({res_tag})",
-             f"compact-range side: {compact.verdict}; "
-             f"double-limit side: {recur.verdict}; "
-             f"agreement: {'yes' if agree else 'no'}"]
-    return DiagnosticReport(
-        kind="recurrence_equivalence", verdict=verdict,
-        shifts=recur.shifts, accepted=recur.accepted,
-        forward_residuals=recur.forward_residuals,
-        backward_residuals=recur.backward_residuals,
-        net_sizes=compact.net_sizes,
-        evidence={"residual": res, "sides_agree": agree,
-                  "hypothesis_rho": hyp.rho},
-        notes=notes)
+    rep.kind = "recurrence_equivalence"
+    rep.evidence.update(residual=res, hypothesis_rho=hyp.rho)
+    rep.notes[:0] = [f"hypothesis constant rho = {hyp.rho:.6g} < 1",
+                     f"fixed-point residual of the path: {res:.6g} ({res_tag})"]
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -383,37 +383,6 @@ identity_warp = TimeWarp("identity")
 
 
 # ---------------------------------------------------------------------------
-# epsilon nets over the sampled range
-
-
-def range_epsilon_net(p: SampledPath, eps: float):
-    """Greedy farthest-point net covering the sampled values within eps.
-
-    Returns (net, size) where net has shape (size, d).  Insertion is seeded
-    at the lexicographically smallest sampled value and always inserts the
-    value farthest from the current net, breaking ties by earliest grid
-    index, so the result is reproducible and stable under enlarging a dense
-    sample of the same range.
-    """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    pts = p.values
-    n = pts.shape[0]
-    seed = int(np.lexsort(pts.T[::-1])[0])
-    dist = np.linalg.norm(pts - pts[seed], axis=1)
-    chosen = [seed]
-    while True:
-        far = int(np.argmax(dist))  # argmax returns the earliest maximiser
-        if dist[far] <= eps:
-            break
-        chosen.append(far)
-        dist = np.minimum(dist, np.linalg.norm(pts - pts[far], axis=1))
-        if len(chosen) >= n:
-            break
-    return pts[chosen], len(chosen)
-
-
-# ---------------------------------------------------------------------------
 # asymptotic decompositions
 
 

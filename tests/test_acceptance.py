@@ -19,8 +19,7 @@ from picardcert.diagnostics import (CONSISTENT, INCONSISTENT,
 from picardcert.evolution import (build_resolvent, certify_stability,
                                   exponential_memory, heat_demo_assemble,
                                   scalar_family, stability_sample_pairs)
-from picardcert.paths import (SampledPath, range_epsilon_net, sup_distance,
-                              sup_norm)
+from picardcert.paths import SampledPath, sup_distance, sup_norm
 from picardcert.quadrature import DecayEnvelope
 from picardcert.solver import check_integral_inequality, picard_solve
 
@@ -179,10 +178,8 @@ def test_criterion_09_recurrence_equivalence():
     spec, cert, rep = _solve_oracle(window=(-100.0, 100.0), step=0.02,
                                     tol=1e-8)
     sol = rep.solution
-    sizes = []
-    for W in (50.0, 100.0):
-        sub = sol.restrict(-W, W)
-        sizes.append(range_epsilon_net(sub, 0.01)[1])
+    compact = range_compactness_trend(sol, 0.01,
+                                      [(-50.0, 50.0), (-100.0, 100.0)])
     recur = bochner_test(sol, shifts=2.0 * np.pi * np.arange(1, 8),
                          probe_grid=np.linspace(-3, 3, 25), tol=1e-3)
     bad = replace(sol, values=sol.values + 0.1 * sol.grid[:, None])
@@ -190,10 +187,11 @@ def test_criterion_09_recurrence_equivalence():
                                           [(-50.0, 50.0), (-100.0, 100.0)])
     recur_bad = bochner_test(bad, shifts=2.0 * np.pi * np.arange(1, 8),
                              probe_grid=np.linspace(-3, 3, 25), tol=1e-3)
-    ok = (sizes[0] == sizes[1] and recur.verdict == CONSISTENT
+    ok = (compact.verdict == CONSISTENT and recur.verdict == CONSISTENT
           and compact_bad.verdict == INCONSISTENT
           and recur_bad.verdict == INCONSISTENT)
-    report(9, ok, f"net sizes {sizes[0]} == {sizes[1]}; solution "
+    sups = [f"{s:.6g}" for _, _, s in compact.window_sups]
+    report(9, ok, f"window sups {sups[0]}, {sups[1]}; solution "
                   f"{recur.verdict}; corrupted path both sides inconsistent")
 
 

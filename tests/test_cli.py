@@ -574,6 +574,24 @@ def test_diagnose_bad_csv_exit_one(tmp_path):
     assert code == 1
 
 
+def test_diagnose_unfit_shift_plan_names_its_keys(tmp_path, capsys):
+    # the default plan (probes on [-3, 3], 8 shifts of 2 pi) needs the path
+    # on [-46.98, 53.27]; the shipped half-line config's path covers [0, 40]
+    from pathlib import Path
+    from picardcert.paths import SampledPath, write_csv
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "configs" \
+        / "half_line_split.ini"
+    grid = np.arange(0.0, 40.0 + 0.01, 0.02)
+    write_csv(SampledPath(grid, np.sin(grid)), tmp_path / "half.csv")
+    assert main(["diagnose", str(tmp_path / "half.csv"), "--config",
+                 str(config), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "window too small" in err and "[-46.9823, 53.2655]" in err
+    for key in ("[diagnose] probe_window", "shift_step", "shift_count"):
+        assert key in err
+    assert not (tmp_path / "diagnostic.txt").exists()
+
+
 # shift plan of a path on [0, 40]: probes at 16..18 shifted back by up to
 # 4 * 4 = 16 and forward by 5 * 4 = 20
 HALF_LINE_DIAGNOSE = """
@@ -702,6 +720,9 @@ def test_demo_delay(tmp_path):
         assert (tmp_path / name).exists(), name
     sol = read_csv(tmp_path / "delay_solution.csv")
     assert np.max(np.abs(sol.values)) < 2.0  # stays inside the certified ball
+    text = (tmp_path / "delay_diagnostic.txt").read_text()
+    assert text.splitlines()[1].startswith("verdict: consistent")
+    assert "sup norm on [-10, 45]: 0.356144" in text
 
 
 @pytest.mark.parametrize("text, key", [

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from picardcert.diagnostics import (INCONSISTENT, CONSISTENT, aaa_split_estimate
                                     greedy_cauchy_filter,
                                     range_compactness_trend)
 from picardcert.minimize import bounded_minimum
-from picardcert.paths import SampledPath, sup_norm
+from picardcert.cli import main
+from picardcert.paths import SampledPath, read_csv, sup_norm
 
 from _oracles import psi
 
@@ -109,7 +111,6 @@ def test_scalar_pathnote_and_consistency():
     p = sampled(np.sin, -300, 300, 0.05)
     rep = range_compactness_trend(p, 0.05, [(-100, 100), (-200, 200)])
     assert rep.verdict == CONSISTENT
-    assert any("scalar" in n for n in rep.notes)
 
 
 def test_torus_curve_stabilises():
@@ -126,8 +127,31 @@ def test_growing_range_flagged():
                 -400, 400, 0.1)
     rep = range_compactness_trend(p, 0.5, [(-100, 100), (-400, 400)])
     assert rep.verdict == INCONSISTENT
-    sizes = [s for _, _, s in rep.net_sizes]
-    assert sizes[1] > 3 * sizes[0]
+    sups = [s for _, _, s in rep.window_sups]
+    assert sups[1] > 3 * sups[0]
+
+
+def test_logarithmic_growth_flagged():
+    # log(1 + |t|) is unbounded however slowly it grows: its sup rises by
+    # about log 2 from each window to the next, on either domain
+    full = sampled(lambda t: np.log1p(np.abs(t)), -400, 400, 0.1)
+    rep = range_compactness_trend(full, 0.01, [(-200, 200), (-400, 400)])
+    assert rep.verdict == INCONSISTENT
+    half = sampled(np.log1p, 0, 400, 0.1, domain_kind="half_line")
+    rep = range_compactness_trend(half, 0.01, [(0, 200), (0, 400)])
+    assert rep.verdict == INCONSISTENT
+
+
+def test_half_line_split_solution_bounded(tmp_path):
+    # the solution settles onto a recurrent orbit, so its sup is reached
+    # within [0, 20] and the larger window adds nothing
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "configs" \
+        / "half_line_split.ini"
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path)]) == 0
+    p = read_csv(tmp_path / "solution.csv", domain_kind="half_line",
+                 tail_policy="constant")
+    rep = range_compactness_trend(p, 0.01, [(0, 20), (0, 40)])
+    assert rep.verdict == CONSISTENT
 
 
 # -- equivalence verdict -----------------------------------------------------------------

@@ -152,7 +152,7 @@ SETTABLE_CAP = {
     "diagnostics": """
         DiagnosticReport.shifts DiagnosticReport.accepted
         DiagnosticReport.forward_residuals
-        DiagnosticReport.backward_residuals DiagnosticReport.net_sizes
+        DiagnosticReport.backward_residuals DiagnosticReport.window_sups
         DiagnosticReport.evidence DiagnosticReport.notes""",
     "evolution": """
         StabilityCertificate.lines EvolutionFamily.dim

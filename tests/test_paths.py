@@ -6,8 +6,8 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from picardcert.paths import (DomainEscapeError, SampledPath, TimeWarp,
-                              identity_warp, range_epsilon_net, read_csv,
-                              sup_norm, write_csv, zero_path)
+                              identity_warp, read_csv, sup_norm, write_csv,
+                              zero_path)
 
 from picardcert.paths import _cubic_coefficients
 from picardcert.solver import _cell_nodes
@@ -240,50 +240,6 @@ def test_tabulated_warp():
     tt = np.linspace(0, 10, 101)
     w = TimeWarp("tabulated", table_t=tt, table_a=0.5 * tt)
     assert w(4.0) == pytest.approx(2.0)
-
-
-# -- epsilon nets ---------------------------------------------------------------
-
-def test_net_constant_path():
-    p = SampledPath(np.linspace(0, 1, 50), np.full(50, 2.0))
-    _, size = range_epsilon_net(p, 0.5)
-    assert size == 1
-
-
-def test_net_circle_diameter():
-    t = np.linspace(0, 2 * np.pi, 400)
-    p = SampledPath(t, np.stack([np.cos(t), np.sin(t)], axis=1))
-    _, size = range_epsilon_net(p, 2.1)
-    assert size == 1  # diameter 2 < 2.1
-
-
-def test_net_covers_all_samples():
-    t = np.linspace(0, 40, 2000)
-    p = SampledPath(t, np.stack([np.cos(t), np.sin(np.sqrt(2) * t)], axis=1))
-    eps = 0.15
-    net, size = range_epsilon_net(p, eps)
-    dists = np.linalg.norm(p.values[:, None, :] - net[None, :, :], axis=2)
-    assert np.all(dists.min(axis=1) <= eps + 1e-12)
-    assert size == len(net)
-
-
-def test_net_size_stabilises_for_recurrent_signal():
-    # doubling-window scan: the sampled range of the bounded recurrent signal
-    # fills out and the covering number stops growing
-    sizes = []
-    for W in (1e2, 1e3, 1e4):
-        grid = np.arange(-W, W + 0.05 / 2, 0.05)
-        p = SampledPath(grid, psi(grid), tail_policy="constant")
-        sizes.append(range_epsilon_net(p, 0.01)[1])
-    assert sizes[-1] == sizes[-2]
-
-
-def test_net_determinism():
-    t = np.linspace(0, 20, 500)
-    p = SampledPath(t, np.stack([np.cos(t), np.sin(t)], axis=1))
-    n1, s1 = range_epsilon_net(p, 0.3)
-    n2, s2 = range_epsilon_net(p, 0.3)
-    assert s1 == s2 and np.array_equal(n1, n2)
 
 
 # -- CSV round trip ---------------------------------------------------------------
