@@ -2,8 +2,8 @@
 delayed type, with contraction certificates, a-priori error control and
 recurrence diagnostics."""
 
-from .paths import (AAADecomposition, DomainEscapeError, SampledPath,
-                    TimeWarp, identity_warp, read_csv, sup_norm, write_csv)
+from .paths import (DomainEscapeError, SampledPath, TimeWarp, identity_warp,
+                    read_csv, sup_norm, write_csv)
 from .quadrature import (DecayEnvelope, EnvelopeConstants, QuadratureError,
                          envelope_constant)
 from .kernels import (KernelSpec, SamplePlan, SplitKernelSpec,

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import problem as pb
 from .certify import CertificationError, certify
-from .diagnostics import (aaa_split_estimate, bochner_test,
-                          bohr_neugebauer_verdict, join_sides,
+from .diagnostics import (INCONSISTENT, DiagnosticReport, aaa_split_estimate,
+                          bochner_test, bohr_neugebauer_verdict, join_sides,
                           range_compactness_trend)
 from .evolution import (PropagationError, build_resolvent, certify_decay,
                         certify_stability, delay_demo_solve, exponential_causal,
@@ -418,6 +418,11 @@ def cmd_solve(args) -> int:
 
 
 def _diagnose_path(cfg, spec, path, tol_override=None):
+    """The diagnose report of path and the lines that follow it in
+    diagnostic.txt.  A half-line path is split first, at [diagnose]
+    split_time (half its end by default): the double-limit side tests the
+    recurrent part, a trigonometric sum on the whole line, unless the
+    remainder is above tol, and the split's lines follow the report."""
     dia = cfg.section("diagnose")
     eps = dia.get("eps", 0.01)
     tol = tol_override if tol_override is not None else dia.get("tol", 1e-3)
@@ -426,24 +431,33 @@ def _diagnose_path(cfg, spec, path, tol_override=None):
     shifts = step * np.arange(1, count + 1)
     pw = dia.get("probe_window", (-3.0, 3.0))
     probe = np.linspace(pw[0], pw[1], dia.get("probe_count", 25))
-    if path.domain_kind == HALF_LINE:
-        windows = [(0.0, w) for w in dia.get("windows", (path.t_max / 2,
-                                                         path.t_max))]
+    sizes = dia.get("windows", (path.t_max / 2, path.t_max))
+    if path.domain_kind != HALF_LINE:
+        windows = [(-w, w) for w in sizes]
+        if spec is not None and spec.variant in (pb.ADVANCED_DELAYED,
+                                                 pb.DELAYED_ONLY):
+            return bohr_neugebauer_verdict(spec, path, shifts, probe, tol,
+                                           eps, windows), []
+        return join_sides(bochner_test(path, shifts, probe, tol),
+                          range_compactness_trend(path, eps, windows)), []
+    recurrent, resid, lines = _split(path, dia.get("split_time",
+                                                   path.t_max / 2))
+    if resid > tol:
+        recur = DiagnosticReport(
+            kind="recurrence_double_limit", verdict=INCONSISTENT,
+            evidence={"reason": "split remainder above tol: the vanishing "
+                                "part has not vanished", "tol": tol})
     else:
-        windows = [(-w, w) for w in dia.get("windows", (path.t_max / 2,
-                                                        path.t_max))]
-    if spec is not None and spec.variant in (pb.ADVANCED_DELAYED,
-                                             pb.DELAYED_ONLY):
-        return bohr_neugebauer_verdict(spec, path, shifts, probe, tol, eps,
-                                       windows)
-    return join_sides(bochner_test(path, shifts, probe, tol),
-                      range_compactness_trend(path, eps, windows))
+        recur = bochner_test(recurrent, shifts, probe, tol)
+    compact = range_compactness_trend(path, eps, [(0.0, w) for w in sizes])
+    return join_sides(recur, compact), lines
 
 
-def _split_lines(path, split_time):
-    """The asymptotic split's fit report and remainder, one line each."""
-    _, resid, fit = aaa_split_estimate(path, split_time=split_time)
-    return fit.lines + [f"split remainder: {resid:.6g}"]
+def _split(path, split_time):
+    """The asymptotic split's recurrent part, remainder, and report lines:
+    the fit's and the remainder's."""
+    recurrent, resid, lines = aaa_split_estimate(path, split_time=split_time)
+    return recurrent, resid, lines + [f"split remainder: {resid:.6g}"]
 
 
 def cmd_diagnose(args) -> int:
@@ -452,8 +466,7 @@ def cmd_diagnose(args) -> int:
     variant = cfg.get("problem", "variant")
     half_line = variant in (pb.HALF_LINE, pb.EVOLUTION_NONLOCAL,
                             pb.RESOLVENT_NONLOCAL)
-    split_time = cfg.get("diagnose", "split_time")
-    if split_time is not None and not half_line:
+    if cfg.get("diagnose", "split_time") is not None and not half_line:
         raise ConfigError("diagnose.split_time splits a half-line path; "
                           f"{variant} paths are full-line")
     path = read_csv(args.path_csv, tail_policy="constant",
@@ -462,7 +475,8 @@ def cmd_diagnose(args) -> int:
     if variant in (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY):
         spec = build_problem(cfg)
     try:
-        report = _diagnose_path(cfg, spec, path, tol_override=tol)
+        report, split_lines = _diagnose_path(cfg, spec, path,
+                                             tol_override=tol)
     except CertificationError as exc:
         # the recurrence-transfer hypotheses failed: a certified fail, as in
         # certify and solve, not an error
@@ -472,9 +486,7 @@ def cmd_diagnose(args) -> int:
         # the shift plan reads the path outside its window
         raise ConfigError(f"{exc}; the plan is set by [diagnose] probe_window, "
                           "shift_step and shift_count") from exc
-    text = report.to_text()
-    if split_time is not None:
-        text += "\n".join(_split_lines(path, split_time)) + "\n"
+    text = report.to_text() + "".join(line + "\n" for line in split_lines)
     out = _out_dir(args)
     _write(out / cfg.get("output", "diagnostic", "diagnostic.txt"), text)
     _write(out / cfg.get("output", "residuals", "residuals.csv"),
@@ -515,7 +527,7 @@ def cmd_demo(args) -> int:
                              domain_kind=HALF_LINE, tail_policy="constant")
         write_csv(probes, out / "heat_probes.csv")
         _write(out / "heat_diagnostic.txt",
-               "\n".join(_split_lines(probes, probes.t_max / 2)) + "\n")
+               "\n".join(_split(probes, probes.t_max / 2)[2]) + "\n")
         print(f"heat demo artifacts written to {out}")
         return EXIT_PASS
     if args.name == "delay":

@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .minimize import bounded_minimum
-from .paths import (AAADecomposition, DomainEscapeError, FULL_LINE, HALF_LINE,
-                    SampledPath, TAIL_CONSTANT, TAIL_DECAY, sup_norm)
+from .paths import (DomainEscapeError, HALF_LINE, SampledPath, TAIL_CONSTANT,
+                    sup_norm)
 
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
@@ -109,9 +109,9 @@ def greedy_cauchy_filter(vectors: np.ndarray, tol: float):
     return [int(i) for i in np.sort(accepted)], levels
 
 
-def bochner_test(p: SampledPath, shifts, probe_grid, tol: float
-                 ) -> DiagnosticReport:
-    """Double-limit recurrence test on probe values of shifted copies.
+def bochner_test(p, shifts, probe_grid, tol: float) -> DiagnosticReport:
+    """Double-limit recurrence test on probe values of shifted copies of p, a
+    SampledPath or a split's TrigSum (anything with evaluate, t_min, t_max).
 
     Probe vectors p(probe + s_n) are filtered for mutual closeness; the
     empirical limit is the average over the last quartile of kept shifts;
@@ -338,9 +338,21 @@ def _trial_sse(t, vals, held):
     return sse_of
 
 
-@dataclass
-class SplitFitReport:
-    lines: list
+@dataclass(frozen=True)
+class TrigSum:
+    """c0 + sum_k a_k cos(omega_k t) + b_k sin(omega_k t), defined on the
+    whole line: coef holds the rows (c0, a_1, b_1, ...), one column per
+    component."""
+
+    omegas: tuple
+    coef: np.ndarray
+    t_min = -math.inf
+    t_max = math.inf
+
+    def evaluate(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        vals = _trig_design(t.ravel(), self.omegas) @ self.coef
+        return vals.reshape(t.shape + (self.coef.shape[1],))
 
 
 def aaa_split_estimate(p: SampledPath, split_time: float):
@@ -348,10 +360,10 @@ def aaa_split_estimate(p: SampledPath, split_time: float):
 
     The recurrent component is fitted on the tail t >= split_time (at least
     _MIN_TAIL_POINTS nodes, where the vanishing component is below tolerance)
-    as a trigonometric model of at most _MAX_FREQS refined frequencies,
-    extended to the full line; the vanishing component is the pointwise
-    remainder on the half line.  Returns (decomposition, residual beyond
-    split_time, fit report).
+    as a trigonometric sum of at most _MAX_FREQS refined frequencies, which
+    is defined on the whole line; the vanishing component is the remainder
+    p - recurrent on the half line.  Returns (recurrent, residual beyond
+    split_time, fit report lines).
     """
     if p.domain_kind != HALF_LINE:
         raise ValueError("split estimation expects a half-line path")
@@ -378,23 +390,12 @@ def aaa_split_estimate(p: SampledPath, split_time: float):
         refined.append(float(w_fit))
     coef, sse = _fit_model(t_tail, v_tail, refined)
 
-    steps = np.diff(p.grid)
-    if np.allclose(steps, steps[0], rtol=0.0, atol=1e-12):
-        h = float(steps[0])
-        full_grid = -p.t_max + h * np.arange(int(round(2 * p.t_max / h)) + 1)
-    else:
-        full_grid = np.linspace(-p.t_max, p.t_max, 2 * p.n_nodes - 1)
-    principal_vals = _trig_design(full_grid, refined) @ coef
-    principal = SampledPath(full_grid, principal_vals, domain_kind=FULL_LINE,
-                            tail_policy=TAIL_CONSTANT)
-    ergodic_vals = p.values - (_trig_design(p.grid, refined) @ coef)
-    ergodic = SampledPath(p.grid, ergodic_vals, domain_kind=HALF_LINE,
-                          tail_policy=TAIL_DECAY)
-    dec = AAADecomposition(principal, ergodic)
-    residual = float(np.max(np.linalg.norm(ergodic_vals[mask], axis=1)))
-    report = SplitFitReport([
+    recurrent = TrigSum(tuple(refined), coef)
+    vanishing = p.values - recurrent.evaluate(p.grid)
+    residual = float(np.max(np.linalg.norm(vanishing[mask], axis=1)))
+    lines = [
         # bounded_minimum resolves a frequency to about 1.5e-8 relative
         f"fitted frequencies: {', '.join(f'{w:.7g}' for w in refined) or 'none'}",
         f"tail fit SSE: {sse:.6g}",
-        f"remainder beyond t = {split_time:g}: {residual:.6g}"])
-    return dec, residual, report
+        f"remainder beyond t = {split_time:g}: {residual:.6g}"]
+    return recurrent, residual, lines

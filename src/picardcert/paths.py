@@ -23,13 +23,9 @@ FULL_LINE = "full_line"
 HALF_LINE = "half_line"
 
 TAIL_CONSTANT = "constant"
-TAIL_DECAY = "decay_to_anchor"
 TAIL_ERROR = "error"
 
-_TAIL_POLICIES = (TAIL_CONSTANT, TAIL_DECAY, TAIL_ERROR)
-
-# decay rate used by the decay_to_anchor tail (anchor is zero)
-_TAIL_DECAY_RATE = 1.0
+_TAIL_POLICIES = (TAIL_CONSTANT, TAIL_ERROR)
 
 
 class DomainEscapeError(ValueError):
@@ -140,10 +136,9 @@ class SampledPath:
     (linear interpolation on grids of fewer than 4 nodes); beyond the grid
     the tail policy decides:
 
-    * ``constant``        clamp to the nearest edge value,
-    * ``decay_to_anchor`` edge value times exp(-|t - edge|), decaying to zero,
-    * ``error``           allow up to one grid step beyond each edge (clamped),
-                          raise DomainEscapeError farther out.
+    * ``constant``  clamp to the nearest edge value,
+    * ``error``     allow up to one grid step beyond each edge (clamped),
+                    raise DomainEscapeError farther out.
     """
 
     grid: np.ndarray
@@ -225,9 +220,7 @@ class SampledPath:
         """Values (m, d) at the flat array of times tt, point by point."""
         lo, hi = self.grid[0], self.grid[-1]
 
-        below = tt < lo
-        above = tt > hi
-        if (below.any() or above.any()) and self.tail_policy == TAIL_ERROR:
+        if self.tail_policy == TAIL_ERROR:
             step_lo = self.grid[1] - self.grid[0] if self.n_nodes > 1 else 0.0
             step_hi = self.grid[-1] - self.grid[-2] if self.n_nodes > 1 else 0.0
             if np.any(tt < lo - step_lo) or np.any(tt > hi + step_hi):
@@ -258,12 +251,6 @@ class SampledPath:
         exact = self.grid[pos] == tc
         if exact.any():
             out[exact] = self.values[pos[exact]]
-
-        if self.tail_policy == TAIL_DECAY:
-            if above.any():
-                out[above] *= np.exp(-_TAIL_DECAY_RATE * (tt[above] - hi))[:, None]
-            if below.any():
-                out[below] *= np.exp(-_TAIL_DECAY_RATE * (lo - tt[below]))[:, None]
         return out
 
     def _read_rows(self, t) -> np.ndarray:
@@ -370,38 +357,18 @@ class TimeWarp:
         return self.kind == "identity" or (self.kind == "shift" and self.tau == 0.0)
 
     def reach(self, t_lo: float, t_hi: float) -> tuple:
-        """Image interval of [t_lo, t_hi] (monotone table assumed for tabulated)."""
+        """Image interval of [t_lo, t_hi].  A tabulated a(t) is piecewise
+        linear, so its extremes lie at t_lo, t_hi or a table knot between."""
         if self.kind == "identity":
             return (t_lo, t_hi)
         if self.kind == "shift":
             return (t_lo + self.tau, t_hi + self.tau)
-        vals = self(np.linspace(t_lo, t_hi, 257))
+        knots = self.table_t[(self.table_t > t_lo) & (self.table_t < t_hi)]
+        vals = self(np.concatenate([[t_lo, t_hi], knots]))
         return (float(np.min(vals)), float(np.max(vals)))
 
 
 identity_warp = TimeWarp("identity")
-
-
-# ---------------------------------------------------------------------------
-# asymptotic decompositions
-
-
-@dataclass(frozen=True)
-class AAADecomposition:
-    """Half-line function split as a recurrent full-line part plus a part
-    vanishing at +infinity.  The norm of the pair is the sum of the two
-    uniform norms."""
-
-    principal: SampledPath
-    ergodic: SampledPath
-
-    def __post_init__(self):
-        if self.principal.domain_kind != FULL_LINE:
-            raise ValueError("principal component must live on the full line")
-        if self.ergodic.domain_kind != HALF_LINE:
-            raise ValueError("ergodic component must live on the half line")
-        if self.principal.dim != self.ergodic.dim:
-            raise ValueError("components must share the state dimension")
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,6 @@ class Nonlinearity:
             raise ProblemError("nonlinearity has no Lipschitz data")
         return np.full_like(np.asarray(r, dtype=float), self.lipschitz)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.label == "zero"
-
 
 def zero_nonlinearity(dim: int = 1) -> Nonlinearity:
     def f(t, x, y):

@@ -359,10 +359,9 @@ def _integral_image(spec, y, start) -> SampledPath:
     """
     t = y.grid
     out = np.zeros((t.size, spec.dim))
-    if not spec.f.is_zero:
-        a0 = spec.warp("a0")
-        ya0 = y.values if a0.is_identity else y.evaluate(a0(t))
-        out += np.asarray(spec.f(t, y.values, ya0))
+    a0 = spec.warp("a0")
+    ya0 = y.values if a0.is_identity else y.evaluate(a0(t))
+    out += np.asarray(spec.f(t, y.values, ya0))
     for kernel, key, delayed in zip(kernel_terms(spec), ("a1", "a2"),
                                     (True, False)):
         if kernel is None:

@@ -198,9 +198,13 @@ def test_criterion_09_recurrence_equivalence():
 def test_criterion_10_asymptotic_split():
     grid = np.arange(0.0, 40.0 + 0.005, 0.01)
     p = SampledPath(grid, np.sin(grid) + np.exp(-grid),
-                    domain_kind="half_line", tail_policy="decay_to_anchor")
-    dec, resid, fit = aaa_split_estimate(p, split_time=10.0)
-    norm_gap = abs(sup_norm(dec.principal) + sup_norm(dec.ergodic) - 2.0)
+                    domain_kind="half_line", tail_policy="constant")
+    recurrent, resid, _ = aaa_split_estimate(p, split_time=10.0)
+    # the recurrent part's norm on the whole line, here [-40, 40]
+    principal = recurrent.evaluate(np.linspace(-40.0, 40.0, 8001))
+    vanishing = p.values - recurrent.evaluate(p.grid)
+    norm_gap = abs(np.max(np.linalg.norm(principal, axis=1))
+                   + np.max(np.linalg.norm(vanishing, axis=1)) - 2.0)
     ok = resid <= 1e-4 and norm_gap <= 1e-3
     report(10, ok, f"split remainder {resid:.2e}; recovered norm within "
                    f"{norm_gap:.2e} of 2")

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -533,8 +534,8 @@ def test_solve_then_diagnose_round_trip(tmp_path):
     reread = read_csv(tmp_path / "solution.csv", tail_policy="constant")
     assert np.array_equal(fresh.grid, reread.grid)
     assert np.array_equal(fresh.values, reread.values)
-    rep1 = _diagnose_path(cfgobj, spec, fresh)
-    rep2 = _diagnose_path(cfgobj, spec, reread)
+    rep1, _ = _diagnose_path(cfgobj, spec, fresh)
+    rep2, _ = _diagnose_path(cfgobj, spec, reread)
     assert rep1.to_text() == rep2.to_text()
     assert rep1.residual_csv_text() == rep2.residual_csv_text()
 
@@ -575,21 +576,64 @@ def test_diagnose_bad_csv_exit_one(tmp_path):
 
 
 def test_diagnose_unfit_shift_plan_names_its_keys(tmp_path, capsys):
-    # the default plan (probes on [-3, 3], 8 shifts of 2 pi) needs the path
-    # on [-46.98, 53.27]; the shipped half-line config's path covers [0, 40]
-    from pathlib import Path
+    # eight shifts of 2 pi with probes on [-3, 3] (the default plan) need the
+    # path on [-46.98, 53.27]; the oracle config's path covers [-40, 40]
     from picardcert.paths import SampledPath, write_csv
-    config = Path(__file__).resolve().parents[1] / "perfbench" / "configs" \
-        / "half_line_split.ini"
-    grid = np.arange(0.0, 40.0 + 0.01, 0.02)
-    write_csv(SampledPath(grid, np.sin(grid)), tmp_path / "half.csv")
-    assert main(["diagnose", str(tmp_path / "half.csv"), "--config",
-                 str(config), "--out", str(tmp_path)]) == 1
+    cfg = write_config(tmp_path, ORACLE_CONFIG.replace("shift_count = 5",
+                                                       "shift_count = 8"))
+    grid = np.arange(-40.0, 40.0 + 0.01, 0.02)
+    write_csv(SampledPath(grid, np.sin(grid)), tmp_path / "full.csv")
+    assert main(["diagnose", str(tmp_path / "full.csv"), "--config",
+                 str(cfg), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "window too small" in err and "[-46.9823, 53.2655]" in err
     for key in ("[diagnose] probe_window", "shift_step", "shift_count"):
         assert key in err
     assert not (tmp_path / "diagnostic.txt").exists()
+
+
+HALF_LINE_SPLIT = Path(__file__).resolve().parents[1] / "perfbench" \
+    / "configs" / "half_line_split.ini"
+
+
+def test_diagnose_tests_the_recurrent_part_of_a_half_line_path(tmp_path,
+                                                               capsys):
+    # the default plan reads times down to -47, which the path on [0, 40]
+    # does not cover; it reads the split's recurrent part, which is defined
+    # on the whole line
+    from picardcert.diagnostics import aaa_split_estimate
+    assert main(["solve", "--config", str(HALF_LINE_SPLIT), "--out",
+                 str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["diagnose", str(tmp_path / "solution.csv"), "--config",
+                 str(HALF_LINE_SPLIT), "--out", str(tmp_path / "diag")]) == 0
+    lines = (tmp_path / "diag" / "diagnostic.txt").read_text().splitlines()
+    assert "verdict: consistent" in lines[1]
+    assert "shifts: 8 offered, 8 kept by the recurrence filter" in lines
+    assert ("note: compact-range side: consistent; double-limit side: "
+            "consistent; agreement: yes") in lines
+    path = read_csv(tmp_path / "solution.csv", domain_kind="half_line",
+                    tail_policy="constant")
+    _, resid, fit = aaa_split_estimate(path, split_time=20.0)
+    assert resid <= 1e-7
+    assert lines[-4:] == fit + [f"split remainder: {resid:.6g}"]
+
+
+def test_diagnose_half_line_path_whose_remainder_has_not_vanished(tmp_path):
+    # log(1 + t) has no recurrent part: the split leaves a remainder of 0.37
+    # beyond t = 20, and the sup grows from log 21 on [0, 20] to log 41
+    from picardcert.paths import SampledPath, write_csv
+    grid = np.arange(0.0, 40.0 + 0.01, 0.02)
+    write_csv(SampledPath(grid, np.log1p(grid)), tmp_path / "log.csv")
+    assert main(["diagnose", str(tmp_path / "log.csv"), "--config",
+                 str(HALF_LINE_SPLIT), "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "diagnostic.txt").read_text()
+    assert "verdict: inconsistent" in text
+    assert ("reason: split remainder above tol: the vanishing part has not "
+            "vanished") in text
+    assert ("note: compact-range side: inconsistent; double-limit side: "
+            "inconsistent; agreement: yes") in text
+    assert text.splitlines()[-1].startswith("split remainder: 0.37")
 
 
 # shift plan of a path on [0, 40]: probes at 16..18 shifted back by up to
@@ -615,16 +659,16 @@ def test_diagnose_splits_a_half_line_path(tmp_path, capsys):
     path = read_csv(tmp_path / "solution.csv", domain_kind="half_line",
                     tail_policy="constant")
     _, resid, fit = aaa_split_estimate(path, split_time=20.0)
-    assert lines[-4:] == fit.lines + [f"split remainder: {resid:.6g}"]
+    assert lines[-4:] == fit + [f"split remainder: {resid:.6g}"]
     assert lines[-4].startswith("fitted frequencies: 1")
     assert capsys.readouterr().out.splitlines() == lines
-    # without the key the report ends at the recurrence diagnostics
+    # without the key the split is at half the path's end, t = 20
     plain = write_config(tmp_path, text + HALF_LINE_DIAGNOSE.replace(
         "split_time = 20", ""), name="plain.ini")
     assert main(["diagnose", str(tmp_path / "solution.csv"), "--config",
                  str(plain), "--out", str(tmp_path / "plain")]) == 0
     plain_lines = (tmp_path / "plain" / "diagnostic.txt").read_text().splitlines()
-    assert plain_lines == lines[:-4]
+    assert plain_lines == lines
 
 
 def test_diagnose_refuses_a_split_time_on_a_full_line_path(tmp_path, capsys):

@@ -218,47 +218,73 @@ def test_equivalence_requires_hypotheses():
 
 def test_split_sin_plus_decay():
     p = sampled(lambda t: np.sin(t) + np.exp(-t), 0.0, 40.0, 0.01,
-                domain_kind="half_line", tail_policy="decay_to_anchor")
-    dec, resid, fit = aaa_split_estimate(p, split_time=10.0)
+                domain_kind="half_line", tail_policy="constant")
+    recurrent, resid, _ = aaa_split_estimate(p, split_time=10.0)
     assert resid <= 1e-4
-    # the norm of the pair is the sum of the two uniform norms
-    assert abs(sup_norm(dec.principal) + sup_norm(dec.ergodic) - 2.0) <= 1e-3
+    # the norm of the pair is the sum of the two uniform norms, the
+    # recurrent part's on the whole line (here [-40, 40])
+    g = np.linspace(-40.0, 40.0, 8001)
+    principal = recurrent.evaluate(g)[:, 0]
+    vanishing = p.values[:, 0] - recurrent.evaluate(p.grid)[:, 0]
+    assert abs(np.max(np.abs(principal)) + np.max(np.abs(vanishing))
+               - 2.0) <= 1e-3
     # the recovered pieces really are the sinusoid and the decay
-    g = dec.principal.grid
-    assert np.max(np.abs(dec.principal.values[:, 0] - np.sin(g))) < 1e-3
-    mask = dec.ergodic.grid <= 5.0
-    assert np.max(np.abs(dec.ergodic.values[mask, 0]
-                         - np.exp(-dec.ergodic.grid[mask]))) < 1e-3
+    assert np.max(np.abs(principal - np.sin(g))) < 1e-3
+    mask = p.grid <= 5.0
+    assert np.max(np.abs(vanishing[mask] - np.exp(-p.grid[mask]))) < 1e-3
 
 
 def test_split_pure_decay_gives_tiny_principal():
     p = sampled(lambda t: np.exp(-t), 0.0, 40.0, 0.01,
-                domain_kind="half_line", tail_policy="decay_to_anchor")
-    dec, resid, fit = aaa_split_estimate(p, split_time=10.0)
-    assert sup_norm(dec.principal) <= 1e-4
+                domain_kind="half_line", tail_policy="constant")
+    recurrent, resid, _ = aaa_split_estimate(p, split_time=10.0)
+    assert np.max(np.abs(recurrent.evaluate(np.linspace(-40.0, 40.0, 8001)))
+                  ) <= 1e-4
 
 
 def test_split_pure_sinusoid_gives_tiny_ergodic():
     p = sampled(np.sin, 0.0, 40.0, 0.01, domain_kind="half_line",
-                tail_policy="decay_to_anchor")
-    dec, resid, fit = aaa_split_estimate(p, split_time=10.0)
-    assert sup_norm(dec.ergodic) <= 1e-6
+                tail_policy="constant")
+    recurrent, resid, _ = aaa_split_estimate(p, split_time=10.0)
+    assert np.max(np.abs(p.values - recurrent.evaluate(p.grid))) <= 1e-6
     assert resid <= 1e-6
 
 
 def test_split_roundtrip():
     p = sampled(lambda t: np.sin(1.3 * t) + 2.0 * np.exp(-0.5 * t), 0.0, 60.0,
-                0.01, domain_kind="half_line", tail_policy="decay_to_anchor")
-    dec, resid, fit = aaa_split_estimate(p, split_time=20.0)
-    rec = dec.principal.evaluate(p.grid) + dec.ergodic.values
+                0.01, domain_kind="half_line", tail_policy="constant")
+    recurrent, resid, _ = aaa_split_estimate(p, split_time=20.0)
+    vanishing = p.values - recurrent.evaluate(p.grid)
+    rec = recurrent.evaluate(p.grid) + vanishing
     assert np.max(np.abs(rec - p.values)) < 1e-9  # exact by construction
 
 
 def test_split_tail_too_short():
     p = sampled(np.sin, 0.0, 12.0, 0.5, domain_kind="half_line",
-                tail_policy="decay_to_anchor")
+                tail_policy="constant")
     with pytest.raises(ValueError):
         aaa_split_estimate(p, split_time=11.5)
+
+
+def test_recurrent_part_reads_any_shape_on_the_whole_line():
+    # the double-limit test reads the recurrent part on (shifts, probes)
+    # arrays far outside the path's window
+    p = sampled(np.sin, 0.0, 40.0, 0.01, domain_kind="half_line")
+    recurrent, _, _ = aaa_split_estimate(p, split_time=20.0)
+    assert (recurrent.t_min, recurrent.t_max) == (-np.inf, np.inf)
+    t = np.linspace(-500.0, 500.0, 12).reshape(3, 4)
+    assert recurrent.evaluate(t).shape == (3, 4, 1)
+    # the frequency is resolved to about 1.5e-8 relative: a phase of 1e-5
+    # at |t| = 500
+    np.testing.assert_allclose(recurrent.evaluate(t)[..., 0], np.sin(t),
+                               atol=1e-4)
+    # c0 + a cos t + b sin t, one coefficient column per component
+    two = diagnostics.TrigSum((1.0,), np.array([[1.0, 0.0], [0.0, 2.0],
+                                                [3.0, 0.0]]))
+    assert two.evaluate(3.0).shape == (2,)
+    np.testing.assert_allclose(two.evaluate(t),
+                               np.stack([1.0 + 3.0 * np.sin(t),
+                                         2.0 * np.cos(t)], axis=-1))
 
 
 # -- the split fit's frequency search ------------------------------------------------------
@@ -291,7 +317,7 @@ def split_case(request):
         grid = np.arange(0.0, 60.0 + 0.005, 0.01)
         p = SampledPath(grid, np.sin(1.3 * grid) + 0.5 * np.cos(0.4 * grid)
                         + 2.0 * np.exp(-0.5 * grid), domain_kind="half_line",
-                        tail_policy="decay_to_anchor")
+                        tail_policy="constant")
         return p, 20.0
     p = _heat_probes(request.param == "heat_forced")
     return p, p.t_max / 2
@@ -378,14 +404,14 @@ def test_printed_frequencies_ignore_digits_the_search_cannot_resolve(
         split_case, monkeypatch, rel):
     # bounded_minimum stops at about 1.5e-8 relative, so a move of 1e-9
     # relative in every refined frequency leaves the printed line as it is
-    lines = aaa_split_estimate(*split_case)[2].lines
+    lines = aaa_split_estimate(*split_case)[2]
 
     def moved(f, lo, hi):
         x, fx = bounded_minimum(f, lo, hi)
         return x * (1.0 + rel), fx
 
     monkeypatch.setattr(diagnostics, "bounded_minimum", moved)
-    moved_lines = aaa_split_estimate(*split_case)[2].lines
+    moved_lines = aaa_split_estimate(*split_case)[2]
     assert moved_lines[0].startswith("fitted frequencies: ")
     assert moved_lines[0] == lines[0]
 

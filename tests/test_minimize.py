@@ -59,7 +59,7 @@ def test_split_fit_objective_as_scipy(monkeypatch):
     grid = np.arange(0.0, 60.0 + 0.005, 0.01)
     p = SampledPath(grid, np.sin(1.3 * grid) + 0.5 * np.cos(0.4 * grid)
                     + 2.0 * np.exp(-0.5 * grid), domain_kind="half_line",
-                    tail_policy="decay_to_anchor")
+                    tail_policy="constant")
     diagnostics.aaa_split_estimate(p, split_time=20.0)
     assert len(calls) >= 2
     for call in calls:

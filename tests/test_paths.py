@@ -127,7 +127,7 @@ def _row_cases():
         [cells, cells + 0.5 * np.diff(bumpy)[:, None]])
 
 
-@pytest.mark.parametrize("tail", ["constant", "decay_to_anchor", "error"])
+@pytest.mark.parametrize("tail", ["constant", "error"])
 @pytest.mark.parametrize("case", list(_row_cases()), ids=lambda c: c[0])
 def test_row_read_matches_pointwise_read(tail, case):
     # a row inside one cell takes one search and that cell's cubic; the
@@ -165,12 +165,6 @@ def test_error_tail_allows_one_step_then_raises():
     assert p.evaluate(5.4)[0] == pytest.approx(1.0)  # within one grid step
     with pytest.raises(DomainEscapeError):
         p.evaluate(5.6)
-
-
-def test_decay_tail():
-    p = SampledPath(np.arange(0.0, 2.1, 0.1), np.ones(21),
-                    domain_kind="half_line", tail_policy="decay_to_anchor")
-    assert p.evaluate(3.0)[0] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
 
 # -- sup norm -----------------------------------------------------------------
@@ -240,6 +234,19 @@ def test_tabulated_warp():
     tt = np.linspace(0, 10, 101)
     w = TimeWarp("tabulated", table_t=tt, table_a=0.5 * tt)
     assert w(4.0) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("lo, hi, expected", [
+    (0.0, 10.0, (-5.0, 10.0)),   # the dip at a knot between samples
+    (0.01, 0.04, (-4.0, -1.0)),  # inside one table cell: the ends
+    (-1.0, 0.05, (-5.0, 0.0)),   # the dip at an end, clamped before the table
+])
+def test_tabulated_reach_is_exact(lo, hi, expected):
+    # a non-monotone table dips to -5 at t = 0.05, between the samples of
+    # an even grid on [0, 10]
+    w = TimeWarp("tabulated", table_t=[0.0, 0.05, 10.0],
+                 table_a=[0.0, -5.0, 10.0])
+    assert w.reach(lo, hi) == pytest.approx(expected, abs=1e-12)
 
 
 # -- CSV round trip ---------------------------------------------------------------

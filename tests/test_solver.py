@@ -372,6 +372,16 @@ def test_zero_problem_two_sweeps():
     assert sup_norm(rep.solution) <= 1e-12
 
 
+def test_a_nonlinearity_labelled_zero_is_still_evaluated():
+    # a label names a nonlinearity; it does not say what f computes
+    plain = oracle_spec()
+    labelled = replace(plain, f=pc.sinusoid_affine(sin_amp=1.0, label="zero"))
+    sols = [picard_solve(s, certify_ball_zero(s, rho=1.0), tol=1e-8).solution
+            for s in (plain, labelled)]
+    assert np.array_equal(sols[0].values, sols[1].values)
+    assert sup_norm(sols[1]) == pytest.approx(1.109, abs=1e-3)
+
+
 def test_oracle_solution_matches_closed_form():
     spec = oracle_spec()
     cert = certify_ball_zero(spec, rho=1.0)
