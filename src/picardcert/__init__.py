@@ -16,7 +16,6 @@ from .problem import (Nonlinearity, NonlocalMap, ProblemSpec, ProblemError,
 from .certify import (CertificationError, ContractionCertificate,
                       certify_ball_zero,
                       certify_bohr_neugebauer_hypotheses, certify_evolution,
-                      certify_radius_search, certify_shifted_ball,
                       compute_base_point, compute_envelope_constants)
 from .solver import (CertificationRequired, NonContractionError, SolverReport,
                      apply_mild_evolution, apply_operator,

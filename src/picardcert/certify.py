@@ -475,19 +475,6 @@ def certify_ball_zero(spec: pb.ProblemSpec, rho: float,
     return certify(spec, rho, "ball", slack_margin=slack_margin)
 
 
-def certify_shifted_ball(spec: pb.ProblemSpec, rho: float,
-                         slack_margin: float = DEFAULT_SLACK) -> ContractionCertificate:
-    """Shifted-ball certificate (teos2-ball): theta <= rho."""
-    return certify(spec, rho, "shifted", slack_margin=slack_margin)
-
-
-def certify_radius_search(spec: pb.ProblemSpec,
-                          slack_margin: float = DEFAULT_SLACK) -> ContractionCertificate:
-    """Radius-search certificate (K-conditions) over r in [1e-3, 1e6],
-    capped at the smallest kernel state_bound."""
-    return certify(spec, None, "radius", slack_margin=slack_margin)
-
-
 def certify_evolution(spec: pb.ProblemSpec, rho: float, theorem: str = None,
                       slack_margin: float = DEFAULT_SLACK) -> ContractionCertificate:
     """Evolution-variant certificate: theorem, by default the variant's ball

@@ -4,15 +4,17 @@ pipelines and the two built-in demos, and write reports and CSV artifacts.
 Configs are line-oriented text with [section] headers and key = value pairs.
 Kernels, nonlinearities and propagator families are chosen from named
 built-in families with numeric parameters, so configs stay portable; unknown
-sections or keys are rejected.  Exit codes: 0 pass, 1 error, 2 certified-fail.
+sections or keys are rejected, and so are those the problem's variant or a
+family does not read.  Exit codes: 0 pass, 1 error, 2 certified-fail.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +85,7 @@ _SCHEMA = {
 
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
+_INTERVAL = (lambda v: len(v) == 2 and v[0] < v[1], "needs two numbers lo < hi")
 # section.key -> (test, the requirement a failing value is refused with)
 _LIMITS = {
     "numeric.quad_tol": _POSITIVE, "numeric.const_tol": _POSITIVE,
@@ -96,8 +99,8 @@ _LIMITS = {
                          and np.all(np.diff(v) > 0),
                          "needs at least two positive, strictly increasing "
                          "windows"),
-    "diagnose.probe_window": (lambda v: len(v) == 2 and v[0] < v[1],
-                              "needs two numbers lo < hi"),
+    "problem.window": _INTERVAL, "diagnose.probe_window": _INTERVAL,
+    "evolution.stability_window": _INTERVAL,
     # a decay bound M exp(-delta t) has M >= 1, as U(t, t) = R(0) = I
     "evolution.stability_m": _AT_LEAST_ONE, "resolvent.decay_m": _AT_LEAST_ONE,
     "evolution.stability_delta": _POSITIVE, "resolvent.decay_gamma": _POSITIVE,
@@ -112,12 +115,43 @@ _EVOLUTION_FAMILIES = {
         lambda t: -(2.0 + np.sin(t)), label="scalar_two_plus_sin"),
 }
 
+# kind -> factory, whose keywords are the [warp.*] keys it reads
+_WARP_KINDS = {
+    "identity": lambda: TimeWarp("identity"),
+    "shift": lambda tau=0.0: TimeWarp("shift", tau=tau),
+}
+
+# config key -> factory keyword, where they differ: the state coefficients
+# of [kernel.*] and [split.*]
+_KERNEL_ARGS = {"state_coeff": "cx", "warp_state_coeff": "cy",
+                "aa_state_coeff": "aa_cx", "aa_warp_state_coeff": "aa_cy",
+                "erg_state_coeff": "erg_cx", "erg_warp_state_coeff": "erg_cy"}
+
+# the sections every variant reads
+_READ_BY_ALL = ("problem", "nonlinearity", "numeric", "certify", "diagnose",
+                "output")
+_INTEGRAL = ("problem.state_bound", "warp.a0", "warp.a1", "warp.a2")
+_KERNELS = _INTEGRAL + ("kernel.delayed", "kernel.advanced")
+_SPLIT = "diagnose.split_time"  # read by the diagnose of a half-line path
+# variant -> the other sections it reads, and the keys it reads of a section
+# that another variant reads without them.  A config that carries any other
+# is refused: its problem would not be the one written.  delayed_only reads
+# [kernel.advanced], which ProblemSpec refuses unless it is zero.
+_READS = {
+    pb.ADVANCED_DELAYED: _KERNELS, pb.DELAYED_ONLY: _KERNELS,
+    pb.HALF_LINE: _INTEGRAL + (_SPLIT, "split.delayed", "split.advanced"),
+    pb.EVOLUTION_NONLOCAL: (_SPLIT, "evolution", "nonlocal", "memory"),
+    pb.RESOLVENT_NONLOCAL: (_SPLIT, "resolvent", "nonlocal", "memory"),
+    pb.DELAY_PARABOLIC: ("evolution", "evolution.delay"),
+}
+_CURVE = ("curve_l0", "curve_l1", "curve_scale")
+
 
 @dataclass
 class RunConfig:
     """Parsed and validated config: sections of typed key/value maps."""
 
-    sections: dict = field(default_factory=dict)
+    sections: dict
 
     def get(self, section, key, default=None):
         return self.sections.get(section, {}).get(key, default)
@@ -172,179 +206,135 @@ def load_config(path) -> RunConfig:
 # problem assembly from a config
 
 
-def _build_nonlinearity(cfg, dim):
-    sec = dict(cfg.section("nonlinearity"))
-    family = sec.pop("family", "zero")
-    if family not in NONLINEARITY_FAMILIES:
-        raise ConfigError(f"unknown nonlinearity family {family!r}")
-    curve = None
+def _variant(cfg):
+    """The config's problem variant, once every section it carries, and
+    every key of it that _READS names, is one the variant reads."""
+    variant = cfg.get("problem", "variant")
+    if variant not in pb.VARIANTS:
+        raise ConfigError(f"unknown problem variant {variant!r}")
+    listed = {name for names in _READS.values() for name in names}
+    for section, keys in cfg.sections.items():
+        names = [f"{section}.{key}" for key in keys
+                 if f"{section}.{key}" in listed]
+        if section not in _READ_BY_ALL:
+            names.insert(0, section)
+        for name in names:
+            if name in _READS[variant]:
+                continue
+            shown = f"[{name}]" if name == section else name
+            who = [v for v in pb.VARIANTS if name in _READS[v]]
+            if not who:
+                raise ConfigError(f"{shown} is read by no variant")
+            readers = " and ".join(filter(None, (", ".join(who[:-1]), who[-1])))
+            raise ConfigError(f"{shown} is read by {readers} only, "
+                              f"not by {variant}")
+    return variant
+
+
+def _family(cfg, section, families, default, args, own, fixed):
+    """The object [section] describes, None without it: the factory that its
+    family (a warp's kind, default without one) names, called with the
+    section's keys, renamed by args, and with the keywords of fixed that it
+    takes.  A key the factory does not take is refused by name, unless the
+    caller reads it itself (own), and so is one it needs that is missing."""
+    sec = cfg.section(section)
+    if not sec:
+        return None
+    word = "kind" if "kind" in _schema_for(section) else "family"
+    name = sec.get(word, default)
+    if name not in families:
+        raise ConfigError(f"{section}.{word} {name!r} is unknown (known: "
+                          + ", ".join(families) + ")")
+    takes = inspect.signature(families[name]).parameters
+    kw = {key: value for key, value in fixed.items() if key in takes}
+    for key, value in sec.items():
+        if key == word or key in own:
+            continue
+        if args.get(key, key) not in takes:
+            raise ConfigError(f"{section}.{key} is not read by {word} {name!r}")
+        kw[args.get(key, key)] = value
+    for arg, param in takes.items():
+        if arg not in kw and param.default is param.empty:
+            key = next((k for k, a in args.items() if a == arg), arg)
+            raise ConfigError(f"{section}.{key} is needed by {word} {name!r}")
+    return families[name](**kw)
+
+
+def _nonlinearity(cfg, dim):
+    """f of [nonlinearity], zero without it; curve_l0, with curve_l1 and
+    curve_scale, gives it a radius-dependent Lipschitz curve."""
+    f = _family(cfg, "nonlinearity", NONLINEARITY_FAMILIES, "zero", {},
+                _CURVE, {"dim": dim}) or pb.zero_nonlinearity(dim)
+    sec = cfg.section("nonlinearity")
     if "curve_l0" in sec:
-        curve = saturating_lipschitz(sec.pop("curve_l0"),
-                                     sec.pop("curve_l1", 0.0),
-                                     sec.pop("curve_scale", 1.0))
-    f = NONLINEARITY_FAMILIES[family](dim=dim, **sec)
-    if curve is not None:
-        f = pb.Nonlinearity(f.func, lipschitz=f.lipschitz,
-                            lipschitz_curve=curve, dim=dim, label=f.label)
+        return replace(f, lipschitz_curve=saturating_lipschitz(
+            sec["curve_l0"], sec.get("curve_l1", 0.0),
+            sec.get("curve_scale", 1.0)))
+    stray = sorted(sec.keys() & set(_CURVE))
+    if stray:
+        raise ConfigError(f"nonlinearity.{stray[0]} is read with "
+                          "nonlinearity.curve_l0 only")
     return f
 
 
-def _build_kernel(cfg, which, dim, state_bound):
-    sec = dict(cfg.section(f"kernel.{which}"))
-    if not sec:
-        return None
-    family = sec.pop("family", "zero")
-    if family not in KERNEL_FAMILIES:
-        raise ConfigError(f"unknown kernel family {family!r}")
-    if family == "zero":
-        return KERNEL_FAMILIES["zero"](dim=dim)
-    kw = {"dim": dim, "state_bound": state_bound}
-    if "state_coeff" in sec:
-        kw["cx"] = sec.pop("state_coeff")
-    if "warp_state_coeff" in sec:
-        kw["cy"] = sec.pop("warp_state_coeff")
-    kw.update(sec)
-    return KERNEL_FAMILIES[family](**kw)
-
-
-def _build_split(cfg, which, dim, state_bound):
-    sec = dict(cfg.section(f"split.{which}"))
-    if not sec:
-        return None
-    family = sec.pop("family", "split_exponential")
-    if family not in SPLIT_KERNEL_FAMILIES:
-        raise ConfigError(f"unknown split kernel family {family!r}")
-    kw = {"dim": dim, "state_bound": state_bound}
-    rename = {"aa_state_coeff": "aa_cx", "aa_warp_state_coeff": "aa_cy",
-              "erg_state_coeff": "erg_cx", "erg_warp_state_coeff": "erg_cy"}
-    for src, dst in rename.items():
-        if src in sec:
-            kw[dst] = sec.pop(src)
-    kw.update(sec)
-    return SPLIT_KERNEL_FAMILIES[family](**kw)
-
-
-def _build_warps(cfg):
-    warps = {}
-    for name in ("a0", "a1", "a2"):
-        sec = cfg.section(f"warp.{name}")
-        if not sec:
-            continue
-        kind = sec.get("kind", "identity")
-        if kind == "identity":
-            warps[name] = TimeWarp("identity")
-        elif kind == "shift":
-            warps[name] = TimeWarp("shift", tau=sec.get("tau", 0.0))
-        else:
-            raise ConfigError(f"unknown warp kind {kind!r} for {name}")
-    return warps
-
-
-def _build_evolution(cfg):
-    sec = cfg.section("evolution")
-    if not sec:
-        return None, None
-    family = sec.get("family", "scalar_constant")
-    if family not in _EVOLUTION_FAMILIES:
-        raise ConfigError(f"unknown evolution family {family!r}")
-    own = {key: sec[key] for key in sec.keys() & {"value"}}
-    try:
-        fam = _EVOLUTION_FAMILIES[family](**own)
-    except TypeError:  # a keyword the factory does not take
-        raise ConfigError(f"evolution.value is not read by family {family!r}"
-                          ) from None
-    window = sec.get("stability_window", (-15.0, 15.0))
-    if len(window) != 2 or not window[0] < window[1]:
-        raise ConfigError("bad value for evolution.stability_window: "
-                          f"{' '.join(map(str, window))!r} (needs two numbers "
-                          "lo < hi)")
-    certify_stability(fam, stability_sample_pairs(window, n=30, max_sep=5.0),
-                      M=sec.get("stability_m", 1.0),
-                      delta=sec.get("stability_delta", 1.0))
-    return fam, sec.get("delay")
-
-
-def _build_nonlocal(cfg, dim):
-    sec = dict(cfg.section("nonlocal"))
-    if not sec:
-        return pb.zero_nonlocal(dim)
-    family = sec.pop("family", "zero")
-    if family not in NONLOCAL_FAMILIES:
-        raise ConfigError(f"unknown nonlocal family {family!r}")
-    return NONLOCAL_FAMILIES[family](dim=dim, **sec)
-
-
 def build_problem(cfg: RunConfig) -> ProblemSpec:
-    prob = cfg.section("problem")
-    variant = prob.get("variant")
-    if variant not in pb.VARIANTS:
-        raise ConfigError(f"unknown problem variant {variant!r}")
+    variant = _variant(cfg)
+    prob, num = cfg.section("problem"), cfg.section("numeric")
     dim = prob.get("dim", 1)
-    window = prob.get("window", (-20.0, 20.0))
-    if len(window) != 2:
-        raise ConfigError("problem.window needs two numbers")
-    state_bound = prob.get("state_bound", 3.0)
-    if "evolution" in cfg.sections and variant not in (pb.EVOLUTION_NONLOCAL,
-                                                       pb.DELAY_PARABOLIC):
-        raise ConfigError("[evolution] is read by evolution_nonlocal and "
-                          f"delay_parabolic only, not by {variant}")
-    if variant == pb.EVOLUTION_NONLOCAL and cfg.get("evolution", "delay") is not None:
-        raise ConfigError("evolution.delay is read by delay_parabolic only, "
-                          f"not by {variant}")
-    num = cfg.section("numeric")
+    fixed = {"dim": dim, "state_bound": prob.get("state_bound", 3.0)}
     kwargs = dict(
-        variant=variant, dim=dim, report_window=tuple(window),
+        variant=variant, dim=dim,
+        report_window=prob.get("window", (-20.0, 20.0)),
         grid_step=prob.get("grid_step", 0.05),
         quad_tol=num.get("quad_tol", 1e-8),
         const_tol=num.get("const_tol", 1e-10),
-        label=prob.get("label", ""),
-        f=_build_nonlinearity(cfg, dim), warps=_build_warps(cfg))
-
-    if variant in (pb.ADVANCED_DELAYED, pb.DELAYED_ONLY):
-        kwargs["kernel_delayed"] = _build_kernel(cfg, "delayed", dim, state_bound)
-        if variant == pb.ADVANCED_DELAYED:
-            kwargs["kernel_advanced"] = _build_kernel(cfg, "advanced", dim,
-                                                      state_bound)
-    elif variant == pb.HALF_LINE:
-        kwargs["split_delayed"] = _build_split(cfg, "delayed", dim, state_bound)
-        kwargs["split_advanced"] = _build_split(cfg, "advanced", dim,
-                                                state_bound)
-    elif variant in (pb.EVOLUTION_NONLOCAL, pb.DELAY_PARABOLIC):
-        fam, delay = _build_evolution(cfg)
+        label=prob.get("label", ""), f=_nonlinearity(cfg, dim),
+        warps={name: warp for name in ("a0", "a1", "a2") if (warp := _family(
+            cfg, f"warp.{name}", _WARP_KINDS, "identity", {}, (), {}))})
+    for slot, families, default in (
+            ("kernel", KERNEL_FAMILIES, "zero"),
+            ("split", SPLIT_KERNEL_FAMILIES, "split_exponential")):
+        for side in ("delayed", "advanced"):
+            kwargs[f"{slot}_{side}"] = _family(
+                cfg, f"{slot}.{side}", families, default, _KERNEL_ARGS, (),
+                fixed)
+    if variant in (pb.EVOLUTION_NONLOCAL, pb.DELAY_PARABOLIC):
+        sec = cfg.section("evolution")
+        fam = _family(cfg, "evolution", _EVOLUTION_FAMILIES, "scalar_constant",
+                      {}, ("delay", "stability_m", "stability_delta",
+                           "stability_window"), {})
         if fam is None:
             raise ConfigError(f"{variant} needs an [evolution] section")
-        kwargs["evolution"] = fam
-        if variant == pb.DELAY_PARABOLIC:
-            kwargs["delay"] = delay
-        else:
-            kwargs["u0"] = np.zeros(dim)
-            kwargs["nonlocal_map"] = _build_nonlocal(cfg, dim)
-            mem = cfg.section("memory")
-            if mem:
-                kwargs["memory_kernel"] = exponential_causal(
-                    mem.get("coeff", 0.0) * np.eye(dim),
-                    mem.get("rate", 1.0), dim)
+        certify_stability(fam, stability_sample_pairs(
+            sec.get("stability_window", (-15.0, 15.0)), n=30, max_sep=5.0),
+            M=sec.get("stability_m", 1.0), delta=sec.get("stability_delta", 1.0))
+        kwargs.update(evolution=fam, delay=sec.get("delay"))
+    if variant in (pb.EVOLUTION_NONLOCAL, pb.RESOLVENT_NONLOCAL):
+        kwargs["u0"] = np.zeros(dim)
+        kwargs["nonlocal_map"] = _family(
+            cfg, "nonlocal", NONLOCAL_FAMILIES, "zero", {}, (),
+            {"dim": dim}) or pb.zero_nonlocal(dim)
+    mem = cfg.section("memory")
+    if variant == pb.EVOLUTION_NONLOCAL and mem:
+        kwargs["memory_kernel"] = exponential_causal(
+            mem.get("coeff", 0.0) * np.eye(dim), mem.get("rate", 1.0), dim)
     elif variant == pb.RESOLVENT_NONLOCAL:
         sec = cfg.section("resolvent")
         if not sec:
             raise ConfigError("resolvent_nonlocal needs a [resolvent] section")
-        mem_sec = cfg.section("memory")
         # the configured resolvent is scalar; ProblemSpec refuses dim != 1
-        mem = exponential_memory(
-            [(np.array([[mem_sec.get("coeff", 0.0)]]),
-              mem_sec.get("rate", 1.0))], dim=1)
+        memory = exponential_memory(
+            [(np.array([[mem.get("coeff", 0.0)]]), mem.get("rate", 1.0))], dim=1)
         grid = np.arange(0.0, sec.get("horizon", 10.0) + sec.get("grid_step", 0.01) / 2,
                          sec.get("grid_step", 0.01))
-        R = build_resolvent(np.array([[sec.get("a_value", -1.0)]]), mem, grid,
-                            tol=max(num.get("quad_tol", 1e-8), 1e-9))
+        R = build_resolvent(np.array([[sec.get("a_value", -1.0)]]), memory, grid,
+                            tol=num.get("quad_tol", 1e-8))
         # |R(t)| <= M exp(-gamma t/q) is the record's bound with delta = gamma/q
         decay = certify_decay(R, sec.get("decay_m", 1.0), sec.get(
             "decay_gamma", 1.0) / sec.get("decay_q", 1.0))
         if not decay.passed:
             raise ConfigError(f"[resolvent] decay does not hold: {decay.lines[-1]}")
         kwargs["resolvent"] = R
-        kwargs["u0"] = np.zeros(dim)
-        kwargs["nonlocal_map"] = _build_nonlocal(cfg, dim)
     try:
         return ProblemSpec(**kwargs)
     except ProblemError as exc:
@@ -463,12 +453,9 @@ def _split(path, split_time):
 def cmd_diagnose(args) -> int:
     tol = _tol_option(args, None)
     cfg = load_config(args.config)
-    variant = cfg.get("problem", "variant")
+    variant = _variant(cfg)
     half_line = variant in (pb.HALF_LINE, pb.EVOLUTION_NONLOCAL,
                             pb.RESOLVENT_NONLOCAL)
-    if cfg.get("diagnose", "split_time") is not None and not half_line:
-        raise ConfigError("diagnose.split_time splits a half-line path; "
-                          f"{variant} paths are full-line")
     path = read_csv(args.path_csv, tail_policy="constant",
                     domain_kind=HALF_LINE if half_line else "full_line")
     spec = None
@@ -531,8 +518,10 @@ def cmd_demo(args) -> int:
         print(f"heat demo artifacts written to {out}")
         return EXIT_PASS
     if args.name == "delay":
-        fam, _ = _build_evolution(
-            RunConfig({"evolution": {"family": "scalar_two_plus_sin"}}))
+        fam = _EVOLUTION_FAMILIES["scalar_two_plus_sin"]()
+        certify_stability(fam, stability_sample_pairs((-15.0, 15.0), n=30,
+                                                      max_sep=5.0),
+                          M=1.0, delta=1.0)
         f = pb.sinusoid_affine(sin_amp=0.5, state_coeff=0.1)
         try:
             report, cert = delay_demo_solve(fam, f, tau=1.0, rho=2.0, tol=1e-8,

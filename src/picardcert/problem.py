@@ -115,7 +115,7 @@ def saturating_lipschitz(l0: float, l1: float, scale: float = 1.0) -> Callable:
 
 
 NONLINEARITY_FAMILIES = {
-    "zero": lambda dim=1, **kw: zero_nonlinearity(dim),
+    "zero": zero_nonlinearity,
     "sinusoid_affine": sinusoid_affine,
 }
 
@@ -158,7 +158,7 @@ def point_eval_nonlocal(coeff: float, t_probe: float, offset=0.0,
 
 
 NONLOCAL_FAMILIES = {
-    "zero": lambda dim=1, **kw: zero_nonlocal(dim),
+    "zero": zero_nonlocal,
     "point_eval": point_eval_nonlocal,
 }
 

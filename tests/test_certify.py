@@ -9,8 +9,7 @@ from picardcert import solver
 from picardcert.certify import (CertificationError, certify,
                                 certify_ball_zero,
                                 certify_bohr_neugebauer_hypotheses,
-                                certify_evolution, certify_radius_search,
-                                certify_shifted_ball, compute_base_point,
+                                certify_evolution, compute_base_point,
                                 compute_envelope_constants)
 from picardcert.evolution import (certify_stability, constant_family,
                                   scalar_family, stability_sample_pairs)
@@ -243,7 +242,7 @@ def test_ball_past_kernel_state_bound_refused():
     spec = delayed_spec(f=sinusoid_affine(sin_amp=1.0), cx=0.25,
                         window=(-5.0, 5.0), state_bound=1.5)
     assert certify_ball_zero(spec, rho=1.5).passed
-    cert = certify_shifted_ball(spec, rho=1.0)
+    cert = certify(spec, 1.0, "shifted")
     assert cert.verdict == "fail"
     assert cert.violated == "state radius |y0| + rho <= kernel state_bound"
 
@@ -285,7 +284,7 @@ def test_curve_only_lipschitz_serves_the_radius_search_alone():
     for mode in ("ball", "shifted"):
         with pytest.raises(CertificationError, match="lipschitz"):
             certify(spec, rho=1.0, mode=mode)
-    cert = certify_radius_search(spec)
+    cert = certify(spec, None, "radius")
     assert cert.theorem_id == "K-conditions"
     assert cert.verdict == "pass"
 
@@ -295,18 +294,18 @@ def test_curve_only_lipschitz_serves_the_radius_search_alone():
 def test_shifted_ball_known_theta():
     # kernel 1/4 e^{-(t-s)}(x + 0.8): L = 0.5, |Gamma y0 - y0| = 0.2, theta = 0.4
     spec = delayed_spec(cx=0.25, const=0.8, rate=1.0)
-    cert = certify_shifted_ball(spec, rho=0.5)
+    cert = certify(spec, 0.5, "shifted")
     assert cert.theorem_id == "teos2-ball"
     assert cert.L_gamma == pytest.approx(0.5, abs=1e-7)
     assert cert.theta == pytest.approx(0.4, abs=1e-6)
     assert cert.verdict == "pass"
-    cert2 = certify_shifted_ball(spec, rho=0.3)
+    cert2 = certify(spec, 0.3, "shifted")
     assert cert2.verdict == "fail"
 
 
 def test_shifted_ball_degenerate_fixed_point():
     spec = delayed_spec()  # everything zero: y0 = 0 is already fixed
-    cert = certify_shifted_ball(spec, rho=1.0)
+    cert = certify(spec, 1.0, "shifted")
     assert cert.verdict == "degenerate-pass"
 
 
@@ -342,7 +341,7 @@ def test_spec_refuses_a_family_or_u0_of_another_dimension():
 def test_shifted_ball_requires_contraction():
     f = sinusoid_affine(sin_amp=0.1, state_coeff=0.6)
     spec = delayed_spec(f=f, cx=0.25)  # L = 2(0.6 + 0.125) > 1
-    cert = certify_shifted_ball(spec, rho=1.0)
+    cert = certify(spec, 1.0, "shifted")
     assert cert.verdict == "fail"
     assert "1" in cert.violated
 
@@ -359,7 +358,7 @@ def test_ball_zero_fails_when_the_base_point_leaves_the_ball():
 def test_theta_identity():
     # theta * (1 - L) equals the measured displacement of the base point
     spec = delayed_spec(cx=0.25, const=0.8, rate=1.0)
-    cert = certify_shifted_ball(spec, rho=1.0)
+    cert = certify(spec, 1.0, "shifted")
     from picardcert.solver import apply_operator
     gap = pc.paths.sup_distance(apply_operator(spec, cert.base_point),
                                 cert.base_point)
@@ -371,7 +370,7 @@ def test_theta_identity():
 def test_radius_search_linear_objective_passes():
     f = sinusoid_affine(sin_amp=0.5, state_coeff=0.1)
     spec = two_sided_spec(f, cx1=0.2, cx2=0.1)  # slope 1 - 0.5 > 0
-    cert = certify_radius_search(spec)
+    cert = certify(spec, None, "radius")
     assert cert.verdict == "pass"
     assert cert.theorem_id == "K-conditions"
     # the objective grows without bound, but the ball must lie inside the
@@ -383,13 +382,13 @@ def test_radius_search_refuses_state_bound_below_its_least_radius():
     spec = delayed_spec(f=sinusoid_affine(sin_amp=0.5, state_coeff=0.1),
                         state_bound=1e-4)
     with pytest.raises(CertificationError, match="state_bound"):
-        certify_radius_search(spec)
+        certify(spec, None, "radius")
 
 
 def test_radius_search_flat_objective_fails():
     f = sinusoid_affine(sin_amp=0.5, state_coeff=0.5)
     spec = delayed_spec(f=f, cx=0.0)
-    cert = certify_radius_search(spec)
+    cert = certify(spec, None, "radius")
     assert cert.verdict == "fail"
 
 
@@ -399,7 +398,7 @@ def test_radius_search_curve_matches_dense_scan():
                      lipschitz=None, lipschitz_curve=curve, dim=1)
     spec = two_sided_spec(f, cx1=0.2, cx2=0.1)
     c = compute_envelope_constants(spec)
-    cert = certify_radius_search(spec)
+    cert = certify(spec, None, "radius")
     # independent dense 1-D scan over the same log range, which ends at the
     # kernels' state_bound 3
     rs = np.logspace(-3, np.log10(3.0), 400001)
@@ -834,8 +833,7 @@ def test_every_pass_certificate_contracts_with_recorded_slack():
         certify_ball_zero(delayed_spec(f=sinusoid_affine(sin_amp=0.2,
                                                          state_coeff=0.05),
                                        cx=0.1), rho=1.0),
-        certify_shifted_ball(delayed_spec(cx=0.25, const=0.8, rate=1.0),
-                             rho=0.5),
+        certify(delayed_spec(cx=0.25, const=0.8, rate=1.0), 0.5, "shifted"),
     ]
     for cert in batteries:
         assert cert.passed

@@ -384,8 +384,8 @@ def test_bad_stability_window_exit_one(tmp_path, capsys, window):
     text = EVOLUTION_CONFIG.replace("window = 2 10", "window = 0 10") \
         + f"stability_window = {window}\n"
     cfg = write_config(tmp_path, text)
-    with pytest.raises(ConfigError, match="bad value for "
-                       "evolution.stability_window"):
+    with pytest.raises(ConfigError, match="^evolution.stability_window needs "
+                       "two numbers lo < hi$"):
         build_problem(load_config(cfg))
     assert main(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert "evolution.stability_window" in capsys.readouterr().err
@@ -832,3 +832,90 @@ def test_memory_family_is_an_unknown_key_exit_one(tmp_path, capsys):
                  str(tmp_path / "out")]) == 1
     assert "'family'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+EVOLUTION_AT_ZERO = EVOLUTION_CONFIG.replace("window = 2 10", "window = 0 10")
+READS_INTEGRAL = "advanced_delayed, delayed_only and half_line"
+
+
+@pytest.mark.parametrize("text, reason", [
+    (ORACLE_CONFIG.replace("variant = advanced_delayed", "variant = delayed_only")
+     .replace("[kernel.advanced]\nfamily = zero", "[kernel.advanced]\nfamily = "
+              "exponential_decay\nrate = 2.0\nstate_coeff = 0.9"),
+     "delayed_only problems must not carry an advanced kernel"),
+    (EVOLUTION_AT_ZERO + "\n[kernel.delayed]\nstate_coeff = 5\n",
+     "[kernel.delayed] is read by advanced_delayed and delayed_only only, not "
+     "by evolution_nonlocal"),
+    (EVOLUTION_AT_ZERO + "\n[warp.a0]\nkind = shift\n",
+     f"[warp.a0] is read by {READS_INTEGRAL} only, not by evolution_nonlocal"),
+    (EVOLUTION_AT_ZERO.replace("grid_step = 0.05",
+                               "grid_step = 0.05\nstate_bound = 3.0"),
+     f"problem.state_bound is read by {READS_INTEGRAL} only, not by "
+     "evolution_nonlocal"),
+    (DELAY_CONFIG + "\n[memory]\ncoeff = 0.5\n",
+     "[memory] is read by evolution_nonlocal and resolvent_nonlocal only, not "
+     "by delay_parabolic"),
+    (DELAY_CONFIG + "\n[nonlocal]\nfamily = point_eval\ncoeff = 0.5\n"
+     "t_probe = 1.0\n", "[nonlocal] is read by evolution_nonlocal and "
+     "resolvent_nonlocal only, not by delay_parabolic"),
+    (ORACLE_CONFIG + "\n[split.delayed]\nrate = 2.0\n",
+     "[split.delayed] is read by half_line only, not by advanced_delayed"),
+    (ORACLE_CONFIG + "\n[nonlocal]\ncoeff = 0.5\n", "[nonlocal] is read by "
+     "evolution_nonlocal and resolvent_nonlocal only, not by advanced_delayed"),
+    (ORACLE_CONFIG + "\n[memory]\ncoeff = 0.5\n", "[memory] is read by "
+     "evolution_nonlocal and resolvent_nonlocal only, not by advanced_delayed"),
+    (ORACLE_CONFIG + "\n[resolvent]\na_value = -2.0\n", "[resolvent] is read "
+     "by resolvent_nonlocal only, not by advanced_delayed"),
+    (ORACLE_CONFIG + "\n[kernel.extra]\nrate = 2.0\n",
+     "[kernel.extra] is read by no variant"),
+    (ORACLE_CONFIG.replace("[kernel.advanced]\nfamily = zero",
+                           "[kernel.advanced]\nfamily = zero\nrate = 3\n"
+                           "state_coeff = 0.9"),
+     "kernel.advanced.rate is not read by family 'zero'"),
+    (ORACLE_CONFIG.replace("family = sinusoid_affine", "family = zero"),
+     "nonlinearity.sin_amp is not read by family 'zero'"),
+    (ORACLE_CONFIG + "\n[warp.a1]\nkind = identity\ntau = 3\n",
+     "warp.a1.tau is not read by kind 'identity'"),
+    (ORACLE_CONFIG.replace("state_coeff = 0.25",
+                           "state_coeff = 0.25\nmod_amp = 0.5"),
+     "kernel.delayed.mod_amp is not read by family 'exponential_decay'"),
+    (ORACLE_CONFIG.replace("rate = 2.0\n", ""),
+     "kernel.delayed.rate is needed by family 'exponential_decay'"),
+    (RESOLVENT_CONFIG + "\n[nonlocal]\nfamily = point_eval\nt_probe = 1\n",
+     "nonlocal.coeff is needed by family 'point_eval'"),
+    (ORACLE_CONFIG.replace("sin_amp = 1.0", "sin_amp = 1.0\ncurve_l1 = 0.5"),
+     "nonlinearity.curve_l1 is read with nonlinearity.curve_l0 only"),
+    (ORACLE_CONFIG.replace("sin_amp = 1.0", "sin_amp = 1.0\ncurve_scale = 2"),
+     "nonlinearity.curve_scale is read with nonlinearity.curve_l0 only")],
+    ids=["delayed_only_advanced_kernel", "evolution_kernel", "evolution_warp",
+         "evolution_state_bound", "delay_memory", "delay_nonlocal",
+         "integral_split", "integral_nonlocal", "integral_memory",
+         "integral_resolvent", "kernel_of_no_slot", "zero_kernel_keys",
+         "zero_nonlinearity_keys", "identity_warp_tau", "exponential_mod_amp",
+         "kernel_without_rate", "point_eval_without_coeff", "curve_l1_alone",
+         "curve_scale_alone"])
+def test_input_the_problem_does_not_read_exit_one(tmp_path, capsys, text,
+                                                  reason):
+    # each was dropped without a word, and the certificate passed for a
+    # problem other than the one written (the delayed_only row certified
+    # th24 with L = 0.25, its advanced kernel of 0.9 dropped); mod_amp
+    # under exponential_decay, curve_l1 or curve_scale without curve_l0, and
+    # a missing rate or coeff escaped main as a TypeError
+    cfg = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match=re.escape(reason)):
+        build_problem(load_config(cfg))
+    assert main(["certify", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert reason in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path, variant", [
+    ("configs/sinusoid_oracle.ini", "advanced_delayed"),
+    ("perfbench/configs/half_line_split.ini", "half_line"),
+    ("perfbench/configs/sinusoid_mirror.ini", "advanced_delayed")])
+def test_shipped_configs_build(path, variant):
+    # every section and key of the shipped configs is one their variant reads
+    spec = build_problem(load_config(Path(__file__).parents[1] / path))
+    assert spec.variant == variant

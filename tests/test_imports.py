@@ -143,12 +143,10 @@ SETTABLE_CAP = {
         ContractionCertificate.label compute_envelope_constants.at_zero.part
         _contraction.rhs certify.rho certify.mode certify.theorem
         certify.slack_margin certify_ball_zero.slack_margin
-        certify_shifted_ball.slack_margin certify_radius_search.slack_margin
         certify_evolution.theorem certify_evolution.slack_margin
         HypothesisReport.lines""",
     "cli": """
-        RunConfig.sections RunConfig.get.default _diagnose_path.tol_override
-        main.argv""",
+        RunConfig.get.default _diagnose_path.tol_override main.argv""",
     "diagnostics": """
         DiagnosticReport.shifts DiagnosticReport.accepted
         DiagnosticReport.forward_residuals

@@ -47,7 +47,7 @@ def test_radius_scan_objective_as_scipy(monkeypatch):
         kernel_delayed=pc.exponential_kernel(2.0, cx=0.2, state_bound=3.0),
         kernel_advanced=pc.exponential_kernel(2.0, cx=0.1, state_bound=3.0),
         report_window=(-10.0, 10.0), grid_step=0.05, quad_tol=1e-9)
-    pc.certify_radius_search(spec)
+    certify_mod.certify(spec, None, "radius")
     assert len(calls) == 1
     _assert_as_scipy(*calls[0])
 
