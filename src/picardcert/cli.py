@@ -236,10 +236,11 @@ def _family(cfg, section, families, default, args, own, fixed):
     family (a warp's kind, default without one) names, called with the
     section's keys, renamed by args, and with the keywords of fixed that it
     takes.  A key the factory does not take is refused by name, unless the
-    caller reads it itself (own), and so is one it needs that is missing."""
-    sec = cfg.section(section)
-    if not sec:
+    caller reads it itself (own), and so is one it needs that is missing.
+    A section with no keys builds the default with every default."""
+    if section not in cfg.sections:
         return None
+    sec = cfg.section(section)
     word = "kind" if "kind" in _schema_for(section) else "family"
     name = sec.get(word, default)
     if name not in families:
@@ -315,12 +316,12 @@ def build_problem(cfg: RunConfig) -> ProblemSpec:
             cfg, "nonlocal", NONLOCAL_FAMILIES, "zero", {}, (),
             {"dim": dim}) or pb.zero_nonlocal(dim)
     mem = cfg.section("memory")
-    if variant == pb.EVOLUTION_NONLOCAL and mem:
+    if variant == pb.EVOLUTION_NONLOCAL and "memory" in cfg.sections:
         kwargs["memory_kernel"] = exponential_causal(
             mem.get("coeff", 0.0) * np.eye(dim), mem.get("rate", 1.0), dim)
     elif variant == pb.RESOLVENT_NONLOCAL:
         sec = cfg.section("resolvent")
-        if not sec:
+        if "resolvent" not in cfg.sections:
             raise ConfigError("resolvent_nonlocal needs a [resolvent] section")
         # the configured resolvent is scalar; ProblemSpec refuses dim != 1
         memory = exponential_memory(

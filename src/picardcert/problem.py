@@ -29,12 +29,32 @@ VARIANTS = (ADVANCED_DELAYED, DELAYED_ONLY, HALF_LINE,
 
 FULL_LINE_VARIANTS = (ADVANCED_DELAYED, DELAYED_ONLY, DELAY_PARABOLIC)
 
+# variant -> (the data fields it needs, the other data fields it reads); a
+# spec that sets a data field its variant does not read is refused, for its
+# problem would not be the one written
+_FIELDS = {
+    ADVANCED_DELAYED: (("f", "kernel_delayed", "kernel_advanced"), ("warps",)),
+    DELAYED_ONLY: (("f", "kernel_delayed"), ("kernel_advanced", "warps")),
+    HALF_LINE: (("f", "split_delayed", "split_advanced"), ("warps",)),
+    EVOLUTION_NONLOCAL: (("f", "evolution", "u0"),
+                         ("memory_kernel", "nonlocal_map")),
+    RESOLVENT_NONLOCAL: (("f", "resolvent", "u0"), ("nonlocal_map",)),
+    DELAY_PARABOLIC: (("f", "evolution", "delay"), ()),
+}
+_DATA = sorted({name for pair in _FIELDS.values() for names in pair
+                for name in names})
+
 # points of the constants grid over which sup|f(., 0, 0)| is sampled
 SUP_F0_SAMPLES = 257
 
 
 class ProblemError(ValueError):
     """Problem data inconsistent with the declared variant."""
+
+
+def _need(cond, msg):
+    if not cond:
+        raise ProblemError(msg)
 
 
 @dataclass(frozen=True)
@@ -171,15 +191,8 @@ class ProblemSpec:
     `dataclasses.replace` builds a new spec.  That is what lets it keep its
     base point, computed on first read.
 
-    The variant decides which fields must be present:
-
-    * advanced_delayed: f plus the delayed and advanced kernels,
-    * delayed_only:     f plus the delayed kernel,
-    * half_line:        f plus the split kernels on the half line,
-    * evolution_nonlocal: evolution family, u0, forcing f, optional memory
-      kernel for the causal history term, nonlocal map,
-    * resolvent_nonlocal: resolvent handle, u0, forcing f, nonlocal map,
-    * delay_parabolic:  evolution family, forcing f, delay.
+    The variant decides, by the table _FIELDS, which data fields must be
+    set and which others may be; any other that is set is refused.
     """
 
     variant: str
@@ -222,57 +235,42 @@ class ProblemSpec:
 
     def validate(self):
         v = self.variant
-        need = lambda cond, msg: (_ for _ in ()).throw(ProblemError(msg)) if not cond else None
         for name in ("quad_tol", "const_tol", "grid_step"):
             value = getattr(self, name)
-            need(np.isfinite(value) and value > 0,
-                 f"{name} must be finite and positive, got {value:g}")
+            _need(np.isfinite(value) and value > 0,
+                  f"{name} must be finite and positive, got {value:g}")
         # a family, resolvent or u0 of another dim failed later or lost components
         for what, held in (("evolution family", self.evolution),
                            ("resolvent", self.resolvent)):
             if held is not None:
-                need(held.dim == self.dim, f"the {what} has dimension "
-                     f"{held.dim}, the problem has dim = {self.dim}")
+                _need(held.dim == self.dim, f"the {what} has dimension "
+                      f"{held.dim}, the problem has dim = {self.dim}")
         if self.u0 is not None:
-            need(self.u0.size == self.dim, f"u0 has {self.u0.size} components, "
-                 f"the problem has dim = {self.dim}")
+            _need(self.u0.size == self.dim, f"u0 has {self.u0.size} components, "
+                  f"the problem has dim = {self.dim}")
         lo, hi = self.report_window
-        need(np.isfinite(lo) and np.isfinite(hi),
-             f"report window ends must be finite, got [{lo:g}, {hi:g}]")
-        need(hi > lo, "report window is empty")
-        if v in (ADVANCED_DELAYED, DELAYED_ONLY, HALF_LINE):
-            need(self.f is not None, f"{v} problems need a nonlinearity f")
-        if v == ADVANCED_DELAYED:
-            need(self.kernel_delayed is not None and self.kernel_advanced is not None,
-                 "advanced_delayed problems need both oriented kernels")
-        if v == DELAYED_ONLY:
-            need(self.kernel_delayed is not None,
-                 "delayed_only problems need the delayed kernel")
-            need(self.kernel_advanced is None or self.kernel_advanced.is_zero,
-                 "delayed_only problems must not carry an advanced kernel")
-        if v == HALF_LINE:
-            need(self.split_delayed is not None and self.split_advanced is not None,
-                 "half_line problems need both split kernels")
-            need(self.report_window[0] == 0.0,
-                 "half_line problems start at t = 0, where the history "
-                 "integral starts")
-        if v == EVOLUTION_NONLOCAL:
-            need(self.evolution is not None and self.u0 is not None,
-                 "evolution_nonlocal problems need the evolution family and u0")
-            need(self.f is not None, "evolution_nonlocal problems need the forcing")
-            need(self.report_window[0] == 0.0, "evolution problems start at t = 0")
+        _need(np.isfinite(lo) and np.isfinite(hi),
+              f"report window ends must be finite, got [{lo:g}, {hi:g}]")
+        _need(hi > lo, "report window is empty")
+        needs, reads = _FIELDS[v]
+        for name in _DATA:
+            held = (bool(self.warps) if name == "warps"
+                    else getattr(self, name) is not None)
+            _need(held or name not in needs, f"{v} problems need {name}")
+            _need(not held or name in needs + reads,
+                  f"{v} problems do not read {name}")
+        _need(v != DELAYED_ONLY or self.kernel_advanced is None
+              or self.kernel_advanced.is_zero,
+              "delayed_only problems must not carry an advanced kernel")
+        # a finite delay, as in the paper: tau < 0 reads y past the grid's end
+        _need(self.delay is None or 0.0 <= self.delay < np.inf,
+              f"the delay must be finite and nonnegative, got {self.delay!r}")
+        if v in (HALF_LINE, EVOLUTION_NONLOCAL, RESOLVENT_NONLOCAL):
+            _need(lo == 0.0, f"{v} problems start at t = 0")
         if v == RESOLVENT_NONLOCAL:
-            need(self.resolvent is not None and self.u0 is not None,
-                 "resolvent_nonlocal problems need the resolvent handle and u0")
-            need(self.f is not None, "resolvent_nonlocal problems need the forcing")
-            need(self.report_window[0] == 0.0, "resolvent problems start at t = 0")
-            need(self.report_window[1] <= self.resolvent.grid[-1] + 1e-12,
-                 "report window ends past the resolvent's grid, beyond its "
-                 "decay audit and residual check")
-        if v == DELAY_PARABOLIC:
-            need(self.evolution is not None, "delay problems need the evolution family")
-            need(self.f is not None and self.delay is not None,
-                 "delay problems need the forcing and the delay")
+            _need(hi <= self.resolvent.grid[-1] + 1e-12,
+                  "report window ends past the resolvent's grid, beyond its "
+                  "decay audit and residual check")
 
     # -- grids ---------------------------------------------------------------
 

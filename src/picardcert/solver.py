@@ -30,7 +30,13 @@ this path.
 
 The forced evolution variants advance z' = A(t) z + g(t) one grid cell at a
 time, z_{j+1} = U(t_{j+1}, t_j) z_j + (Gauss quadrature of U(t_{j+1}, s) g(s)
-over the cell), as in Lubich's convolution quadrature.  The resolvent
+over the cell), as in Lubich's convolution quadrature.  For every
+evolution variant the forcing g(s) = f(s, y(s - tau), 0), with tau = 0
+without a delay, is read at the cell's Gauss nodes directly (collocation,
+as in Brunner, "Collocation Methods for Volterra Integral and Related
+Functional Differential Equations", 2004); a causal memory adds its history
+integral, computed at the grid nodes and read at the Gauss nodes through
+its spline, the one spline read of the forcing left.  The resolvent
 variant is the same recurrence for the augmented system of its
 exponential-sum memory, z = (v, w_1, ..., w_K) with z' = A_hat z + (g, 0),
 and v is the image.  The tables come from `source.cell_table(grid)` of the
@@ -144,7 +150,7 @@ def _delay_margin(spec) -> float:
     tolerance at the report edge.  sup|f(., 0)| is sampled, as
     ProblemSpec.sup_forcing_at_zero reads it.
     """
-    tau = abs(float(spec.delay or 0.0))
+    tau = float(spec.delay)
     stab = getattr(spec.evolution, "stability", None)
     if stab is None:
         raise pb.ProblemError("delay problems need a certified evolution family")
@@ -495,38 +501,31 @@ def _cell_recurrence(table: _CellTable, z0, g) -> np.ndarray:
 
 
 def apply_mild_evolution(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:
-    """Image of y under the mild-solution operator of the evolution variants."""
-    t = y.grid
-    if spec.variant in (pb.EVOLUTION_NONLOCAL, pb.RESOLVENT_NONLOCAL):
-        z0 = spec.u0 + (spec.nonlocal_map(y) if spec.nonlocal_map is not None
-                        else 0.0)
-        forcing = np.asarray(spec.f(t, y.values, np.zeros_like(y.values)))
-
-        if spec.variant == pb.EVOLUTION_NONLOCAL:
-            if spec.memory_kernel is not None:
-                forcing = _history(spec, y) + forcing
-            table = spec.evolution.cell_table(t)
-        else:
-            table = spec.resolvent.cell_table(t)
-        g = SampledPath(t, forcing).evaluate(table.nodes)
-        # [I; 0]: the resolvent's auxiliary states start at zero, unforced
-        lift = np.eye(table.Phi.shape[-1], spec.dim)
-        z = _cell_recurrence(table, lift @ z0, g @ lift.T)
-        return _iterate_like(y, z[:, :spec.dim])
-
-    if spec.variant == pb.DELAY_PARABOLIC:
-        # from z = 0 at the grid's first node; _delay_margin sizes the grid so
-        # that the history cut off there is below the quadrature tolerance in
-        # the report window
-        table = spec.evolution.cell_table(t)
-        s = table.nodes.ravel()
-        x_del = y.evaluate(table.nodes - spec.delay).reshape(s.size, spec.dim)
-        g = np.asarray(spec.f(s, x_del, np.zeros_like(x_del)))
-        vals = _cell_recurrence(table, np.zeros(spec.dim),
-                                g.reshape(table.nodes.shape + (spec.dim,)))
-        return _iterate_like(y, vals)
-
-    raise pb.ProblemError(f"variant {spec.variant!r} has no mild-evolution operator")
+    """Image of y under the mild-solution operator of the evolution variants,
+    z(t) = U(t, t_0) z_0 + int U(t, s) g(s) ds with g(s) = f(s, y(s - tau), 0)
+    (tau = 0 without a delay) plus the memory history, read at the cell
+    table's Gauss nodes.  z_0 is u0 plus the nonlocal map of y; without u0,
+    0 at the grid's first node, where _delay_margin sizes the grid so that
+    the history cut off there is below the quadrature tolerance in the
+    report window."""
+    source = (spec.resolvent if spec.variant == pb.RESOLVENT_NONLOCAL
+              else spec.evolution)
+    if source is None:
+        raise pb.ProblemError(
+            f"variant {spec.variant!r} has no mild-evolution operator")
+    table = source.cell_table(y.grid)
+    s = table.nodes.ravel()
+    x = y.evaluate(table.nodes - (spec.delay or 0.0)).reshape(s.size, spec.dim)
+    g = np.asarray(spec.f(s, x, np.zeros_like(x))).reshape(
+        table.nodes.shape + (spec.dim,))
+    if spec.memory_kernel is not None:
+        g = g + SampledPath(y.grid, _history(spec, y)).evaluate(table.nodes)
+    z0 = np.zeros(spec.dim) if spec.u0 is None else spec.u0 + (
+        spec.nonlocal_map(y) if spec.nonlocal_map is not None else 0.0)
+    # [I; 0]: the resolvent's auxiliary states start at zero, unforced
+    lift = np.eye(table.Phi.shape[-1], spec.dim)
+    z = _cell_recurrence(table, lift @ z0, g @ lift.T)
+    return _iterate_like(y, z[:, :spec.dim])
 
 
 def apply_operator(spec: pb.ProblemSpec, y: SampledPath) -> SampledPath:

@@ -106,3 +106,13 @@ def collocation_delayed_solution(t_query, kernel_coeff=0.25, rate=2.0,
     K[np.diag_indices(n)] *= 0.5
     y = np.linalg.solve(np.eye(n) - K, np.sin(t))
     return np.interp(np.asarray(t_query, dtype=float), t, y)
+
+
+def forced_decay_solution(t, rate, amp, u0):
+    """Solution of u' = -rate u + amp sin t with u(0) = u0: the sinusoid
+    (amp (rate sin t - cos t))/(rate^2 + 1) plus the decaying mode that
+    meets u0."""
+    t = np.asarray(t, dtype=float)
+    denom = rate ** 2 + 1.0
+    steady = amp * (rate * np.sin(t) - np.cos(t)) / denom
+    return steady + (u0 + amp / denom) * np.exp(-rate * t)

@@ -338,6 +338,69 @@ def test_spec_refuses_a_family_or_u0_of_another_dimension():
         ProblemSpec(dim=1, u0=np.zeros(2), **kw)
 
 
+def _variant_specs():
+    """One spec of each variant, with only the data it needs."""
+    from picardcert.evolution import build_resolvent, exponential_memory
+    fam = scalar_family(lambda t: -2.0)
+    certify_stability(fam, stability_sample_pairs((-15.0, 15.0), n=12),
+                      M=1.0, delta=2.0)
+    R = build_resolvent(np.array([[-2.0]]), exponential_memory(
+        [(np.array([[-0.25]]), 1.0)], dim=1), np.arange(0.0, 5.005, 0.01))
+    f, u0 = sinusoid_affine(sin_amp=0.25), np.zeros(1)
+    return {
+        "advanced_delayed": readme_spec(),
+        "delayed_only": delayed_spec(),
+        "half_line": half_line_spec(),
+        "evolution_nonlocal": ProblemSpec(
+            variant="evolution_nonlocal", f=f, evolution=fam, u0=u0,
+            report_window=(0.0, 5.0)),
+        "resolvent_nonlocal": ProblemSpec(
+            variant="resolvent_nonlocal", f=f, resolvent=R, u0=u0,
+            report_window=(0.0, 5.0)),
+        "delay_parabolic": ProblemSpec(
+            variant="delay_parabolic", f=f, evolution=fam, delay=1.0,
+            report_window=(-5.0, 5.0))}
+
+
+@pytest.mark.parametrize("variant, name", [
+    ("evolution_nonlocal", "delay"), ("resolvent_nonlocal", "memory_kernel"),
+    ("delay_parabolic", "memory_kernel"), ("delay_parabolic", "nonlocal_map"),
+    ("delay_parabolic", "u0"), ("evolution_nonlocal", "kernel_delayed"),
+    ("evolution_nonlocal", "warps"), ("advanced_delayed", "evolution"),
+    ("advanced_delayed", "split_delayed"), ("half_line", "kernel_delayed"),
+    ("delayed_only", "delay")])
+def test_spec_refuses_a_field_its_variant_does_not_read(variant, name):
+    # each was accepted and dropped: a delay on evolution_nonlocal was never
+    # read, and a memory kernel on resolvent_nonlocal entered th33's C_B but
+    # not the operator
+    from picardcert.evolution import exponential_causal
+    value = {"delay": 1.0, "u0": np.zeros(1),
+             "memory_kernel": exponential_causal(np.eye(1), 1.0, 1),
+             "nonlocal_map": pc.zero_nonlocal(1),
+             "kernel_delayed": pc.exponential_kernel(2.0, cx=0.25),
+             "warps": {"a0": pc.TimeWarp("shift", tau=1.0)},
+             "evolution": scalar_family(lambda t: -1.0),
+             "split_delayed": pc.split_exponential_kernel(2.0)}[name]
+    spec = _variant_specs()[variant]
+    with pytest.raises(ProblemError, match=f"^{variant} problems do not "
+                       f"read {name}$"):
+        dataclasses.replace(spec, **{name: value})
+
+
+@pytest.mark.parametrize("delay", [-1.0, -0.02, np.inf, np.nan])
+def test_spec_refuses_a_negative_or_non_finite_delay(delay):
+    # with tau = -1 the operator read y(s + 1) past the grid's right end,
+    # where no margin is added: delay-final passed, yet the solution on
+    # [-10, 10] differed from the one on [-10, 20] by 8.7e-3 at t = 10
+    from picardcert.evolution import delay_demo_solve
+    spec = _variant_specs()["delay_parabolic"]
+    with pytest.raises(ProblemError, match="delay must be finite and "
+                       "nonnegative"):
+        dataclasses.replace(spec, delay=delay)
+    with pytest.raises(ProblemError, match="delay must be finite"):
+        delay_demo_solve(spec.evolution, spec.f, tau=delay, rho=2.0)
+
+
 def test_shifted_ball_requires_contraction():
     f = sinusoid_affine(sin_amp=0.1, state_coeff=0.6)
     spec = delayed_spec(f=f, cx=0.25)  # L = 2(0.6 + 0.125) > 1

@@ -791,6 +791,38 @@ def test_evolution_key_the_problem_does_not_read_exit_one(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("delay", ["-1.0", "-0.02"])
+def test_negative_delay_exit_one(tmp_path, capsys, delay):
+    # the operator read y(s + |tau|) past the grid's right end, where no
+    # margin is added, and delay-final certified pass
+    cfg = write_config(tmp_path, DELAY_CONFIG.replace("delay = 1.0",
+                                                      f"delay = {delay}"))
+    reason = "the delay must be finite and nonnegative"
+    with pytest.raises(ConfigError, match=reason):
+        build_problem(load_config(cfg))
+    assert main(["certify", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 1
+    assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, held", [
+    (ORACLE_CONFIG.replace("[kernel.advanced]\nfamily = zero",
+                           "[kernel.advanced]"), "kernel_advanced"),
+    (RESOLVENT_CONFIG.replace("a_value = -2.0\nhorizon = 10\n"
+                              "decay_gamma = 1.0\n", ""), "resolvent"),
+    (EVOLUTION_CONFIG.replace("window = 2 10", "window = 0 10")
+     .replace("family = scalar_constant\nvalue = -1.0\n", ""), "evolution"),
+    (EVOLUTION_CONFIG.replace("window = 2 10", "window = 0 10")
+     + "\n[memory]\n", "memory_kernel")],
+    ids=["kernel", "resolvent", "evolution", "memory"])
+def test_section_without_keys_builds_its_defaults(tmp_path, text, held):
+    # a header with no keys was read as an absent section: the first three
+    # were refused as missing, and an empty [memory] built no memory kernel
+    # where rate = 1.0 alone built one
+    spec = build_problem(load_config(write_config(tmp_path, text)))
+    assert getattr(spec, held) is not None
+
+
 UNREAD_EVOLUTION = """
 [evolution]
 family = scalar_constant

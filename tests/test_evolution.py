@@ -325,8 +325,9 @@ def test_resolvent_residual_matches_the_per_time_loop():
 
 
 def test_heat_forced_reads_keep_their_values():
-    # reference values were computed when the resolvent table and the
-    # forcing were read through scipy's CubicSpline
+    # the R.eval values were computed when the resolvent table was read
+    # through scipy's CubicSpline; the image values since the forcing is
+    # read at the cell table's Gauss nodes
     from picardcert.solver import apply_mild_evolution, zero_start
     grid = np.arange(0.0, 10.0 + 0.0025, 0.005)
     a = pc.SampledPath(grid, 0.5 * np.sin(grid) + 0.2 * np.exp(-grid),
@@ -350,12 +351,12 @@ def test_heat_forced_reads_keep_their_values():
     y = replace(y, values=0.3 * np.cos(y.grid)[:, None] * np.arange(1, 9))
     img = apply_mild_evolution(spec, y).values[[1, 517, 1001, 1999, 2000]]
     np.testing.assert_allclose(img[:, 0], [
-        5.8771534884971921e-01, 2.6496964340574507e-02,
-        -5.7851072885726758e-04, 3.4546710131924088e-04,
-        3.5222757214166433e-04], rtol=1e-13, atol=0.0)
+        5.8771534884971921e-01, 2.6496964340551019e-02,
+        -5.7851072884773451e-04, 3.4546710132384186e-04,
+        3.5222757214623316e-04], rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(img[:, 4], [
-        -0.027914257408347864, -0.13872791816907917, -0.01284608246439723,
-        0.001355874888841559, 0.0013482952420850185], rtol=1e-13, atol=0.0)
+        -0.027914257408346917, -0.13872791816910052, -0.012846082464394424,
+        0.0013558748888361468, 0.001348295242077355], rtol=1e-13, atol=0.0)
     # the cell table is built once per grid and kept on the resolvent
     assert len(R.cell_tables) == 1
     again = apply_mild_evolution(spec, y).values[[1, 517, 1001, 1999, 2000]]

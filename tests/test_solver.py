@@ -13,7 +13,8 @@ from picardcert.solver import (CertificationRequired, NonContractionError,
                                picard_solve, zero_start, _iterate_like)
 
 from _oracles import (collocation_delayed_solution, delayed_fixed_point_coeffs,
-                      exp_delayed_sin, half_line_delayed_sin)
+                      exp_delayed_sin, forced_decay_solution,
+                      half_line_delayed_sin)
 
 
 def oracle_spec(window=(-20.0, 20.0), step=0.05):
@@ -672,6 +673,27 @@ def test_causal_evolution_fixed_point_vs_augmented_ode():
     assert err < 1e-7
 
 
+def test_evolution_oracle_node_error_at_a_coarse_step():
+    # u' = -u + 0.5 sin t + 0.1 u from u(0) = 0.3, in closed form: with the
+    # forcing read at the cell table's Gauss nodes the node error at step 0.4
+    # is 1.6e-6; a cubic spline of f(t_i, y_i, 0) read there gave 4.3e-5
+    from picardcert.evolution import (certify_stability, scalar_family,
+                                      stability_sample_pairs)
+    fam = scalar_family(lambda t: -1.0)
+    certify_stability(fam, stability_sample_pairs((0.0, 20.0), n=24),
+                      M=1.0, delta=1.0)
+    spec = pb.ProblemSpec(
+        variant="evolution_nonlocal", f=pc.sinusoid_affine(sin_amp=0.5,
+                                                           state_coeff=0.1),
+        evolution=fam, u0=[0.3], nonlocal_map=pc.zero_nonlocal(1),
+        report_window=(0.0, 20.0), grid_step=0.4, quad_tol=1e-13)
+    cert = pc.certify_evolution(spec, rho=2.0)
+    assert cert.passed
+    sol = picard_solve(spec, cert, tol=1e-13).solution
+    exact = forced_decay_solution(sol.grid, 0.9, 0.5, 0.3)
+    assert np.max(np.abs(sol.values[:, 0] - exact)) < 5e-6
+
+
 # -- cell-recurrence propagators ------------------------------------------------------
 
 def _recurrence_family(case):
@@ -732,25 +754,23 @@ def _recurrence_spec(variant, case):
 
 def _forced_ode_image(spec, y):
     """The operator image of y by integrating z' = A(t) z + g(t) directly
-    from the grid's first knot, restarted at every knot of the spline
-    forcing, where its third derivative jumps.  The delay variant starts
-    there from z = 0, as its operator does."""
+    from the grid's first knot, restarted at every knot of y's spline, where
+    the third derivative of g(s) = f(s, y(s - tau), 0) jumps (tau = 0
+    without a delay).  Without u0 it starts there from z = 0, as the delay
+    variant's operator does."""
     from scipy.integrate import solve_ivp
     from scipy.interpolate import CubicSpline
 
     t = y.grid
-    if spec.variant == pb.DELAY_PARABOLIC:
-        # y's cubic spline with its constant tails; the delay is a whole
-        # number of steps, so the knots of g are those of the grid
-        y_spline = CubicSpline(t, y.values, axis=0)
+    # y's cubic spline with its constant tails; the delay is a whole number
+    # of steps, so the knots of g are those of the grid
+    y_spline = CubicSpline(t, y.values, axis=0)
+    tau = spec.delay or 0.0
 
-        def g(s):
-            x = y_spline(max(s - spec.delay, t[0]))[None]
-            return spec.f(np.array([s]), x, np.zeros_like(x))[0]
-        z = np.zeros(spec.dim)
-    else:
-        g = CubicSpline(t, spec.f(t, y.values, np.zeros_like(y.values)), axis=0)
-        z = spec.u0
+    def g(s):
+        x = y_spline(max(s - tau, t[0]))[None]
+        return spec.f(np.array([s]), x, np.zeros_like(x))[0]
+    z = np.zeros(spec.dim) if spec.u0 is None else spec.u0
     if spec.variant == pb.RESOLVENT_NONLOCAL:
         # the memory's auxiliary states: v' = A v + sum_k w_k + g,
         # w_k' = G_k v - r_k w_k, with w_k(0) = 0; v is the image
